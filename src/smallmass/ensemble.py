@@ -22,14 +22,21 @@ the index tuple, independent of thread count and call order. Each
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
-from .model import ConstantMatrixField, LinearVectorField, ModelSpec, ZeroVectorField
+from .errors import StabilityError, ValidationError
+from .model import (
+    MAX_DIM,
+    ConstantMatrixField,
+    LinearVectorField,
+    ModelSpec,
+    ZeroVectorField,
+)
 
-D_MAX = 8  # noise lanes per (particle, step); equals the max state dimension
+D_MAX = MAX_DIM  # noise lanes per (particle, step), one per state dimension
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # key filler word
 
@@ -83,11 +90,6 @@ class NoiseStream:
         idx = particle * D_MAX + component
         gen = self._generator(run, step)
         return float(gen.standard_normal(idx + 1)[-1])
-
-
-def gaussian(stream: NoiseStream, run, particle, step, component) -> float:
-    """Standard normal draw at the given index tuple (see NoiseStream)."""
-    return stream.gaussian(run, particle, step, component)
 
 
 @dataclass(frozen=True)
@@ -175,6 +177,21 @@ def _positions_of(ens) -> np.ndarray:
     return x
 
 
+def _pair_mean(field_at, targets, positions, core):
+    """(1/N) sum_j f(x - x_j) for each row x of targets: (n, d) -> (n, *core).
+
+    Chunked over targets so one chunk holds at most _PAIR_CHUNK_BUDGET
+    floats; each target's sum runs over j in index order.
+    """
+    out = np.empty((targets.shape[0],) + core)
+    per_target = positions.shape[0] * math.prod(core)
+    chunk = max(1, _PAIR_CHUNK_BUDGET // max(1, per_target))
+    for lo in range(0, targets.shape[0], chunk):
+        diffs = targets[lo : lo + chunk, None, :] - positions[None, :, :]
+        out[lo : lo + chunk] = np.mean(field_at(diffs), axis=1)
+    return out
+
+
 def conv_phi(x, ens, spec: ModelSpec) -> np.ndarray:
     """Empirical convolution phi*rho at target(s) x: (..., d) -> (..., d, d)."""
     positions = _positions_of(ens)
@@ -182,13 +199,7 @@ def conv_phi(x, ens, spec: ModelSpec) -> np.ndarray:
     d = spec.dim
     if isinstance(spec.phi, ConstantMatrixField):
         return np.broadcast_to(spec.phi.M, x.shape[:-1] + (d, d))
-    targets = x.reshape(-1, d)
-    out = np.empty((targets.shape[0], d, d))
-    chunk = max(1, _PAIR_CHUNK_BUDGET // max(1, positions.shape[0] * d * d))
-    for lo in range(0, targets.shape[0], chunk):
-        hi = min(lo + chunk, targets.shape[0])
-        diffs = targets[lo:hi, None, :] - positions[None, :, :]
-        out[lo:hi] = np.mean(spec.phi_at(diffs), axis=1)
+    out = _pair_mean(spec.phi_at, x.reshape(-1, d), positions, (d, d))
     return out.reshape(x.shape[:-1] + (d, d))
 
 
@@ -201,13 +212,7 @@ def conv_gradK(x, ens, spec: ModelSpec) -> np.ndarray:
         return np.zeros_like(x)
     if isinstance(spec.grad_K, LinearVectorField):
         return spec.grad_K.coef * (x - np.mean(positions, axis=0))
-    targets = x.reshape(-1, d)
-    out = np.empty_like(targets)
-    chunk = max(1, _PAIR_CHUNK_BUDGET // max(1, positions.shape[0] * d))
-    for lo in range(0, targets.shape[0], chunk):
-        hi = min(lo + chunk, targets.shape[0])
-        diffs = targets[lo:hi, None, :] - positions[None, :, :]
-        out[lo:hi] = np.mean(spec.grad_K_at(diffs), axis=1)
+    out = _pair_mean(spec.grad_K_at, x.reshape(-1, d), positions, (d,))
     return out.reshape(x.shape)
 
 
@@ -228,6 +233,24 @@ def mean_field_coefficients(positions, spec: ModelSpec):
     A = spec.gamma_at(positions) + conv_phi(positions, positions, spec)
     F = spec.grad_V_at(positions) + conv_gradK(positions, positions, spec)
     return A, F
+
+
+def _check_friction_floor(A, points) -> None:
+    """Raise StabilityError unless every friction in the (n, d, d) stack A
+    has a positive definite symmetric part; points[i] locates A[i].
+
+    In 1D the single entry is its own eigenvalue and is read directly.
+    """
+    if A.shape[-1] == 1:
+        lam = A[:, 0, 0]
+    else:
+        lam = np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2)))[:, 0]
+    i = int(np.argmin(lam))
+    if lam[i] <= 0.0:
+        raise StabilityError(
+            f"friction not positive definite at {points[i]} "
+            f"(min symmetric eigenvalue {lam[i]:.6e})"
+        )
 
 
 # ----------------------------------------------------------- snapshot CSV

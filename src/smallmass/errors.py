@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ValidationError -> 2, BlowUpError -> 3.
-Everything else is a plain bug and escapes as a traceback.
+The CLI maps these onto exit codes: ValidationError (and its subclasses)
+-> 2, every other SmallMassError (BlowUpError, a quadrature that does not
+settle, ...) -> 3. Exceptions outside this hierarchy are bugs and escape
+as a traceback.
 """
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CFLError, StabilityError, ValidationError
 from .model import ConstantMatrixField, LinearVectorField, ModelSpec, ZeroVectorField
-from .underdamped import _snapshot_targets
+from .underdamped import _advance
 
 _MASS_TOL = 1e-9  # constructor/monitor tolerance; the conservation *drift*
 #                   over long runs is measured by tests at 1e-12
@@ -223,29 +223,25 @@ def fp_solve(spec: ModelSpec, grid0: Grid1D, T, dt, snapshot_times=None) -> list
     Mass is monitored every step; boundary cells are watched so domain
     truncation stays visible.
     """
-    targets = _snapshot_targets(grid0.t, T, dt, snapshot_times)
     cache = _build_cache(grid0, spec)
-    out = []
-    grid = grid0
-    tol = 1e-12 * max(1.0, abs(T))
     warned = False
-    for target in targets:
-        while grid.t < target - tol:
-            grid = fp_step(grid, spec, min(dt, target - grid.t), cache=cache)
-            if abs(grid.h * grid.density.sum() - 1.0) > _MASS_TOL:
-                raise StabilityError(
-                    f"mass left 1 +/- {_MASS_TOL:g} at t={grid.t:.6g}"
-                )
-            edge = max(grid.density[0], grid.density[-1])
-            if edge > _BOUNDARY_MASS_WARN and not warned:
-                warnings.warn(
-                    f"boundary density {edge:.3e} at t={grid.t:.6g}; "
-                    "domain may be too small",
-                    stacklevel=2,
-                )
-                warned = True
-        out.append(grid)
-    return out
+
+    def step(grid, dt_sub):
+        nonlocal warned
+        grid = fp_step(grid, spec, dt_sub, cache=cache)
+        if abs(grid.h * grid.density.sum() - 1.0) > _MASS_TOL:
+            raise StabilityError(f"mass left 1 +/- {_MASS_TOL:g} at t={grid.t:.6g}")
+        edge = max(grid.density[0], grid.density[-1])
+        if edge > _BOUNDARY_MASS_WARN and not warned:
+            warnings.warn(
+                f"boundary density {edge:.3e} at t={grid.t:.6g}; "
+                "domain may be too small",
+                stacklevel=4,
+            )
+            warned = True
+        return grid
+
+    return _advance(grid0, T, dt, snapshot_times, step)
 
 
 def stationary_residual(grid: Grid1D, spec: ModelSpec) -> float:

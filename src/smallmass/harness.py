@@ -36,16 +36,7 @@ from .ensemble import (
 )
 from .errors import BlowUpError, SmallMassError, ValidationError
 from .fpsolve1d import Grid1D, cell_centers, fp_solve, fp_step, write_density_csv
-from .model import (
-    ModelSpec,
-    audit_assumptions,
-    get_preset,
-    make_classical_sk_1d,
-    make_double_well_1d,
-    make_gaussian_interaction_2d,
-    make_quadratic_ou,
-    make_state_dep_friction_1d,
-)
+from .model import PRESETS, ModelSpec, audit_assumptions, get_preset
 from .observables import (
     W2_EXACT_MAX_N,
     EnergyReport,
@@ -53,31 +44,18 @@ from .observables import (
     WeakGapReport,
     bump_test_functions,
     energy_diagnostic,
-    gap_row,
     holder_diagnostic,
-    paired_gap_stderr,
     w2_1d,
     w2_exact,
     w2_sliced,
-    weak_momentum,
-    weak_Yhat,
-    weak_Ystar,
+    weak_gap_rows,
 )
 from .overdamped import simulate_limit
 from .smallmat import lyapunov_quadrature, solve_lyapunov
-from .underdamped import UDStepperConfig, simulate_underdamped
+from .underdamped import SCHEMES, UDStepperConfig, simulate_underdamped
 
-_SCHEMES = ("euler_maruyama", "exponential")
 _W2_METHODS = ("auto", "exact", "sliced", "1d")
 _VELOCITY_STARTS = ("cold", "equilibrated")
-
-_MODEL_FACTORIES = {
-    "quadratic-ou": make_quadratic_ou,
-    "double-well-1d": make_double_well_1d,
-    "state-dep-friction-1d": make_state_dep_friction_1d,
-    "gaussian-interaction-2d": make_gaussian_interaction_2d,
-    "classical-sk-1d": make_classical_sk_1d,
-}
 
 
 @dataclass(frozen=True)
@@ -145,8 +123,8 @@ class ExperimentConfig:
             raise ValidationError(f"t_star must lie in (0, T], got {self.t_star}")
         if self.delta is not None and not 0 < self.delta <= self.T - self.t_star:
             raise ValidationError("delta must lie in (0, T - t_star]")
-        if self.scheme not in _SCHEMES:
-            raise ValidationError(f"scheme must be one of {_SCHEMES}")
+        if self.scheme not in SCHEMES:
+            raise ValidationError(f"scheme must be one of {SCHEMES}")
         if self.dt_under is not None and not self.dt_under > 0:
             raise ValidationError("dt_under must be positive when set")
         if not self.dt_limit > 0:
@@ -214,10 +192,10 @@ def build_spec(config: ExperimentConfig) -> ModelSpec:
     if config.model is not None:
         params = dict(config.model)
         kind = params.pop("kind")
-        factory = _MODEL_FACTORIES.get(kind)
+        factory = PRESETS.get(kind)
         if factory is None:
             raise ValidationError(
-                f"unknown model kind {kind!r}; choose from {sorted(_MODEL_FACTORIES)}"
+                f"unknown model kind {kind!r}; choose from {sorted(PRESETS)}"
             )
         try:
             return factory(**params)
@@ -242,6 +220,14 @@ def default_delta(epsilon: float, dt: float) -> float:
     return min(max(epsilon**3, 10.0 * dt), 0.1)
 
 
+def _slice_delta(config: ExperimentConfig) -> float:
+    """The slice length: config.delta, else the step-limited default."""
+    if config.delta is not None:
+        return config.delta
+    epsilon = config.epsilon_grid[0]
+    return default_delta(epsilon, underdamped_dt(config, epsilon))
+
+
 def default_snapshots(t_star: float, T: float, n: int = 9) -> tuple:
     if T == t_star:
         return (T,)
@@ -254,9 +240,13 @@ def default_snapshots(t_star: float, T: float, n: int = 9) -> tuple:
 def initial_positions(stream: NoiseStream, n, dim, components) -> np.ndarray:
     """Gaussian-mixture draw from the reserved position-init block.
 
-    Component choice consumes the last noise lane, so it never collides
-    with the first dim lanes used for the offsets.
+    The offsets use the first dim noise lanes and the component choice the
+    last lane, so a mixture needs dim < D_MAX to keep the two apart.
     """
+    if len(components) > 1 and dim >= D_MAX:
+        raise ValidationError(
+            f"a mixture initial law needs dim < {D_MAX}, got dim={dim}"
+        )
     z = stream.block(RUN_INIT_POSITIONS, 0, n)
     w = np.array([c[0] for c in components], dtype=float)
     mu = np.array([c[1] for c in components], dtype=float)
@@ -290,6 +280,23 @@ def initial_velocities(
         J = solve_lyapunov(A[i], sig[i] @ sig[i].T).J
         v[i] = np.linalg.cholesky(J / epsilon) @ z[i]
     return v
+
+
+def _underdamped_run(spec, config, epsilon, stream, snapshot_times):
+    """One underdamped run from the configured start: positions, then
+    velocities, drawn from `stream`, then integration to config.T."""
+    x0 = initial_positions(stream, config.n_particles, spec.dim, config.init_components)
+    v0 = initial_velocities(stream, x0, spec, epsilon, config.init_velocities)
+    init = UnderdampedEnsemble(epsilon=epsilon, t=0.0, positions=x0, velocities=v0)
+    cfg = UDStepperConfig(scheme=config.scheme, dt=underdamped_dt(config, epsilon))
+    return simulate_underdamped(spec, init, config.T, cfg, stream, snapshot_times)
+
+
+def _limit_run(spec, config, stream, snapshot_times):
+    """The limit run from the configured start positions drawn from `stream`."""
+    x0 = initial_positions(stream, config.n_particles, spec.dim, config.init_components)
+    init = OverdampedEnsemble(t=0.0, positions=x0)
+    return simulate_limit(spec, init, config.T, config.dt_limit, stream, snapshot_times)
 
 
 # ----------------------------------------------------------------- sweeps
@@ -333,14 +340,8 @@ def _run_one_epsilon(spec, config, epsilon, snaps, limit_snaps, base_stream, ind
     # coupled runs reuse the base stream (same init blocks, same step indices);
     # uncoupled runs get a fresh master seed per epsilon
     stream = base_stream if config.coupled else NoiseStream(config.seed + index + 1)
-    x0 = initial_positions(stream, config.n_particles, spec.dim, config.init_components)
-    v0 = initial_velocities(stream, x0, spec, epsilon, config.init_velocities)
-    init = UnderdampedEnsemble(epsilon=epsilon, t=0.0, positions=x0, velocities=v0)
-    cfg = UDStepperConfig(
-        scheme=config.scheme, dt=underdamped_dt(config, epsilon), run_id=0
-    )
     started = time.perf_counter()
-    ud_snaps = simulate_underdamped(spec, init, config.T, cfg, stream, snaps)
+    ud_snaps = _underdamped_run(spec, config, epsilon, stream, snaps)
 
     psis = bump_test_functions(spec.dim, config.psi_centers, config.psi_radius)
     w2_rows = []
@@ -348,17 +349,7 @@ def _run_one_epsilon(spec, config, epsilon, snaps, limit_snaps, base_stream, ind
     for ud, od in zip(ud_snaps, limit_snaps):
         value, method = _w2_dispatch(ud.positions, od.positions, config, base_stream)
         w2_rows.append((epsilon, ud.t, value, method))
-        for psi in psis:
-            weak_rows.append(
-                gap_row(
-                    epsilon,
-                    ud.t,
-                    psi.name,
-                    Y=weak_momentum(ud, psi),
-                    Ystar=weak_Ystar(ud.positions, spec, psi),
-                    mc_stderr=paired_gap_stderr(ud, spec, psi),
-                )
-            )
+        weak_rows.extend(weak_gap_rows(ud, spec, psis))
     try:
         holder = holder_diagnostic(ud_snaps, epsilon=epsilon)
     except ValidationError:
@@ -391,7 +382,7 @@ def _worker_count(n_jobs: int) -> int:
 
 def _abort_with_manifest(config, epsilon, exc):
     os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, f"failed_eps_{epsilon:g}.json")
+    path = os.path.join(config.out_dir, f"failed_eps_{_eps_key(epsilon)}.json")
     with open(path, "w") as f:
         json.dump(
             {
@@ -417,20 +408,8 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
     spec = build_spec(config)
     snaps = config.snapshot_times or default_snapshots(config.t_star, config.T)
     base_stream = NoiseStream(config.seed)
-
-    x0 = initial_positions(
-        base_stream, config.n_particles, spec.dim, config.init_components
-    )
     started = time.perf_counter()
-    limit_snaps = simulate_limit(
-        spec,
-        OverdampedEnsemble(t=0.0, positions=x0),
-        config.T,
-        config.dt_limit,
-        base_stream,
-        snapshot_times=snaps,
-        run_id=0,
-    )
+    limit_snaps = _limit_run(spec, config, base_stream, snaps)
     limit_runtime = time.perf_counter() - started
 
     grid = config.epsilon_grid
@@ -552,45 +531,27 @@ def run_slice_diagnostic(config: ExperimentConfig, delta=None) -> WeakGapReport:
     spec = build_spec(config)
     epsilon = config.epsilon_grid[0]
     dt = underdamped_dt(config, epsilon)
-    if delta is None:
-        delta = config.delta if config.delta is not None else default_delta(epsilon, dt)
-    delta = float(delta)
+    delta = float(_slice_delta(config) if delta is None else delta)
     if delta < dt:
         raise ValidationError(f"delta={delta:g} is below one step dt={dt:g}")
     starts = slice_starts(config.t_star, config.T, delta)
-    times = np.unique(
-        np.concatenate([starts, starts + 0.5 * delta, starts + delta])
+    n = len(starts)
+    # where[k], where[n + k], where[2n + k]: indices of slice k's start,
+    # midpoint and end among the sorted distinct times
+    times, where = np.unique(
+        np.concatenate([starts, starts + 0.5 * delta, starts + delta]),
+        return_inverse=True,
     )
-    times = times[times <= config.T * (1.0 + 1e-12)]
-
-    stream = NoiseStream(config.seed)
-    x0 = initial_positions(stream, config.n_particles, spec.dim, config.init_components)
-    v0 = initial_velocities(stream, x0, spec, epsilon, config.init_velocities)
-    init = UnderdampedEnsemble(epsilon=epsilon, t=0.0, positions=x0, velocities=v0)
-    cfg = UDStepperConfig(scheme=config.scheme, dt=dt, run_id=0)
-    snaps = simulate_underdamped(
-        spec, init, config.T, cfg, stream, [float(t) for t in times]
+    snaps = _underdamped_run(
+        spec, config, epsilon, NoiseStream(config.seed), [float(t) for t in times]
     )
-    by_time = {round(s.t, 12): s for s in snaps}
 
     psis = bump_test_functions(spec.dim, config.psi_centers, config.psi_radius)
     rows = []
-    for t_k in starts:
-        anchor = by_time[round(t_k, 12)]
-        for t in (t_k, t_k + 0.5 * delta, t_k + delta):
-            state = by_time[round(t, 12)]
-            for psi in psis:
-                rows.append(
-                    gap_row(
-                        epsilon,
-                        state.t,
-                        psi.name,
-                        Y=weak_momentum(state, psi),
-                        Ystar=weak_Ystar(state.positions, spec, psi),
-                        Yhat=weak_Yhat(anchor, state.t, anchor.t, spec, psi),
-                        mc_stderr=paired_gap_stderr(state, spec, psi),
-                    )
-                )
+    for k in range(n):
+        anchor = snaps[where[k]]
+        for j in (k, n + k, 2 * n + k):
+            rows.extend(weak_gap_rows(snaps[where[j]], spec, psis, anchor=anchor))
     return WeakGapReport(rows=tuple(rows))
 
 
@@ -650,15 +611,8 @@ def _cli_audit(config: ExperimentConfig) -> int:
 def _cli_simulate(config: ExperimentConfig) -> int:
     spec = build_spec(config)
     epsilon = config.epsilon_grid[0]
-    stream = NoiseStream(config.seed)
-    x0 = initial_positions(stream, config.n_particles, spec.dim, config.init_components)
-    v0 = initial_velocities(stream, x0, spec, epsilon, config.init_velocities)
-    init = UnderdampedEnsemble(epsilon=epsilon, t=0.0, positions=x0, velocities=v0)
-    cfg = UDStepperConfig(
-        scheme=config.scheme, dt=underdamped_dt(config, epsilon), run_id=0
-    )
-    snaps = simulate_underdamped(
-        spec, init, config.T, cfg, stream, config.snapshot_times
+    snaps = _underdamped_run(
+        spec, config, epsilon, NoiseStream(config.seed), config.snapshot_times
     )
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "underdamped_snapshots.csv")
@@ -669,17 +623,7 @@ def _cli_simulate(config: ExperimentConfig) -> int:
 
 def _cli_limit(config: ExperimentConfig) -> int:
     spec = build_spec(config)
-    stream = NoiseStream(config.seed)
-    x0 = initial_positions(stream, config.n_particles, spec.dim, config.init_components)
-    snaps = simulate_limit(
-        spec,
-        OverdampedEnsemble(t=0.0, positions=x0),
-        config.T,
-        config.dt_limit,
-        stream,
-        snapshot_times=config.snapshot_times,
-        run_id=0,
-    )
+    snaps = _limit_run(spec, config, NoiseStream(config.seed), config.snapshot_times)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "limit_snapshots.csv")
     write_snapshots_csv(path, snaps)
@@ -724,8 +668,7 @@ def _cli_converge(config: ExperimentConfig) -> int:
 
 def _cli_slice_diag(config: ExperimentConfig) -> int:
     epsilon = config.epsilon_grid[0]
-    dt = underdamped_dt(config, epsilon)
-    delta = config.delta if config.delta is not None else default_delta(epsilon, dt)
+    delta = _slice_delta(config)
     rep_small = run_slice_diagnostic(config, delta=delta)
     rep_big = run_slice_diagnostic(config, delta=2.0 * delta)
     os.makedirs(config.out_dir, exist_ok=True)

@@ -34,7 +34,7 @@ checks the eigenvalue floors of gamma and phi against the declared hints.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

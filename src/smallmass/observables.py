@@ -31,10 +31,11 @@ from .ensemble import (
     RUN_W2_PROJECTIONS,
     NoiseStream,
     UnderdampedEnsemble,
+    _check_friction_floor,
     _positions_of,
     mean_field_coefficients,
 )
-from .errors import SmallMassError, StabilityError, ValidationError
+from .errors import SmallMassError, ValidationError
 from .model import ModelSpec
 from .overdamped import _d_friction_at
 from .smallmat import _GL_NODES, _GL_WEIGHTS, invert, solve_lyapunov
@@ -170,18 +171,41 @@ def _bump(dim, center, radius, slope):
 # -------------------------------------------------------- weak-form machinery
 
 
-def _check_positive_1d(a, X):
-    i = int(np.argmin(a))
-    if a[i] <= 0.0:
-        raise StabilityError(f"friction not positive definite at {X[i]}")
+@dataclass(frozen=True)
+class _Frozen:
+    """Per-particle coefficients of one snapshot, frozen for the estimators.
+
+    A (n, d, d), F (n, d), the friction Jacobian dA (n, d, d, d) and
+    J (n, d, d) with A J + J A^T = sigma sigma^T. A_inv is kept for d > 1
+    only: the 1D formulas divide by A.
+    """
+
+    X: np.ndarray
+    A: np.ndarray
+    F: np.ndarray
+    dA: np.ndarray
+    J: np.ndarray
+    A_inv: np.ndarray | None
 
 
-def _check_positive(A):
-    sym = 0.5 * (A + np.swapaxes(A, -1, -2))
-    lam = np.linalg.eigvalsh(sym)[..., 0]
-    i = int(np.argmin(lam))
-    if lam[i] <= 0.0:
-        raise StabilityError(f"friction not positive definite at particle {i}")
+def _frozen_coefficients(positions, spec: ModelSpec) -> _Frozen:
+    """Coefficients of a snapshot against its own empirical measure."""
+    X = _positions_of(positions)
+    n, d = X.shape
+    A, F = mean_field_coefficients(X, spec)
+    _check_friction_floor(A, X)
+    sig = spec.sigma_at(X)
+    dA = _d_friction_at(X, X, spec)
+    if d == 1:
+        s = sig[:, 0, 0]
+        J = (s * s / (2.0 * A[:, 0, 0]))[:, None, None]
+        return _Frozen(X, A, F, dA, J, None)
+    A_inv = np.empty((n, d, d))
+    J = np.empty((n, d, d))
+    for i in range(n):
+        A_inv[i] = invert(A[i])
+        J[i] = solve_lyapunov(A[i], sig[i] @ sig[i].T).J
+    return _Frozen(X, A, F, dA, J, A_inv)
 
 
 def momentum_summands(state: UnderdampedEnsemble, psi: TestFunction):
@@ -195,32 +219,32 @@ def weak_momentum(state: UnderdampedEnsemble, psi: TestFunction) -> float:
 
 
 def ystar_summands(positions, spec: ModelSpec, psi: TestFunction):
-    """Per-particle summands of <Y*, psi>; weak_Ystar is their mean."""
-    X = _positions_of(positions)
+    """Per-particle summands of <Y*, psi>; weak_Ystar is their mean.
+
+    positions is an ensemble, an (N, d) array, or the frozen coefficients
+    of a snapshot (as weak_gap_rows passes them, computed once for all psi).
+    """
+    if isinstance(positions, _Frozen):
+        c = positions
+    else:
+        c = _frozen_coefficients(positions, spec)
+    X = c.X
     n, d = X.shape
-    A, F = mean_field_coefficients(X, spec)
     P = psi.value_at(X)
     G = psi.gradient_at(X)
     if d == 1:
-        a = A[:, 0, 0]
-        _check_positive_1d(a, X)
-        s = spec.sigma_at(X)[:, 0, 0]
-        j = s * s / (2.0 * a)
-        da = _d_friction_at(X, X, spec)[:, 0, 0, 0]
+        a = c.A[:, 0, 0]
+        da = c.dA[:, 0, 0, 0]
         gprime = G[:, 0, 0] / a - P[:, 0] * da / (a * a)
-        return -P[:, 0] * F[:, 0] / a + j * gprime
-    _check_positive(A)
-    dA = _d_friction_at(X, X, spec)
-    sig = spec.sigma_at(X)
+        return -P[:, 0] * c.F[:, 0] / a + c.J[:, 0, 0] * gprime
     out = np.empty(n)
     for i in range(n):
-        Ainv = invert(A[i])
-        J = solve_lyapunov(A[i], sig[i] @ sig[i].T).J
+        Ainv = c.A_inv[i]
         Gg = np.empty((d, d))
         for k in range(d):
-            dAinvT = -(Ainv @ dA[i, :, :, k] @ Ainv).T
+            dAinvT = -(Ainv @ c.dA[i, :, :, k] @ Ainv).T
             Gg[:, k] = dAinvT @ P[i] + Ainv.T @ G[i, :, k]
-        out[i] = -P[i] @ (Ainv @ F[i]) + np.einsum("mk,mk->", J, Gg)
+        out[i] = -P[i] @ (Ainv @ c.F[i]) + np.einsum("mk,mk->", c.J[i], Gg)
     return out
 
 
@@ -229,12 +253,18 @@ def weak_Ystar(positions, spec: ModelSpec, psi: TestFunction) -> float:
     return float(np.mean(ystar_summands(positions, spec, psi)))
 
 
-def paired_gap_stderr(state: UnderdampedEnsemble, spec, psi) -> float:
-    """Standard error of <Y - Y*, psi> from the paired per-particle summands."""
-    diff = momentum_summands(state, psi) - ystar_summands(state.positions, spec, psi)
+def _paired_stderr(y, ystar) -> float:
+    diff = y - ystar
     if diff.size < 2:
         return float("nan")
     return float(np.std(diff, ddof=1) / np.sqrt(diff.size))
+
+
+def paired_gap_stderr(state: UnderdampedEnsemble, spec, psi) -> float:
+    """Standard error of <Y - Y*, psi> from the paired per-particle summands."""
+    return _paired_stderr(
+        momentum_summands(state, psi), ystar_summands(state.positions, spec, psi)
+    )
 
 
 def _gl_panels(c, n_panels):
@@ -287,15 +317,14 @@ def weak_Yhat(slice_start, t, t_k, spec: ModelSpec, psi: TestFunction) -> float:
     c = tau / eps
     X, V = state.positions, state.velocities
     n, d = X.shape
-    A, F = mean_field_coefficients(X, spec)
+    frozen = _frozen_coefficients(X, spec)
+    A, F = frozen.A, frozen.F
     P = psi.value_at(X)
     Gpsi = psi.gradient_at(X)
     if d == 1:
         a = A[:, 0, 0]
-        _check_positive_1d(a, X)
-        s = spec.sigma_at(X)[:, 0, 0]
-        j = s * s / (2.0 * a)
-        da = _d_friction_at(X, X, spec)[:, 0, 0, 0]
+        j = frozen.J[:, 0, 0]
+        da = frozen.dA[:, 0, 0, 0]
         E = np.exp(-a * c)
         term1 = float(np.mean(V[:, 0] * E * P[:, 0]))
         term2 = -float(np.mean(F[:, 0] * (1.0 - E) / a * P[:, 0]))
@@ -305,19 +334,15 @@ def weak_Yhat(slice_start, t, t_k, spec: ModelSpec, psi: TestFunction) -> float:
 
         return term1 + term2 + _doubling_quadrature(node_value, c)
 
-    _check_positive(A)
-    sig = spec.sigma_at(X)
-    dA = _d_friction_at(X, X, spec)
+    dA, Js = frozen.dA, frozen.J
     eye = np.eye(d)
-    Js = np.empty((n, d, d))
     term1 = 0.0
     term2 = 0.0
     for i in range(n):
         E = expm(-A[i] * c)
-        B = invert(A[i]) @ (eye - E)
+        B = frozen.A_inv[i] @ (eye - E)
         term1 += V[i] @ (E.T @ P[i])
         term2 -= F[i] @ (B.T @ P[i])
-        Js[i] = solve_lyapunov(A[i], sig[i] @ sig[i].T).J
     term1 /= n
     term2 /= n
 
@@ -490,6 +515,26 @@ class WeakGapRow:
             raise ValidationError("gap_Y_Ystar is not exactly Y - Ystar")
         if not _same_or_both_nan(self.gap_Y_Yhat, self.Y - self.Yhat):
             raise ValidationError("gap_Y_Yhat is not exactly Y - Yhat")
+
+
+def weak_gap_rows(state: UnderdampedEnsemble, spec: ModelSpec, psis, anchor=None):
+    """One gap row per test function at the snapshot `state`.
+
+    The snapshot's coefficients are computed once; each psi evaluates its
+    Y* summands once, and Ystar and mc_stderr both read them. With a slice
+    anchor (the slice-start state), Yhat is weak_Yhat from it; else NaN.
+    """
+    frozen = _frozen_coefficients(state.positions, spec)
+    rows = []
+    for psi in psis:
+        y = momentum_summands(state, psi)
+        ystar = ystar_summands(frozen, spec, psi)
+        yhat = float("nan")
+        if anchor is not None:
+            yhat = weak_Yhat(anchor, state.t, anchor.t, spec, psi)
+        Y, Ystar, stderr = np.mean(y), np.mean(ystar), _paired_stderr(y, ystar)
+        rows.append(gap_row(state.epsilon, state.t, psi.name, Y, Ystar, yhat, stderr))
+    return rows
 
 
 def gap_row(

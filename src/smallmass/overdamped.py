@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import (
-    _PAIR_CHUNK_BUDGET,
     NoiseStream,
     OverdampedEnsemble,
+    _check_friction_floor,
+    _pair_mean,
     _positions_of,
     conv_gradK,
     conv_phi,
@@ -38,7 +39,7 @@ from .smallmat import (
     min_symmetric_eigenvalue,
     solve_lyapunov,
 )
-from .underdamped import _snapshot_targets
+from .underdamped import _advance
 
 S_METHODS = ("product_rule", "fd_inverse")
 
@@ -64,13 +65,7 @@ def _conv_dphi(x, positions, spec: ModelSpec):
     x = np.asarray(x, dtype=float).reshape(-1, d)
     if isinstance(spec.phi, ConstantMatrixField):
         return np.zeros(x.shape[:-1] + (d, d, d))
-    n = positions.shape[0]
-    chunk = max(1, _PAIR_CHUNK_BUDGET // max(1, n * d * d * d))
-    out = np.empty((x.shape[0], d, d, d))
-    for s in range(0, x.shape[0], chunk):
-        diffs = x[s : s + chunk, None, :] - positions[None, :, :]
-        out[s : s + chunk] = spec.d_phi_at(diffs).mean(axis=1)
-    return out
+    return _pair_mean(spec.d_phi_at, x, positions, (d, d, d))
 
 
 def _d_friction_at(x, positions, spec: ModelSpec):
@@ -174,10 +169,8 @@ def _limit_fields(spec: ModelSpec, positions):
         return b, D
     if d == 1:
         A, F = mean_field_coefficients(positions, spec)
+        _check_friction_floor(A, positions)
         a = A[:, 0, 0]
-        if np.min(a) <= 0.0:
-            bad = positions[int(np.argmin(a))]
-            raise StabilityError(f"friction not positive definite at {bad}")
         s = spec.sigma_at(positions)[:, 0, 0]
         da = (
             spec.d_gamma_at(positions)[:, 0, 0, 0]
@@ -228,7 +221,6 @@ def simulate_limit(
     """
     if dt < 0:
         raise ValidationError(f"dt must be >= 0, got {dt}")
-    targets = _snapshot_targets(init.t, T, dt, snapshot_times)
     d = spec.dim
     if init.dim != d:
         raise ValidationError(f"ensemble dim {init.dim} != spec dim {d}")
@@ -239,26 +231,20 @@ def simulate_limit(
                 f"dt*Lipschitz(b) = {dt * L:.3g} > 1; reduce dt to <= {1.0 / L:.3e}",
                 admissible_dt=1.0 / L,
             )
-    out = []
-    state = init
-    tol = 1e-12 * max(1.0, abs(T))
-    for target in targets:
-        while state.t < target - tol:
-            dt_sub = min(dt, target - state.t)
-            X = state.positions
-            b, D = _limit_fields(spec, X)
-            xi = stream.block(run_id, state.step + 1, state.N)[:, :d]
-            if d == 1:
-                x_new = X + dt_sub * b + np.sqrt(dt_sub) * D[:, :, 0] * xi
-            else:
-                x_new = X + dt_sub * b + np.sqrt(dt_sub) * np.einsum(
-                    "nij,nj->ni", D, xi
-                )
-            if not np.all(np.isfinite(x_new)):
-                raise BlowUpError(
-                    f"non-finite state after step to t={state.t + dt_sub:.6g}",
-                    t=state.t + dt_sub,
-                )
-            state = state.advanced(x_new, dt_sub)
-        out.append(state)
-    return out
+
+    def step(state, dt_sub):
+        X = state.positions
+        b, D = _limit_fields(spec, X)
+        xi = stream.block(run_id, state.step + 1, state.N)[:, :d]
+        if d == 1:
+            x_new = X + dt_sub * b + np.sqrt(dt_sub) * D[:, :, 0] * xi
+        else:
+            x_new = X + dt_sub * b + np.sqrt(dt_sub) * np.einsum("nij,nj->ni", D, xi)
+        if not np.all(np.isfinite(x_new)):
+            raise BlowUpError(
+                f"non-finite state after step to t={state.t + dt_sub:.6g}",
+                t=state.t + dt_sub,
+            )
+        return state.advanced(x_new, dt_sub)
+
+    return _advance(init, T, dt, snapshot_times, step)

@@ -21,8 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConditionError, StabilityError, ValidationError
-
-MAX_DIM = 8
+from .model import MAX_DIM
 
 # fixed nodes for the composite Gauss-Legendre rule in lyapunov_quadrature
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)

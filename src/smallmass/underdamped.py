@@ -45,11 +45,12 @@ import numpy as np
 from .ensemble import (
     NoiseStream,
     UnderdampedEnsemble,
+    _check_friction_floor,
     conv_gradK,
     conv_phi,
     mean_field_coefficients,
 )
-from .errors import BlowUpError, StabilityError, StiffnessError, ValidationError
+from .errors import BlowUpError, StiffnessError, ValidationError
 from .model import ModelSpec
 from .smallmat import expm, invert, solve_lyapunov
 
@@ -78,10 +79,6 @@ class UDStepperConfig:
             raise ValidationError("substep_guard must lie in (0, 1]")
 
 
-def _sigma_1d(spec, X):
-    return spec.sigma_at(X)[:, 0, 0]
-
-
 def step_underdamped_em(
     state: UnderdampedEnsemble,
     spec: ModelSpec,
@@ -108,17 +105,9 @@ def step_underdamped_em(
         )
 
     xi = stream.block(cfg.run_id, state.step + 1, state.N)[:, :d]
-    if d == 1:
-        a = A[:, 0, 0]
-        s = _sigma_1d(spec, X)
-        v_new = V + (dt / eps) * (-a[:, None] * V - F) + (np.sqrt(dt) / eps) * (
-            s[:, None] * xi
-        )
-    else:
-        sig = spec.sigma_at(X)
-        drift = -np.einsum("nij,nj->ni", A, V) - F
-        noise = np.einsum("nij,nj->ni", sig, xi)
-        v_new = V + (dt / eps) * drift + (np.sqrt(dt) / eps) * noise
+    drift = -np.einsum("nij,nj->ni", A, V) - F
+    noise = np.einsum("nij,nj->ni", spec.sigma_at(X), xi)
+    v_new = V + (dt / eps) * drift + (np.sqrt(dt) / eps) * noise
     x_new = X + dt * v_new
     return _advance_checked(state, x_new, v_new, dt)
 
@@ -152,28 +141,19 @@ def step_underdamped_exp(
     X, V = state.positions, state.velocities
     d = state.dim
     A, F = mean_field_coefficients(X, spec)
+    _check_friction_floor(A, X)
     b = -F
     xi = stream.block(cfg.run_id, state.step + 1, state.N)[:, :d]
 
     if d == 1:
         a = A[:, 0, 0]
-        if np.min(a) <= 0.0:
-            raise StabilityError(
-                f"frozen friction has min eigenvalue {np.min(a):.6e} <= 0"
-            )
-        s = _sigma_1d(spec, X)
+        s = spec.sigma_at(X)[:, 0, 0]
         E = np.exp(-a * dt / eps)
         J = s * s / (2.0 * a)
         v_det = E[:, None] * V + ((1.0 - E) * b[:, 0] / a)[:, None]
         std = np.sqrt(np.maximum(J * (1.0 - E * E) / eps, 0.0))
         v_new = v_det + std[:, None] * xi
     else:
-        sym = 0.5 * (A + np.swapaxes(A, -1, -2))
-        lam_min = float(np.min(np.linalg.eigvalsh(sym)))
-        if lam_min <= 0.0:
-            raise StabilityError(
-                f"frozen friction has min symmetric eigenvalue {lam_min:.6e} <= 0"
-            )
         sig = spec.sigma_at(X)
         v_new = np.empty_like(V)
         for i in range(state.N):
@@ -204,13 +184,16 @@ def simulate_underdamped(
     step consumes one noise index regardless of its length). With
     snapshot_times None, only the final state is returned.
     """
-    return _simulate(
-        _STEPPERS[cfg.scheme], spec, init, T, cfg, stream, snapshot_times
-    )
+    stepper = _STEPPERS[cfg.scheme]
+
+    def step(state, dt_sub):
+        return stepper(state, spec, cfg, stream, dt=dt_sub)
+
+    return _advance(init, T, cfg.dt, snapshot_times, step)
 
 
 def _snapshot_targets(t0, T, dt, snapshot_times):
-    """Validate and normalize the emission times shared by both integrators."""
+    """Validate and normalize the emission times shared by all integrators."""
     if T < t0:
         raise ValidationError(f"T={T} precedes the initial time {t0}")
     if snapshot_times is None:
@@ -226,15 +209,19 @@ def _snapshot_targets(t0, T, dt, snapshot_times):
     return targets
 
 
-def _simulate(stepper, spec, init, T, cfg, stream, snapshot_times):
-    targets = _snapshot_targets(init.t, T, cfg.dt, snapshot_times)
+def _advance(state, T, dt, snapshot_times, step):
+    """The time loop of every integrator: state <- step(state, dt_sub) to T.
+
+    Returns the states at the snapshot times (only the final one when
+    snapshot_times is None). A substep is shortened to land on each target
+    within 1e-12 * max(1, |T|).
+    """
+    targets = _snapshot_targets(state.t, T, dt, snapshot_times)
     out = []
-    state = init
     tol = 1e-12 * max(1.0, abs(T))
     for target in targets:
         while state.t < target - tol:
-            dt_sub = min(cfg.dt, target - state.t)
-            state = stepper(state, spec, cfg, stream, dt=dt_sub)
+            state = step(state, min(dt, target - state.t))
         out.append(state)
     return out
 
@@ -270,9 +257,7 @@ def frozen_velocity_covariance(
     A = spec.gamma_at(x[None])[0] + conv_phi(x, measure, spec)
     F = spec.grad_V_at(x[None])[0] + conv_gradK(x, measure, spec)
     sig = spec.sigma_at(x[None])[0]
-    lam = np.min(np.linalg.eigvalsh(0.5 * (A + A.T)))
-    if lam <= 0.0:
-        raise StabilityError(f"frozen friction at x has min eigenvalue {lam:.6e} <= 0")
+    _check_friction_floor(A[None], x[None])
 
     E = expm(-A * (t / epsilon))
     J = solve_lyapunov(A, sig @ sig.T).J

@@ -13,7 +13,6 @@ from smallmass.ensemble import (
     conv_gradK,
     conv_phi,
     empirical_moment2,
-    gaussian,
     read_snapshots_csv,
     write_snapshots_csv,
 )
@@ -162,8 +161,8 @@ def test_empirical_moment2():
 
 def test_gaussian_determinism():
     s = NoiseStream(123)
-    a = gaussian(s, 4, 17, 99, 3)
-    b = gaussian(s, 4, 17, 99, 3)
+    a = s.gaussian(4, 17, 99, 3)
+    b = s.gaussian(4, 17, 99, 3)
     assert a == b
     # a separately constructed stream agrees
     assert NoiseStream(123).gaussian(4, 17, 99, 3) == a

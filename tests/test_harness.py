@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from smallmass.ensemble import NoiseStream
+from smallmass.ensemble import D_MAX, NoiseStream
 from smallmass.errors import ValidationError
 from smallmass.harness import (
     ExperimentConfig,
@@ -158,6 +158,17 @@ def test_initial_positions_mixture():
     assert np.array_equal(x, initial_positions(NoiseStream(3), 2000, 1, comps))
 
 
+def test_initial_positions_mixture_needs_a_free_noise_lane():
+    # the component draw uses lane D_MAX - 1, which at dim == D_MAX is also
+    # the offset lane of the last coordinate
+    comps = ((0.5, -1.0, 0.1), (0.5, 1.0, 0.1))
+    with pytest.raises(ValidationError, match="mixture"):
+        initial_positions(NoiseStream(3), 10, D_MAX, comps)
+    assert initial_positions(NoiseStream(3), 10, D_MAX, comps[:1]).shape == (10, D_MAX)
+    x = initial_positions(NoiseStream(3), 10, D_MAX - 1, comps)
+    assert x.shape == (10, D_MAX - 1)
+
+
 def test_initial_velocities_cold_and_equilibrated():
     spec = build_spec(ExperimentConfig.from_mapping({"preset": "quadratic-ou"}))
     stream = NoiseStream(5)
@@ -257,6 +268,24 @@ def test_sweep_job_failure_manifest_path(tmp_path):
     assert "error" in record
 
 
+def test_failure_records_of_close_epsilons_do_not_collide(tmp_path, monkeypatch):
+    # both jobs trip the EM guard; 0.1 and 0.1000001 agree in six digits,
+    # so a %g file name would make the second record overwrite the first
+    monkeypatch.setenv("SMALLMASS_THREADS", "2")
+    out = tmp_path / "h"
+    cfg = micro_sweep_config(
+        tmp_path, epsilon_grid=(0.1000001, 0.1), dt_under=0.04, out_dir=str(out)
+    )
+    with pytest.raises(ValidationError, match="manifest at"):
+        run_convergence_sweep(cfg)
+    records = sorted(p for p in os.listdir(out) if p.startswith("failed_eps_"))
+    assert records == sorted(
+        f"failed_eps_{format(e, '.17g')}.json" for e in (0.1, 0.1000001)
+    )
+    eps = sorted(json.load(open(out / p))["epsilon"] for p in records)
+    assert eps == [0.1, 0.1000001]
+
+
 def test_coupled_and_uncoupled_w2_compatible(tmp_path):
     base = dict(
         preset="quadratic-ou",
@@ -300,6 +329,19 @@ def slice_config(tmp_path, **overrides):
     )
     base.update(overrides)
     return ExperimentConfig.from_mapping(base)
+
+
+def test_slice_diagnostic_long_horizon(tmp_path):
+    # accumulated step times miss a key rounded to 12 decimals once the
+    # landing tolerance 1e-12 * T exceeds 1e-12; states are found by index
+    cfg = slice_config(
+        tmp_path, n_particles=2, epsilon_grid=(0.5,), dt_under=0.1,
+        T=200.0, t_star=100.0, delta=7.0,
+    )
+    report = run_slice_diagnostic(cfg)
+    # 14 slices x 3 evaluation times x 3 bump functions
+    assert len(report.rows) == 126
+    assert all(np.isfinite(r.Yhat) for r in report.rows)
 
 
 def test_slice_starts_partition():
