@@ -51,7 +51,7 @@ from .observables import (
     weak_gap_rows,
 )
 from .overdamped import simulate_limit
-from .smallmat import lyapunov_quadrature, solve_lyapunov
+from .smallmat import _mT, lyapunov_quadrature, solve_lyapunov
 from .underdamped import SCHEMES, UDStepperConfig, simulate_underdamped
 
 _W2_METHODS = ("auto", "exact", "sliced", "1d")
@@ -104,6 +104,10 @@ class ExperimentConfig:
             comps = tuple(tuple(float(v) for v in c) for c in self.init_components)
             object.__setattr__(self, "init_components", comps)
 
+        for name in ("n_particles", "n_projections", "fp_cells", "audit_samples", "seed"):
+            val = getattr(self, name)
+            if type(val) is not int:  # bool, float, str, numpy scalars
+                raise ValidationError(f"{name} must be an integer, got {val!r}")
         if bool(self.preset) == (self.model is not None):
             raise ValidationError("config needs exactly one of preset / model")
         if self.model is not None and "kind" not in self.model:
@@ -275,11 +279,8 @@ def initial_velocities(
     if d == 1:
         J = sig[:, 0, 0] ** 2 / (2.0 * A[:, 0, 0])
         return np.sqrt(J / epsilon)[:, None] * z
-    v = np.empty((n, d))
-    for i in range(n):
-        J = solve_lyapunov(A[i], sig[i] @ sig[i].T).J
-        v[i] = np.linalg.cholesky(J / epsilon) @ z[i]
-    return v
+    J = solve_lyapunov(A, sig @ _mT(sig)).J
+    return (np.linalg.cholesky(J / epsilon) @ z[:, :, None])[:, :, 0]
 
 
 def _underdamped_run(spec, config, epsilon, stream, snapshot_times):

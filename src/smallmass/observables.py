@@ -38,7 +38,7 @@ from .ensemble import (
 from .errors import SmallMassError, ValidationError
 from .model import ModelSpec
 from .overdamped import _d_friction_at
-from .smallmat import _GL_NODES, _GL_WEIGHTS, invert, solve_lyapunov
+from .smallmat import _GL_NODES, _GL_WEIGHTS, _mT, invert, solve_lyapunov
 
 W2_EXACT_MAX_N = 1024
 _QUAD_TOL = 1e-8
@@ -177,9 +177,11 @@ class _Frozen:
 
     A (n, d, d), F (n, d), the friction Jacobian dA (n, d, d, d) and
     J (n, d, d) with A J + J A^T = sigma sigma^T. A_inv is kept for d > 1
-    only: the 1D formulas divide by A.
+    only: the 1D formulas divide by A. state is what the coefficients were
+    computed from (an ensemble or an (n, d) array), X its positions.
     """
 
+    state: object
     X: np.ndarray
     A: np.ndarray
     F: np.ndarray
@@ -189,23 +191,20 @@ class _Frozen:
 
 
 def _frozen_coefficients(positions, spec: ModelSpec) -> _Frozen:
-    """Coefficients of a snapshot against its own empirical measure."""
+    """Coefficients of a snapshot against its own measure; a _Frozen passes as is."""
+    if isinstance(positions, _Frozen):
+        return positions
     X = _positions_of(positions)
-    n, d = X.shape
     A, F = mean_field_coefficients(X, spec)
     _check_friction_floor(A, X)
     sig = spec.sigma_at(X)
     dA = _d_friction_at(X, X, spec)
-    if d == 1:
+    if X.shape[1] == 1:
         s = sig[:, 0, 0]
         J = (s * s / (2.0 * A[:, 0, 0]))[:, None, None]
-        return _Frozen(X, A, F, dA, J, None)
-    A_inv = np.empty((n, d, d))
-    J = np.empty((n, d, d))
-    for i in range(n):
-        A_inv[i] = invert(A[i])
-        J[i] = solve_lyapunov(A[i], sig[i] @ sig[i].T).J
-    return _Frozen(X, A, F, dA, J, A_inv)
+        return _Frozen(positions, X, A, F, dA, J, None)
+    J = solve_lyapunov(A, sig @ _mT(sig)).J
+    return _Frozen(positions, X, A, F, dA, J, invert(A))
 
 
 def momentum_summands(state: UnderdampedEnsemble, psi: TestFunction):
@@ -224,28 +223,22 @@ def ystar_summands(positions, spec: ModelSpec, psi: TestFunction):
     positions is an ensemble, an (N, d) array, or the frozen coefficients
     of a snapshot (as weak_gap_rows passes them, computed once for all psi).
     """
-    if isinstance(positions, _Frozen):
-        c = positions
-    else:
-        c = _frozen_coefficients(positions, spec)
+    c = _frozen_coefficients(positions, spec)
     X = c.X
-    n, d = X.shape
     P = psi.value_at(X)
     G = psi.gradient_at(X)
-    if d == 1:
+    if X.shape[1] == 1:
         a = c.A[:, 0, 0]
         da = c.dA[:, 0, 0, 0]
         gprime = G[:, 0, 0] / a - P[:, 0] * da / (a * a)
         return -P[:, 0] * c.F[:, 0] / a + c.J[:, 0, 0] * gprime
-    out = np.empty(n)
-    for i in range(n):
-        Ainv = c.A_inv[i]
-        Gg = np.empty((d, d))
-        for k in range(d):
-            dAinvT = -(Ainv @ c.dA[i, :, :, k] @ Ainv).T
-            Gg[:, k] = dAinvT @ P[i] + Ainv.T @ G[i, :, k]
-        out[i] = -P[i] @ (Ainv @ c.F[i]) + np.einsum("mk,mk->", c.J[i], Gg)
-    return out
+    # Gg[i, m, k] = d_k g_m(x_i): column k is -(A^-1 d_kA A^-1)^T psi + A^-T d_k psi
+    Ainv = c.A_inv[:, None]
+    dAinvT = -_mT(Ainv @ np.moveaxis(c.dA, -1, 1) @ Ainv)
+    cols = dAinvT @ P[:, None, :, None] + _mT(Ainv) @ np.moveaxis(G, -1, 1)[..., None]
+    Gg = np.ascontiguousarray(_mT(cols[..., 0]))
+    drift = -P[:, None, :] @ (c.A_inv @ c.F[:, :, None])
+    return drift[:, 0, 0] + np.einsum("imk,imk->i", c.J, Gg)
 
 
 def weak_Ystar(positions, spec: ModelSpec, psi: TestFunction) -> float:
@@ -297,9 +290,10 @@ def weak_Yhat(slice_start, t, t_k, spec: ModelSpec, psi: TestFunction) -> float:
 
     All coefficients are frozen at the slice-start positions; the velocity
     second moment is closed by its leading term J/eps. At t = t_k this is
-    exactly weak_momentum of the slice start.
+    exactly weak_momentum of the slice start. slice_start is that ensemble
+    or its frozen coefficients (weak_gap_rows computes them once per row).
     """
-    state = slice_start
+    state = slice_start.state if isinstance(slice_start, _Frozen) else slice_start
     if not isinstance(state, UnderdampedEnsemble):
         raise ValidationError("slice_start must be an underdamped ensemble")
     t = float(t)
@@ -317,7 +311,7 @@ def weak_Yhat(slice_start, t, t_k, spec: ModelSpec, psi: TestFunction) -> float:
     c = tau / eps
     X, V = state.positions, state.velocities
     n, d = X.shape
-    frozen = _frozen_coefficients(X, spec)
+    frozen = _frozen_coefficients(slice_start, spec)
     A, F = frozen.A, frozen.F
     P = psi.value_at(X)
     Gpsi = psi.gradient_at(X)
@@ -335,16 +329,11 @@ def weak_Yhat(slice_start, t, t_k, spec: ModelSpec, psi: TestFunction) -> float:
         return term1 + term2 + _doubling_quadrature(node_value, c)
 
     dA, Js = frozen.dA, frozen.J
-    eye = np.eye(d)
-    term1 = 0.0
-    term2 = 0.0
-    for i in range(n):
-        E = expm(-A[i] * c)
-        B = frozen.A_inv[i] @ (eye - E)
-        term1 += V[i] @ (E.T @ P[i])
-        term2 -= F[i] @ (B.T @ P[i])
-    term1 /= n
-    term2 /= n
+    E = expm(-A * c)
+    B = frozen.A_inv @ (np.eye(d) - E)
+    # sequential sums from 0.0 in particle order (np.sum's pairwise order moves bits)
+    term1 = np.cumsum(np.append(0.0, V[:, None, :] @ (_mT(E) @ P[..., None])))[-1] / n
+    term2 = np.cumsum(np.append(0.0, -(F[:, None, :] @ (_mT(B) @ P[..., None]))))[-1] / n
 
     def node_value(u):
         total = 0.0
@@ -522,16 +511,19 @@ def weak_gap_rows(state: UnderdampedEnsemble, spec: ModelSpec, psis, anchor=None
 
     The snapshot's coefficients are computed once; each psi evaluates its
     Y* summands once, and Ystar and mc_stderr both read them. With a slice
-    anchor (the slice-start state), Yhat is weak_Yhat from it; else NaN.
+    anchor (the slice-start state), Yhat is weak_Yhat from its coefficients,
+    computed once unless the anchor is the snapshot itself; else NaN.
     """
-    frozen = _frozen_coefficients(state.positions, spec)
+    frozen = _frozen_coefficients(state, spec)
+    if anchor is not None:
+        start = frozen if anchor is state else _frozen_coefficients(anchor, spec)
     rows = []
     for psi in psis:
         y = momentum_summands(state, psi)
         ystar = ystar_summands(frozen, spec, psi)
         yhat = float("nan")
         if anchor is not None:
-            yhat = weak_Yhat(anchor, state.t, anchor.t, spec, psi)
+            yhat = weak_Yhat(start, state.t, anchor.t, spec, psi)
         Y, Ystar, stderr = np.mean(y), np.mean(ystar), _paired_stderr(y, ystar)
         rows.append(gap_row(state.epsilon, state.t, psi.name, Y, Ystar, yhat, stderr))
     return rows

@@ -52,7 +52,7 @@ from .ensemble import (
 )
 from .errors import BlowUpError, StiffnessError, ValidationError
 from .model import ModelSpec
-from .smallmat import expm, invert, solve_lyapunov
+from .smallmat import _mT, expm, invert, solve_lyapunov
 
 SCHEMES = ("euler_maruyama", "exponential")
 
@@ -122,10 +122,10 @@ def _advance_checked(state, x_new, v_new, dt):
 
 
 def _gaussian_from_cov(cov, xi):
-    """Color unit normals xi (n, d) with covariance cov (d, d), PSD-clipped."""
-    w, U = np.linalg.eigh(0.5 * (cov + cov.T))
-    L = U * np.sqrt(np.clip(w, 0.0, None))
-    return xi @ L.T
+    """Color unit normals xi (..., n, d) by covariances cov (..., d, d), PSD-clipped."""
+    w, U = np.linalg.eigh(0.5 * (cov + _mT(cov)))
+    L = U * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    return xi @ _mT(L)
 
 
 def step_underdamped_exp(
@@ -155,14 +155,11 @@ def step_underdamped_exp(
         v_new = v_det + std[:, None] * xi
     else:
         sig = spec.sigma_at(X)
-        v_new = np.empty_like(V)
-        for i in range(state.N):
-            E = expm(-A[i] * (dt / eps))
-            Ainv = invert(A[i])
-            J = solve_lyapunov(A[i], sig[i] @ sig[i].T).J
-            cov = (J - E @ J @ E.T) / eps
-            v_det = E @ V[i] + Ainv @ ((np.eye(d) - E) @ b[i])
-            v_new[i] = v_det + _gaussian_from_cov(cov, xi[i][None, :])[0]
+        E = expm(-A * (dt / eps))
+        J = solve_lyapunov(A, sig @ _mT(sig)).J
+        cov = (J - E @ J @ _mT(E)) / eps
+        v_det = E @ V[:, :, None] + invert(A) @ ((np.eye(d) - E) @ b[:, :, None])
+        v_new = v_det[:, :, 0] + _gaussian_from_cov(cov, xi[:, None, :])[:, 0]
     x_new = X + 0.5 * dt * (V + v_new)
     return _advance_checked(state, x_new, v_new, dt)
 

@@ -456,6 +456,31 @@ def test_cli_fp(tmp_path, capsys):
     assert main(["fp", "--config", cfg2]) == 2
 
 
+@pytest.mark.parametrize(
+    "name", ["n_particles", "n_projections", "fp_cells", "audit_samples", "seed"]
+)
+@pytest.mark.parametrize(
+    "value", [10.5, 10.0, True, "10", np.int64(10)],
+    ids=["fraction", "float", "bool", "str", "numpy"],
+)
+def test_config_rejects_non_integer_counts(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        ExperimentConfig.from_mapping({"preset": "quadratic-ou", name: value})
+    ExperimentConfig.from_mapping({"preset": "quadratic-ou", name: 10})
+
+
+def test_cli_rejects_fractional_projection_count(tmp_path, capsys):
+    # used to die inside the sweep job (exit 3) and leave a failed_eps record
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path, preset="gaussian-interaction-2d", n_particles=10,
+        w2_method="sliced", n_projections=2.5, out_dir=str(out),
+    )
+    assert main(["converge", "--config", cfg]) == 2
+    assert "n_projections must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_validation_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.yaml")
     assert main(["simulate", "--config", missing]) == 2

@@ -37,10 +37,14 @@ from smallmass.observables import (
     w2_1d,
     w2_exact,
     w2_sliced,
+    weak_gap_rows,
     weak_momentum,
     weak_Yhat,
     weak_Ystar,
+    ystar_summands,
 )
+from smallmass.overdamped import _d_friction_at
+from smallmass.smallmat import invert, solve_lyapunov
 
 
 def identity_psi():
@@ -194,6 +198,34 @@ def test_ystar_2d_runs_and_matches_1d_embedding():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def ystar_summands_loop(X, spec, psi):
+    """One-particle-at-a-time reference for the d > 1 Y* summands."""
+    A, F = mean_field_coefficients(X, spec)
+    sig = spec.sigma_at(X)
+    dA = _d_friction_at(X, X, spec)
+    P, G = psi.value_at(X), psi.gradient_at(X)
+    n, d = X.shape
+    out = np.empty(n)
+    for i in range(n):
+        Ainv = invert(A[i])
+        J = solve_lyapunov(A[i], sig[i] @ sig[i].T).J
+        Gg = np.empty((d, d))
+        for k in range(d):
+            dAinvT = -(Ainv @ dA[i, :, :, k] @ Ainv).T
+            Gg[:, k] = dAinvT @ P[i] + Ainv.T @ G[i, :, k]
+        out[i] = -P[i] @ (Ainv @ F[i]) + np.einsum("mk,mk->", J, Gg)
+    return out
+
+
+def test_ystar_summands_equal_per_particle_loop():
+    # the stacked matrix path must return the loop's bits
+    spec = make_gaussian_interaction_2d()
+    X = np.random.default_rng(8).normal(size=(40, 2))
+    for psi in bump_test_functions(dim=2, radius=1.5):
+        got = ystar_summands(X, spec, psi)
+        assert np.array_equal(got, ystar_summands_loop(X, spec, psi))
+
+
 # ---------------------------------------------------------------------- Yhat
 
 
@@ -321,6 +353,21 @@ def test_yhat_2d_fd_oracle():
             acc += w * np.einsum("mk,mk->", J, G)
         total += acc
     assert got == pytest.approx(total / 5, abs=1e-6)
+
+
+def test_gap_rows_yhat_from_anchor_coefficients():
+    # weak_gap_rows freezes the anchor once per row; Yhat keeps its bits
+    spec = make_gaussian_interaction_2d()
+    rng = np.random.default_rng(9)
+    x, v = rng.normal(size=(2, 2, 30, 2))
+    anchor = UnderdampedEnsemble(0.1, 0.5, x[0], v[0])
+    later = UnderdampedEnsemble(0.1, 0.52, x[1], v[1])
+    psis = bump_test_functions(dim=2, radius=1.5)
+    for state in (later, anchor):
+        rows = weak_gap_rows(state, spec, psis, anchor=anchor)
+        for row, psi in zip(rows, psis):
+            assert row.Yhat == weak_Yhat(anchor, state.t, anchor.t, spec, psi)
+    assert rows[0].Yhat == weak_momentum(anchor, psis[0])
 
 
 def test_yhat_validation():

@@ -3,6 +3,7 @@
 Oracles used here are deliberately primitive: a truncated Taylor series for
 the exponential, cofactor expansion for small inverses, closed-form 2x2
 eigenvalues, and the quadrature route cross-checking the Kronecker solve.
+Stacked (n, d, d) calls are checked bit for bit against per-matrix calls.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from smallmass.errors import ConditionError, StabilityError, ValidationError
 from smallmass.smallmat import (
+    MAX_DIM,
     LyapunovSolution,
     expm,
     invert,
@@ -215,3 +217,91 @@ def test_lyapunov_solution_type():
     sol = solve_lyapunov(np.eye(2), np.eye(2))
     assert isinstance(sol, LyapunovSolution)
     assert isinstance(sol.residual, float)
+
+
+# ------------------------------------------------------ stacks of matrices
+
+
+def random_stack(rng, n, d):
+    """n stable matrices A and symmetric Q = S S^T, stacked as (n, d, d)."""
+    A = np.stack([random_stable(rng, d) for _ in range(n)])
+    S = rng.standard_normal((n, d, d))
+    return A, S @ np.swapaxes(S, -1, -2)
+
+
+stacks = given(st.integers(1, MAX_DIM), st.integers(1, 5), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@stacks
+def test_stacked_kernels_equal_per_matrix_calls(d, n, seed):
+    # a stack call must return the bits of one call per matrix
+    rng = np.random.default_rng(seed)
+    A, Q = random_stack(rng, n, d)
+    assert np.array_equal(expm(-A), np.stack([expm(-a) for a in A]))
+    assert np.array_equal(invert(A), np.stack([invert(a) for a in A]))
+    assert min_symmetric_eigenvalue(A) == min(min_symmetric_eigenvalue(a) for a in A)
+    mixed = Q.copy()
+    mixed[0] = rng.standard_normal((d, d))  # only the symmetric Q are symmetrized
+    for rhs in (Q, rng.standard_normal((n, d, d)), mixed):
+        sol = solve_lyapunov(A, rhs)
+        singles = [solve_lyapunov(a, q) for a, q in zip(A, rhs)]
+        assert np.array_equal(sol.J, np.stack([s.J for s in singles]))
+        assert isinstance(sol.residual, float)
+        assert sol.residual == max(s.residual for s in singles)
+
+
+@settings(max_examples=20, deadline=None)
+@stacks
+def test_nested_stack_equals_flat_stack(d, n, seed):
+    rng = np.random.default_rng(seed)
+    A, Q = random_stack(rng, 2 * n, d)
+    nested = (2, n, d, d)
+    sol = solve_lyapunov(A.reshape(nested), Q.reshape(nested))
+    assert np.array_equal(sol.J.reshape(A.shape), solve_lyapunov(A, Q).J)
+    assert np.array_equal(expm(A.reshape(nested)).reshape(A.shape), expm(A))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, MAX_DIM), st.integers(1, 5), st.integers(0, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_stack_with_one_bad_matrix_is_rejected(d, n, which, seed):
+    rng = np.random.default_rng(seed)
+    A, Q = random_stack(rng, n, d)
+    which %= n
+    unstable = A.copy()
+    unstable[which] = -unstable[which]  # symmetric part negative definite
+    assert min_symmetric_eigenvalue(unstable) < 0.0
+    with pytest.raises(StabilityError):
+        solve_lyapunov(unstable, Q)
+    singular = A.copy()
+    singular[which, :, 0] = 0.0
+    with pytest.raises(ConditionError):
+        invert(singular)
+
+
+def test_invert_reports_worst_condition_in_stack():
+    A = np.stack([np.eye(2), np.diag([1.0, 1e-14]), np.diag([1.0, 1e-13])])
+    with pytest.raises(ConditionError) as err:
+        invert(A)
+    assert err.value.cond == pytest.approx(1e14, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 2, 3), (4,), (2, MAX_DIM + 1, MAX_DIM + 1)],
+    ids=["not-square", "vector", "too-large"],
+)
+def test_stack_shapes_rejected(shape):
+    M = np.ones(shape)
+    for kernel in (expm, invert, min_symmetric_eigenvalue):
+        with pytest.raises(ValidationError):
+            kernel(M)
+    with pytest.raises(ValidationError):
+        solve_lyapunov(M, M)
+
+
+def test_quadrature_rejects_stacks():
+    with pytest.raises(ValidationError):
+        lyapunov_quadrature(np.stack([np.eye(2)] * 3), np.stack([np.eye(2)] * 3))
