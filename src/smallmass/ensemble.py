@@ -35,6 +35,7 @@ from .model import (
     ModelSpec,
     ZeroVectorField,
 )
+from .smallmat import _symmetric_eigenvalues
 
 D_MAX = MAX_DIM  # noise lanes per (particle, step), one per state dimension
 _MASK64 = (1 << 64) - 1
@@ -183,12 +184,13 @@ def _pair_mean(field_at, targets, positions, core):
     Chunked over targets so one chunk holds at most _PAIR_CHUNK_BUDGET
     floats; each target's sum runs over j in index order.
     """
+    n = positions.shape[0]
     out = np.empty((targets.shape[0],) + core)
-    per_target = positions.shape[0] * math.prod(core)
-    chunk = max(1, _PAIR_CHUNK_BUDGET // max(1, per_target))
+    chunk = max(1, _PAIR_CHUNK_BUDGET // max(1, n * math.prod(core)))
     for lo in range(0, targets.shape[0], chunk):
         diffs = targets[lo : lo + chunk, None, :] - positions[None, :, :]
-        out[lo : lo + chunk] = np.mean(field_at(diffs), axis=1)
+        # np.mean(..., axis=1) without its wrapper: the same sum, then / n
+        out[lo : lo + chunk] = np.add.reduce(field_at(diffs), axis=1) / n
     return out
 
 
@@ -237,14 +239,8 @@ def mean_field_coefficients(positions, spec: ModelSpec):
 
 def _check_friction_floor(A, points) -> None:
     """Raise StabilityError unless every friction in the (n, d, d) stack A
-    has a positive definite symmetric part; points[i] locates A[i].
-
-    In 1D the single entry is its own eigenvalue and is read directly.
-    """
-    if A.shape[-1] == 1:
-        lam = A[:, 0, 0]
-    else:
-        lam = np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2)))[:, 0]
+    has a positive definite symmetric part; points[i] locates A[i]."""
+    lam = _symmetric_eigenvalues(A)[:, 0]
     i = int(np.argmin(lam))
     if lam[i] <= 0.0:
         raise StabilityError(

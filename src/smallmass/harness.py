@@ -718,7 +718,12 @@ def _cli_fp(config: ExperimentConfig) -> int:
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "density.csv")
     write_density_csv(path, snaps)
-    print(f"[fp] M={config.fp_cells} dt={dt:g} wrote {path}")
+    final = snaps[-1]
+    drift = final.h * final.density.sum() - 1.0
+    print(
+        f"[fp] M={config.fp_cells} dt={dt:g} clip_count={final.clip_count} "
+        f"mass_drift={drift:.3e} wrote {path}"
+    )
     return 0
 
 

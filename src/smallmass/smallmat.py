@@ -14,6 +14,16 @@ The integral representation J = int_0^inf exp(-A s) Q exp(-A^T s) ds is
 implemented separately (`lyapunov_quadrature`, one matrix) as an
 independent cross-check of the direct solve; the two routes share no
 linear algebra beyond the exponential itself.
+
+The kernels run once per particle in the limit run, so their cost per
+call is mostly numpy's Python-level wrappers, not LAPACK. They skip the
+wrappers and form the same floating-point operations directly, returning
+the bits the wrappers would: the Kronecker system A kron I + I kron A is
+assembled by broadcasting the products np.kron forms, the symmetry test
+is the inequality np.isclose evaluates on finite input, Frobenius norms
+are sqrt(sum(x*x)) reduced as np.linalg.norm reduces them, and cond is
+s_max/s_min from the singular values, as np.linalg.cond takes it. The
+LAPACK calls themselves (solve, eigvalsh, inv, svd) are numpy's.
 """
 
 from __future__ import annotations
@@ -28,6 +38,9 @@ from .model import MAX_DIM
 
 # fixed nodes for the composite Gauss-Legendre rule in lyapunov_quadrature
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+# tolerance of the per-matrix "Q is symmetric" decision in solve_lyapunov
+_SYM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,7 +64,7 @@ def _as_square(M, name="matrix") -> np.ndarray:
         raise ValidationError(
             f"{name} has dimension {M.shape[-1]}, kernels support d <= {MAX_DIM}"
         )
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValidationError(f"{name} has non-finite entries")
     return M
 
@@ -59,6 +72,61 @@ def _as_square(M, name="matrix") -> np.ndarray:
 def _mT(M) -> np.ndarray:
     """Transpose of each matrix of a stack (numpy >= 2 spells it M.mT)."""
     return np.swapaxes(M, -1, -2)
+
+
+def _frobenius(M, keepdims=False) -> np.ndarray:
+    """||M||_F of each matrix of a stack, reduced as np.linalg.norm reduces it."""
+    return np.sqrt(np.add.reduce(M * M, axis=(-2, -1), keepdims=keepdims))
+
+
+def _symmetric_eigenvalues(A) -> np.ndarray:
+    """Ascending eigenvalues of each symmetric part (A + A^T)/2, as (..., d).
+
+    A 1 x 1 symmetric part is its own eigenvalue and is returned as it is:
+    eigvalsh returns the same bits for it, at a fraction of the cost.
+    """
+    sym = 0.5 * (A + _mT(A))
+    if A.shape[-1] == 1:
+        return sym[..., 0]
+    return np.linalg.eigvalsh(sym)
+
+
+def _is_symmetric(Q) -> np.ndarray:
+    """(..., 1, 1) mask: each Q equals its transpose within _SYM_TOL.
+
+    The test is np.isclose(Q, Q^T, rtol=_SYM_TOL, atol=_SYM_TOL (1 + ||Q||_F))
+    on every entry, written as the inequality isclose evaluates on finite
+    input, |Q - Q^T| <= atol + rtol |Q^T|.
+    """
+    QT = _mT(Q)
+    atol = _SYM_TOL * (1.0 + _frobenius(Q, keepdims=True))
+    close = np.abs(Q - QT) <= atol + _SYM_TOL * np.abs(QT)
+    return close.all(axis=(-2, -1), keepdims=True)
+
+
+def _worst_condition(A) -> float:
+    """Largest 2-norm condition number s_max / s_min over a stack.
+
+    As np.linalg.cond: s_min = 0 gives inf, and so does 0/0 (a zero matrix).
+    """
+    s = np.linalg.svd(A, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = float((s[..., 0] / s[..., -1]).max())
+    return np.inf if cond != cond else cond
+
+
+def _kronecker_system(A) -> np.ndarray:
+    """A kron I + I kron A of each matrix of a stack, as (..., d, d, d, d).
+
+    Entry [i, k, j, l] is A_ij I_kl + I_ij A_kl: the products np.kron forms,
+    signed zeros included, summed in the same order. Reshaping the last four
+    axes to (d^2, d^2) gives the row-major Kronecker matrix.
+    """
+    eye = np.eye(A.shape[-1])
+    return (
+        A[..., :, None, :, None] * eye[:, None, :]
+        + eye[:, None, :, None] * A[..., None, :, None, :]
+    )
 
 
 def expm(M) -> np.ndarray:
@@ -73,14 +141,14 @@ def expm(M) -> np.ndarray:
 def min_symmetric_eigenvalue(A) -> float:
     """Smallest eigenvalue of the symmetric parts (A + A^T)/2 over a stack."""
     A = _as_square(A, "matrix")
-    return float(np.min(np.linalg.eigvalsh(0.5 * (A + _mT(A)))[..., 0]))
+    return float(_symmetric_eigenvalues(A)[..., 0].min())
 
 
 def invert(A) -> np.ndarray:
     """Inverse of each matrix of a stack; rejects it if any cond >= 1e12."""
     A = _as_square(A, "matrix")
-    cond = float(np.max(np.linalg.cond(A)))
-    if not np.isfinite(cond) or cond >= 1e12:
+    cond = _worst_condition(A)
+    if cond >= 1e12:
         raise ConditionError(
             f"matrix is singular or ill-conditioned (cond estimate {cond:.3e})",
             cond=cond,
@@ -110,15 +178,12 @@ def solve_lyapunov(A, Q) -> LyapunovSolution:
             "the Lyapunov problem is not stable"
         )
     d = A.shape[-1]
-    eye = np.eye(d)
-    # np.kron pads eye with leading unit axes: one d^2 x d^2 system per matrix
-    system = np.kron(A, eye) + np.kron(eye, A)
-    J = np.linalg.solve(system, Q.reshape(Q.shape[:-2] + (d * d, 1))).reshape(Q.shape)
-    qscale = np.linalg.norm(Q, axis=(-2, -1), keepdims=True)
-    close = np.isclose(Q, _mT(Q), rtol=1e-12, atol=1e-12 * (1.0 + qscale))
-    J = np.where(np.all(close, axis=(-2, -1), keepdims=True), 0.5 * (J + _mT(J)), J)
-    residual = np.linalg.norm(A @ J + J @ _mT(A) - Q, axis=(-2, -1))
-    return LyapunovSolution(J=J, residual=float(np.max(residual)))
+    stack = A.shape[:-2]
+    system = _kronecker_system(A).reshape(stack + (d * d, d * d))
+    J = np.linalg.solve(system, Q.reshape(stack + (d * d, 1))).reshape(Q.shape)
+    J = np.where(_is_symmetric(Q), 0.5 * (J + _mT(J)), J)
+    residual = _frobenius(A @ J + J @ _mT(A) - Q)
+    return LyapunovSolution(J=J, residual=float(residual.max()))
 
 
 def lyapunov_quadrature(A, Q, tol: float = 1e-10, max_doublings: int = 12) -> np.ndarray:

@@ -52,7 +52,7 @@ from .ensemble import (
 )
 from .errors import BlowUpError, StiffnessError, ValidationError
 from .model import ModelSpec
-from .smallmat import _mT, expm, invert, solve_lyapunov
+from .smallmat import _mT, _symmetric_eigenvalues, expm, invert, solve_lyapunov
 
 SCHEMES = ("euler_maruyama", "exponential")
 
@@ -93,8 +93,7 @@ def step_underdamped_em(
     d = state.dim
     A, F = mean_field_coefficients(X, spec)
 
-    sym = 0.5 * (A + np.swapaxes(A, -1, -2))
-    lam_max = float(np.max(np.linalg.eigvalsh(sym)))
+    lam_max = float(_symmetric_eigenvalues(A).max())
     if dt * lam_max / eps > cfg.substep_guard:
         admissible = cfg.substep_guard * eps / lam_max
         raise StiffnessError(

@@ -1,5 +1,6 @@
 """Config, sweep, slice-diagnostic, and CLI tests."""
 
+import dataclasses
 import json
 import os
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from smallmass import harness
 from smallmass.ensemble import D_MAX, NoiseStream
 from smallmass.errors import ValidationError
 from smallmass.harness import (
@@ -454,6 +456,34 @@ def test_cli_fp(tmp_path, capsys):
     assert os.path.exists(tmp_path / "cli" / "density.csv")
     cfg2 = write_config(tmp_path, name="cfg2d.yaml", preset="gaussian-interaction-2d")
     assert main(["fp", "--config", cfg2]) == 2
+
+
+def _fp_line(out):
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("[fp]")]
+    return dict(f.split("=", 1) for f in line.split() if "=" in f)
+
+
+def test_cli_fp_reports_clip_count_and_mass_drift(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, fp_cells=64, fp_halfwidth=4.0, T=0.05, t_star=0.05)
+    assert main(["fp", "--config", cfg]) == 0
+    fields = _fp_line(capsys.readouterr().out)
+    data = np.loadtxt(tmp_path / "cli" / "density.csv", delimiter=",", skiprows=1)
+    rho = data[data[:, 0] == data[-1, 0], 2]  # the final snapshot
+    drift = (2.0 * 4.0 / 64) * rho.sum() - 1.0
+    assert fields["clip_count"] == "0"
+    assert fields["mass_drift"] == f"{drift:.3e}"
+    assert abs(float(fields["mass_drift"])) <= 1e-12
+
+    # the count is the final grid's, whatever the solver clipped on the way
+    solve = harness.fp_solve
+
+    def clipping_solve(*args, **kwargs):
+        snaps = solve(*args, **kwargs)
+        return snaps[:-1] + [dataclasses.replace(snaps[-1], clip_count=3)]
+
+    monkeypatch.setattr(harness, "fp_solve", clipping_solve)
+    assert main(["fp", "--config", cfg]) == 0
+    assert _fp_line(capsys.readouterr().out)["clip_count"] == "3"
 
 
 @pytest.mark.parametrize(

@@ -3,18 +3,28 @@
 Oracles used here are deliberately primitive: a truncated Taylor series for
 the exponential, cofactor expansion for small inverses, closed-form 2x2
 eigenvalues, and the quadrature route cross-checking the Kronecker solve.
-Stacked (n, d, d) calls are checked bit for bit against per-matrix calls.
+Stacked (n, d, d) calls are checked bit for bit against per-matrix calls,
+and each piece the kernels assemble by hand (Kronecker system, symmetry
+test, condition number, Frobenius norm, symmetric eigenvalues) against the
+numpy routine it stands in for.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from smallmass.errors import ConditionError, StabilityError, ValidationError
 from smallmass.smallmat import (
     MAX_DIM,
     LyapunovSolution,
+    _frobenius,
+    _is_symmetric,
+    _kronecker_system,
+    _mT,
+    _symmetric_eigenvalues,
+    _worst_condition,
     expm,
     invert,
     lyapunov_quadrature,
@@ -305,3 +315,176 @@ def test_stack_shapes_rejected(shape):
 def test_quadrature_rejects_stacks():
     with pytest.raises(ValidationError):
         lyapunov_quadrature(np.stack([np.eye(2)] * 3), np.stack([np.eye(2)] * 3))
+
+
+# ------------------------------------- hand-assembled pieces vs numpy
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes: unlike ==, tells -0.0 from 0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def numpy_kronecker_system(A):
+    d = A.shape[-1]
+    return np.kron(A, np.eye(d)) + np.kron(np.eye(d), A)
+
+
+def numpy_is_symmetric(Q):
+    qscale = np.linalg.norm(Q, axis=(-2, -1), keepdims=True)
+    close = np.isclose(Q, _mT(Q), rtol=1e-12, atol=1e-12 * (1.0 + qscale))
+    return np.all(close, axis=(-2, -1), keepdims=True)
+
+
+def numpy_worst_condition(A) -> float:
+    return float(np.max(np.linalg.cond(A)))
+
+
+def numpy_solve_lyapunov(A, Q):
+    """The Kronecker solve written with the numpy wrappers throughout."""
+    d = A.shape[-1]
+    J = np.linalg.solve(
+        numpy_kronecker_system(A), Q.reshape(Q.shape[:-2] + (d * d, 1))
+    ).reshape(Q.shape)
+    J = np.where(numpy_is_symmetric(Q), 0.5 * (J + _mT(J)), J)
+    residual = np.linalg.norm(A @ J + J @ _mT(A) - Q, axis=(-2, -1))
+    return J, float(np.max(residual))
+
+
+@st.composite
+def float_stacks(draw, elements=st.floats(-1e3, 1e3)):
+    """(n, d, d) stacks, d in 1..MAX_DIM and n in 1..5, signed zeros included."""
+    d = draw(st.integers(1, MAX_DIM))
+    n = draw(st.integers(1, 5))
+    return draw(arrays(np.float64, (n, d, d), elements=elements))
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_stacks(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e3, 1e3)))
+def test_kronecker_system_equals_np_kron(A):
+    n, d = A.shape[:2]
+    system = _kronecker_system(A).reshape(n, d * d, d * d)
+    assert same_bits(system, numpy_kronecker_system(A))
+    assert same_bits(_kronecker_system(A[0]).reshape(d * d, d * d),
+                     numpy_kronecker_system(A[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_stacks(), st.lists(st.integers(0, 4), max_size=5))
+def test_symmetry_decision_equals_np_isclose(S, asymmetric):
+    # a mixed stack: symmetric Q, with some matrices made asymmetric
+    Q = S @ _mT(S)
+    for k in asymmetric:
+        Q[k % len(Q), 0, -1] += 1.0
+    assert same_bits(_is_symmetric(Q), numpy_is_symmetric(Q))
+    assert same_bits(_is_symmetric(Q[0]), numpy_is_symmetric(Q[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_stacks(st.floats(-10.0, 10.0)), st.integers(-3, 3))
+def test_symmetry_decision_at_the_tolerance(S, ulps):
+    # push entry (0, d-1) off its mirror by the tolerance, give or take ulps
+    Q = S @ _mT(S)
+    d = Q.shape[-1]
+    for q in Q:
+        atol = 1e-12 * (1.0 + np.linalg.norm(q))
+        gap = atol + 1e-12 * abs(q[d - 1, 0])
+        for _ in range(abs(ulps)):
+            gap = np.nextafter(gap, np.inf if ulps > 0 else 0.0)
+        q[0, d - 1] = q[d - 1, 0] + gap
+    assert same_bits(_is_symmetric(Q), numpy_is_symmetric(Q))
+
+
+def test_symmetry_decision_flips_where_isclose_does():
+    # Q = [[0, g], [0, 0]] counts as symmetric iff g <= 1e-12 (1 + ||Q||_F)
+    g = 1e-12 * (1.0 + 1e-12)
+    for _ in range(4):
+        g = np.nextafter(g, 0.0)
+    decisions = []
+    for _ in range(9):
+        Q = np.array([[0.0, g], [0.0, 0.0]])
+        decided = bool(_is_symmetric(Q)[0, 0])
+        assert decided == bool(numpy_is_symmetric(Q)[0, 0])
+        decisions.append(decided)
+        g = np.nextafter(g, np.inf)
+    assert decisions == sorted(decisions, reverse=True)
+    assert True in decisions and False in decisions
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_stacks())
+def test_worst_condition_equals_np_linalg_cond(A):
+    assert _worst_condition(A) == numpy_worst_condition(A)
+    assert _worst_condition(A[0]) == numpy_worst_condition(A[0])
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.zeros((2, 2)),
+        np.zeros((1, 1)),
+        np.diag([1.0, 0.0]),
+        np.array([[1.0, 0.0], [2.0, 0.0]]),
+        np.array([[1.0, 2.0], [0.0, 0.0]]),
+        np.stack([np.eye(2), np.zeros((2, 2)), np.diag([2.0, 3.0])]),
+    ],
+    ids=["zero", "zero-1x1", "diag", "zero-column", "zero-row", "zero-in-stack"],
+)
+def test_singular_matrices_have_infinite_condition(M):
+    # 0/0 (zero matrix) and s/0 (exactly singular) both read as inf
+    assert numpy_worst_condition(M) == np.inf
+    assert _worst_condition(M) == np.inf
+    with pytest.raises(ConditionError) as err:
+        invert(M)
+    assert err.value.cond == np.inf
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_stacks())
+def test_frobenius_equals_np_linalg_norm(M):
+    for m in (M, _mT(M), M[0]):
+        assert same_bits(_frobenius(m), np.linalg.norm(m, axis=(-2, -1)))
+        assert same_bits(
+            _frobenius(m, keepdims=True),
+            np.linalg.norm(m, axis=(-2, -1), keepdims=True),
+        )
+
+
+def assert_eigenvalues_match_eigvalsh(A):
+    with np.errstate(over="ignore"):  # A + A^T may overflow to inf
+        expected = np.linalg.eigvalsh(0.5 * (A + _mT(A)))
+        assert same_bits(_symmetric_eigenvalues(A), expected)
+        assert min_symmetric_eigenvalue(A) == float(np.min(expected[..., 0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_stacks(st.floats(-1e300, 1e300) | st.floats(-1e3, 1e3)))
+def test_symmetric_eigenvalues_equal_eigvalsh(A):
+    assert_eigenvalues_match_eigvalsh(A)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 50), st.just(1), st.just(1)),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_symmetric_eigenvalue_of_1x1_equals_eigvalsh(A):
+    # the whole finite range: subnormals, signed zeros, entries whose double
+    # overflows in the symmetric part
+    assert_eigenvalues_match_eigvalsh(A)
+
+
+@settings(max_examples=60, deadline=None)
+@stacks
+def test_solve_lyapunov_equals_numpy_wrapper_route(d, n, seed):
+    rng = np.random.default_rng(seed)
+    A, Q = random_stack(rng, n, d)
+    mixed = Q.copy()
+    mixed[0] = rng.standard_normal((d, d))
+    for rhs in (Q, rng.standard_normal((n, d, d)), mixed, _mT(mixed)):
+        sol = solve_lyapunov(A, rhs)
+        J, residual = numpy_solve_lyapunov(A, rhs)
+        assert same_bits(sol.J, J)
+        assert sol.residual == residual
+    single = solve_lyapunov(A[0], Q[0])
+    J, residual = numpy_solve_lyapunov(A[0], Q[0])
+    assert same_bits(single.J, J) and single.residual == residual
