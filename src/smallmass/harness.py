@@ -42,6 +42,7 @@ from .observables import (
     EnergyReport,
     HolderReport,
     WeakGapReport,
+    _frozen_coefficients,
     bump_test_functions,
     energy_diagnostic,
     holder_diagnostic,
@@ -400,6 +401,26 @@ def _abort_with_manifest(config, epsilon, exc):
     raise err from exc
 
 
+def _write_manifest(config, path, outputs, **fields) -> dict:
+    """manifest.json: config, versions, timestamp, the output file names
+    (outputs are their paths) and the command's own fields."""
+    manifest = {
+        "config": config.manifest_dict(),
+        "versions": {
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "package": __version__,
+        },
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "outputs": sorted(os.path.basename(p) for p in outputs),
+        **fields,
+    }
+    with open(path, "w") as f:
+        json.dump(manifest, f, indent=2, sort_keys=True)
+    return manifest
+
+
 def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
     """Simulate every epsilon against one limit run and write the report.
 
@@ -408,12 +429,25 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
     """
     spec = build_spec(config)
     snaps = config.snapshot_times or default_snapshots(config.t_star, config.T)
+    grid = config.epsilon_grid
+    # coupled runs read noise block k at step k, which is the same time
+    # only when both runs take the same step
+    coupling_exact = {
+        e: config.coupled and underdamped_dt(config, e) == config.dt_limit for e in grid
+    }
+    inexact = [e for e in grid if config.coupled and not coupling_exact[e]]
+    if inexact:
+        print(
+            f"warning: coupled runs at epsilon={', '.join(f'{e:g}' for e in inexact)} "
+            f"step with dt_under != dt_limit={config.dt_limit:g}; their noise is "
+            "coupled by step index only, not by time",
+            file=sys.stderr,
+        )
     base_stream = NoiseStream(config.seed)
     started = time.perf_counter()
     limit_snaps = _limit_run(spec, config, base_stream, snaps)
     limit_runtime = time.perf_counter() - started
 
-    grid = config.epsilon_grid
     results = [None] * len(grid)
 
     def job(i):
@@ -477,27 +511,20 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
             sort_keys=True,
         )
 
-    manifest = {
-        "config": config.manifest_dict(),
-        "versions": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "package": __version__,
-        },
-        "snapshot_times": list(snaps),
-        "dt_under": {_eps_key(e): underdamped_dt(config, e) for e in grid},
-        "dt_limit": config.dt_limit,
-        "coupled": config.coupled,
-        "runtimes_s": {
+    manifest = _write_manifest(
+        config,
+        paths["manifest"],
+        paths.values(),
+        snapshot_times=list(snaps),
+        dt_under={_eps_key(e): underdamped_dt(config, e) for e in grid},
+        dt_limit=config.dt_limit,
+        coupled=config.coupled,
+        coupling_exact={_eps_key(e): ok for e, ok in coupling_exact.items()},
+        runtimes_s={
             "limit": limit_runtime,
             **{_eps_key(r["epsilon"]): r["runtime"] for r in results},
         },
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "outputs": sorted(os.path.basename(p) for p in paths.values()),
-    }
-    with open(paths["manifest"], "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+    )
 
     return ConvergenceReport(
         config=config,
@@ -522,6 +549,18 @@ def slice_starts(t_star: float, T: float, delta: float) -> np.ndarray:
     return t_star + delta * np.arange(n)
 
 
+@dataclass(frozen=True)
+class SliceDiagnostic:
+    """Gap reports of one underdamped run cut into delta slices and, when
+    paired, into 2delta slices; see run_slice_pair."""
+
+    delta: float
+    small: WeakGapReport
+    big: WeakGapReport | None
+    distinct_states: int  # states whose coefficients were computed, once each
+    runtimes_s: dict  # trajectory, delta_rows, 2delta_rows
+
+
 def run_slice_diagnostic(config: ExperimentConfig, delta=None) -> WeakGapReport:
     """Gap rows Y vs Yhat on one underdamped run partitioned into slices.
 
@@ -529,6 +568,22 @@ def run_slice_diagnostic(config: ExperimentConfig, delta=None) -> WeakGapReport:
     construction), midpoint, and end, for every bump test function. delta
     falls back to config.delta, then to the step-limited default.
     """
+    return _slice_run(config, delta, paired=False).small
+
+
+def run_slice_pair(config: ExperimentConfig) -> SliceDiagnostic:
+    """The delta report of run_slice_diagnostic and a 2delta report, both
+    from the same underdamped run (delta as in run_slice_diagnostic).
+
+    The 2delta slice k is delta slices 2k and 2k+1: its start, midpoint
+    and end are the start of slice 2k, the start of slice 2k+1 and the end
+    of slice 2k+1. Each snapshot's coefficients and per-psi Y and Y*
+    terms are computed once and serve its rows of both widths.
+    """
+    return _slice_run(config, None, paired=True)
+
+
+def _slice_run(config, delta, paired) -> SliceDiagnostic:
     spec = build_spec(config)
     epsilon = config.epsilon_grid[0]
     dt = underdamped_dt(config, epsilon)
@@ -537,23 +592,62 @@ def run_slice_diagnostic(config: ExperimentConfig, delta=None) -> WeakGapReport:
         raise ValidationError(f"delta={delta:g} is below one step dt={dt:g}")
     starts = slice_starts(config.t_star, config.T, delta)
     n = len(starts)
+    if paired:
+        # rejects a horizon without a full 2delta slice; the count is n // 2
+        slice_starts(config.t_star, config.T, 2.0 * delta)
     # where[k], where[n + k], where[2n + k]: indices of slice k's start,
     # midpoint and end among the sorted distinct times
     times, where = np.unique(
         np.concatenate([starts, starts + 0.5 * delta, starts + delta]),
         return_inverse=True,
     )
+    started = time.perf_counter()
     snaps = _underdamped_run(
         spec, config, epsilon, NoiseStream(config.seed), [float(t) for t in times]
     )
+    runtimes = {"trajectory": time.perf_counter() - started}
+    runtimes["delta_rows"] = runtimes["2delta_rows"] = 0.0
 
     psis = bump_test_functions(spec.dim, config.psi_centers, config.psi_radius)
-    rows = []
+    # frozen coefficients of the states of open slices, by state identity
+    # (times closer than the landing tolerance share one state)
+    live = {}
+    computed = 0
+
+    def frozen_at(i):
+        nonlocal computed
+        state = snaps[where[i]]
+        if id(state) not in live:
+            live[id(state)] = _frozen_coefficients(state, spec)
+            computed += 1
+        return live[id(state)]
+
+    def add_rows(points, out, timer):
+        began = time.perf_counter()
+        anchor = frozen_at(points[0])
+        for i in points:
+            out.extend(weak_gap_rows(frozen_at(i), spec, psis, anchor=anchor))
+        runtimes[timer] += time.perf_counter() - began
+
+    small, big = [], []
     for k in range(n):
-        anchor = snaps[where[k]]
-        for j in (k, n + k, 2 * n + k):
-            rows.extend(weak_gap_rows(snaps[where[j]], spec, psis, anchor=anchor))
-    return WeakGapReport(rows=tuple(rows))
+        add_rows((k, n + k, 2 * n + k), small, "delta_rows")
+        if paired and k % 2:
+            add_rows((k - 1, k, 2 * n + k), big, "2delta_rows")
+        # the end of slice k starts slice k + 1; an even k's start also
+        # anchors the open 2delta slice
+        keep = {id(snaps[where[2 * n + k]])}
+        if paired and k % 2 == 0:
+            keep.add(id(snaps[where[k]]))
+        for key in set(live) - keep:
+            del live[key]
+    return SliceDiagnostic(
+        delta=delta,
+        small=WeakGapReport(rows=tuple(small)),
+        big=WeakGapReport(rows=tuple(big)) if paired else None,
+        distinct_states=computed,
+        runtimes_s=runtimes,
+    )
 
 
 def slice_gap_ratio(
@@ -669,15 +763,14 @@ def _cli_converge(config: ExperimentConfig) -> int:
 
 def _cli_slice_diag(config: ExperimentConfig) -> int:
     epsilon = config.epsilon_grid[0]
-    delta = _slice_delta(config)
-    rep_small = run_slice_diagnostic(config, delta=delta)
-    rep_big = run_slice_diagnostic(config, delta=2.0 * delta)
+    diag = run_slice_pair(config)
+    delta = diag.delta
     os.makedirs(config.out_dir, exist_ok=True)
     p_small = os.path.join(config.out_dir, "slice_gaps_delta.csv")
     p_big = os.path.join(config.out_dir, "slice_gaps_2delta.csv")
-    rep_small.write_csv(p_small)
-    rep_big.write_csv(p_big)
-    ratio = slice_gap_ratio(rep_small, rep_big, config.t_star, delta)
+    diag.small.write_csv(p_small)
+    diag.big.write_csv(p_big)
+    ratio = slice_gap_ratio(diag.small, diag.big, config.t_star, delta)
     summary = os.path.join(config.out_dir, "slice_summary.json")
     with open(summary, "w") as f:
         json.dump(
@@ -686,8 +779,18 @@ def _cli_slice_diag(config: ExperimentConfig) -> int:
             indent=2,
             sort_keys=True,
         )
+    manifest = os.path.join(config.out_dir, "manifest.json")
+    _write_manifest(
+        config,
+        manifest,
+        (p_small, p_big, summary, manifest),
+        dt_under={_eps_key(epsilon): underdamped_dt(config, epsilon)},
+        delta=delta,
+        distinct_states=diag.distinct_states,
+        runtimes_s=diag.runtimes_s,
+    )
     print(f"[slice-diag] epsilon={epsilon:g} delta={delta:g} gap ratio {ratio:.4g}")
-    for p in (p_small, p_big, summary):
+    for p in (p_small, p_big, summary, manifest):
         print(f"[slice-diag] wrote {p}")
     return 0
 

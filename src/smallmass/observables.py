@@ -21,7 +21,7 @@ the only O(N^2) ingredient). Distances: exact order-statistics matching in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm, expm_frechet
@@ -43,6 +43,8 @@ from .smallmat import _GL_NODES, _GL_WEIGHTS, _mT, invert, solve_lyapunov
 W2_EXACT_MAX_N = 1024
 _QUAD_TOL = 1e-8
 _QUAD_MAX_DOUBLINGS = 10
+# float budget of one (nodes, N) temporary in the 1D slice quadrature (64 KB)
+_QUAD_BLOCK_BUDGET = 1 << 13
 
 
 # ------------------------------------------------------------ test functions
@@ -179,6 +181,7 @@ class _Frozen:
     J (n, d, d) with A J + J A^T = sigma sigma^T. A_inv is kept for d > 1
     only: the 1D formulas divide by A. state is what the coefficients were
     computed from (an ensemble or an (n, d) array), X its positions.
+    Per-psi results at X are computed once each (see `once`).
     """
 
     state: object
@@ -188,6 +191,20 @@ class _Frozen:
     dA: np.ndarray
     J: np.ndarray
     A_inv: np.ndarray | None
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def once(self, tag, psi, compute):
+        """compute() for (tag, psi), evaluated on the first request only."""
+        key = (tag, id(psi))
+        if key not in self.memo:
+            # the entry holds psi, so its id is not reused while the entry lives
+            self.memo[key] = (psi, compute())
+        return self.memo[key][1]
+
+    def psi_at(self, psi):
+        """psi's values (n, d) and gradients (n, d, d) at X."""
+        X = self.X
+        return self.once("psi", psi, lambda: (psi.value_at(X), psi.gradient_at(X)))
 
 
 def _frozen_coefficients(positions, spec: ModelSpec) -> _Frozen:
@@ -207,12 +224,16 @@ def _frozen_coefficients(positions, spec: ModelSpec) -> _Frozen:
     return _Frozen(positions, X, A, F, dA, J, invert(A))
 
 
-def momentum_summands(state: UnderdampedEnsemble, psi: TestFunction):
-    P = psi.value_at(state.positions)
-    return np.einsum("nd,nd->n", state.velocities, P)
+def momentum_summands(state, psi: TestFunction):
+    """Per-particle v_i . psi(x_i) of an ensemble or of its frozen coefficients."""
+    if isinstance(state, _Frozen):
+        V, P = state.state.velocities, state.psi_at(psi)[0]
+    else:
+        V, P = state.velocities, psi.value_at(state.positions)
+    return np.einsum("nd,nd->n", V, P)
 
 
-def weak_momentum(state: UnderdampedEnsemble, psi: TestFunction) -> float:
+def weak_momentum(state, psi: TestFunction) -> float:
     """Particle estimator (1/N) sum_i v_i . psi(x_i)."""
     return float(np.mean(momentum_summands(state, psi)))
 
@@ -224,10 +245,8 @@ def ystar_summands(positions, spec: ModelSpec, psi: TestFunction):
     of a snapshot (as weak_gap_rows passes them, computed once for all psi).
     """
     c = _frozen_coefficients(positions, spec)
-    X = c.X
-    P = psi.value_at(X)
-    G = psi.gradient_at(X)
-    if X.shape[1] == 1:
+    P, G = c.psi_at(psi)
+    if c.X.shape[1] == 1:
         a = c.A[:, 0, 0]
         da = c.dA[:, 0, 0, 0]
         gprime = G[:, 0, 0] / a - P[:, 0] * da / (a * a)
@@ -269,12 +288,15 @@ def _gl_panels(c, n_panels):
     return nodes, weights
 
 
-def _doubling_quadrature(node_value, c):
+def _doubling_quadrature(node_values, c):
+    """Gauss-Legendre integral over [0, c], doubling the panels until two
+    successive values agree; node_values maps the node array to its values."""
     prev = None
     panels = 1
     for _ in range(_QUAD_MAX_DOUBLINGS):
         nodes, weights = _gl_panels(c, panels)
-        cur = float(sum(w * node_value(u) for u, w in zip(nodes, weights)))
+        # sequential in node order: a pairwise sum would move the bits
+        cur = float(sum(w * v for w, v in zip(weights, node_values(nodes))))
         if prev is not None and abs(cur - prev) < _QUAD_TOL:
             return cur
         prev = cur
@@ -291,7 +313,7 @@ def weak_Yhat(slice_start, t, t_k, spec: ModelSpec, psi: TestFunction) -> float:
     All coefficients are frozen at the slice-start positions; the velocity
     second moment is closed by its leading term J/eps. At t = t_k this is
     exactly weak_momentum of the slice start. slice_start is that ensemble
-    or its frozen coefficients (weak_gap_rows computes them once per row).
+    or its frozen coefficients (weak_gap_rows computes them once per anchor).
     """
     state = slice_start.state if isinstance(slice_start, _Frozen) else slice_start
     if not isinstance(state, UnderdampedEnsemble):
@@ -306,27 +328,22 @@ def weak_Yhat(slice_start, t, t_k, spec: ModelSpec, psi: TestFunction) -> float:
     if tau < 0.0:
         raise ValidationError(f"t={t} precedes the slice origin t_k={t_k}")
     if tau == 0.0:
-        return weak_momentum(state, psi)
+        return weak_momentum(slice_start, psi)
     eps = state.epsilon
     c = tau / eps
-    X, V = state.positions, state.velocities
-    n, d = X.shape
+    V = state.velocities
+    n, d = V.shape
     frozen = _frozen_coefficients(slice_start, spec)
     A, F = frozen.A, frozen.F
-    P = psi.value_at(X)
-    Gpsi = psi.gradient_at(X)
+    P, Gpsi = frozen.psi_at(psi)
     if d == 1:
         a = A[:, 0, 0]
-        j = frozen.J[:, 0, 0]
-        da = frozen.dA[:, 0, 0, 0]
         E = np.exp(-a * c)
         term1 = float(np.mean(V[:, 0] * E * P[:, 0]))
         term2 = -float(np.mean(F[:, 0] * (1.0 - E) / a * P[:, 0]))
-
-        def node_value(u):
-            return np.mean(j * np.exp(-a * u) * (Gpsi[:, 0, 0] - u * da * P[:, 0]))
-
-        return term1 + term2 + _doubling_quadrature(node_value, c)
+        j, da = frozen.J[:, 0, 0], frozen.dA[:, 0, 0, 0]
+        node_values = _slice_nodes_1d(a, j, da, P[:, 0], Gpsi[:, 0, 0])
+        return term1 + term2 + _doubling_quadrature(node_values, c)
 
     dA, Js = frozen.dA, frozen.J
     E = expm(-A * c)
@@ -347,7 +364,30 @@ def weak_Yhat(slice_start, t, t_k, spec: ModelSpec, psi: TestFunction) -> float:
             total += np.einsum("mk,mk->", Js[i], Gg)
         return total / n
 
-    return term1 + term2 + _doubling_quadrature(node_value, c)
+    return term1 + term2 + _doubling_quadrature(
+        lambda nodes: [node_value(u) for u in nodes], c
+    )
+
+
+def _slice_nodes_1d(a, j, da, p, g):
+    """Node values u -> mean_i j_i exp(-a_i u) (g_i - u da_i p_i) of the 1D
+    slice quadrature, a block of nodes at a time.
+
+    A block is as many nodes as keep one (nodes, N) temporary within
+    _QUAD_BLOCK_BUDGET floats; each row is the same elementwise expression
+    and the same pairwise mean as one node alone, so the bits do not depend
+    on the block size.
+    """
+    block = max(1, _QUAD_BLOCK_BUDGET // a.size)
+
+    def node_values(nodes):
+        out = np.empty(nodes.size)
+        for lo in range(0, nodes.size, block):
+            u = nodes[lo : lo + block, None]
+            out[lo : lo + block] = np.mean(j * np.exp(-a * u) * (g - u * da * p), axis=1)
+        return out
+
+    return node_values
 
 
 # ---------------------------------------------------------------- distances
@@ -506,27 +546,37 @@ class WeakGapRow:
             raise ValidationError("gap_Y_Yhat is not exactly Y - Yhat")
 
 
-def weak_gap_rows(state: UnderdampedEnsemble, spec: ModelSpec, psis, anchor=None):
+def weak_gap_rows(state, spec: ModelSpec, psis, anchor=None):
     """One gap row per test function at the snapshot `state`.
 
-    The snapshot's coefficients are computed once; each psi evaluates its
-    Y* summands once, and Ystar and mc_stderr both read them. With a slice
-    anchor (the slice-start state), Yhat is weak_Yhat from its coefficients,
-    computed once unless the anchor is the snapshot itself; else NaN.
+    state and anchor are ensembles or their frozen coefficients. The
+    snapshot's coefficients are computed once; each psi's Y and Y*
+    summands are computed once per frozen snapshot, and Ystar and
+    mc_stderr both read them, so rows at one snapshot under several
+    anchors share them. With a slice anchor (the slice-start state), Yhat
+    is weak_Yhat from the anchor's coefficients, computed once unless the
+    anchor is the snapshot itself; else NaN.
     """
     frozen = _frozen_coefficients(state, spec)
+    snap = frozen.state
     if anchor is not None:
-        start = frozen if anchor is state else _frozen_coefficients(anchor, spec)
+        same = anchor is state or anchor is snap
+        start = frozen if same else _frozen_coefficients(anchor, spec)
     rows = []
     for psi in psis:
-        y = momentum_summands(state, psi)
-        ystar = ystar_summands(frozen, spec, psi)
+        Y, Ystar, stderr = frozen.once("gap", psi, lambda: _gap_terms(frozen, spec, psi))
         yhat = float("nan")
         if anchor is not None:
-            yhat = weak_Yhat(start, state.t, anchor.t, spec, psi)
-        Y, Ystar, stderr = np.mean(y), np.mean(ystar), _paired_stderr(y, ystar)
-        rows.append(gap_row(state.epsilon, state.t, psi.name, Y, Ystar, yhat, stderr))
+            yhat = weak_Yhat(start, snap.t, start.state.t, spec, psi)
+        rows.append(gap_row(snap.epsilon, snap.t, psi.name, Y, Ystar, yhat, stderr))
     return rows
+
+
+def _gap_terms(frozen: _Frozen, spec: ModelSpec, psi: TestFunction):
+    """(Y, Y*, mc_stderr) of psi at a frozen snapshot."""
+    y = momentum_summands(frozen, psi)
+    ystar = ystar_summands(frozen, spec, psi)
+    return np.mean(y), np.mean(ystar), _paired_stderr(y, ystar)
 
 
 def gap_row(

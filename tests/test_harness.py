@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from smallmass import harness
+from smallmass import harness, observables
 from smallmass.ensemble import D_MAX, NoiseStream
 from smallmass.errors import ValidationError
 from smallmass.harness import (
@@ -21,6 +21,7 @@ from smallmass.harness import (
     main,
     run_convergence_sweep,
     run_slice_diagnostic,
+    run_slice_pair,
     slice_gap_ratio,
     slice_starts,
     underdamped_dt,
@@ -246,6 +247,26 @@ def test_sweep_manifest_traceability(tmp_path):
     assert manifest["runtimes_s"]["limit"] > 0
 
 
+def test_sweep_warns_when_coupling_is_by_step_index_only(tmp_path, capsys):
+    # eps = 0.005 steps at eps / 10 = 5e-4 against dt_limit = 1e-3
+    cfg = micro_sweep_config(
+        tmp_path, epsilon_grid=(0.1, 0.005), T=0.2, t_star=0.2, snapshot_times=(0.2,)
+    )
+    report = run_convergence_sweep(cfg)
+    err = capsys.readouterr().err
+    assert "at epsilon=0.005 step with" in err and "step index only" in err
+    manifest = json.load(open(report.out_paths["manifest"]))
+    assert manifest["coupling_exact"] == {
+        format(0.1, ".17g"): True, format(0.005, ".17g"): False
+    }
+    # equal steps, or uncoupled runs, print nothing
+    run_convergence_sweep(dataclasses.replace(cfg, epsilon_grid=(0.1,)))
+    run_convergence_sweep(dataclasses.replace(cfg, coupled=False))
+    assert capsys.readouterr().err == ""
+    manifest = json.load(open(report.out_paths["manifest"]))
+    assert not any(manifest["coupling_exact"].values())
+
+
 def test_sweep_failure_in_limit_run_aborts(tmp_path):
     # a limit step far beyond the stiffness guard aborts before any
     # epsilon job starts, so the guard's own error propagates
@@ -373,6 +394,56 @@ def test_slice_diagnostic_deterministic(tmp_path):
     assert a.rows == b.rows
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # delta / 2 a multiple of the step: no substep is shortened
+        dict(n_particles=50, T=0.6, delta=0.1),
+        # delta / 2 = 2.5 steps, and an odd number of delta slices
+        dict(n_particles=30, T=0.225, delta=0.005, dt_under=0.002),
+    ],
+    ids=["aligned", "unaligned"],
+)
+def test_slice_pair_reads_both_widths_from_one_run(tmp_path, monkeypatch, overrides):
+    cfg = slice_config(tmp_path, **overrides)
+    calls = []
+    counted = observables.ystar_summands
+
+    def counting(frozen, spec, psi):
+        calls.append((id(frozen.state), psi.name))
+        return counted(frozen, spec, psi)
+
+    monkeypatch.setattr(observables, "ystar_summands", counting)
+    pair = run_slice_pair(cfg)
+    monkeypatch.undo()
+    # Y* summands once per distinct (state, psi), for the rows of both widths
+    assert len(calls) == len(set(calls)) == 3 * pair.distinct_states
+    assert pair.small.rows == run_slice_diagnostic(cfg, cfg.delta).rows
+    n = len(slice_starts(cfg.t_star, cfg.T, cfg.delta))
+    n_big = len(slice_starts(cfg.t_star, cfg.T, 2 * cfg.delta))
+    assert n_big == n // 2
+    assert len(pair.big.rows) == 3 * 3 * n_big
+    # slice k of 2delta starts at delta slice 2k and ends where 2k+1 ends
+    small_times = sorted({r.t for r in pair.small.rows})
+    big_times = sorted({r.t for r in pair.big.rows})
+    assert big_times == small_times[: 4 * n_big + 1 : 2]
+    # one trajectory: a state's Y, Y* and stderr are the same at both widths
+    at = {(r.t, r.psi_id): r for r in pair.small.rows}
+    for r in pair.big.rows:
+        s = at[(r.t, r.psi_id)]
+        assert (r.Y, r.Ystar, r.mc_stderr) == (s.Y, s.Ystar, s.mc_stderr)
+    assert sum(r.gap_Y_Yhat == 0.0 for r in pair.big.rows) == 3 * n_big
+    assert pair.distinct_states == 2 * n + 1
+    assert set(pair.runtimes_s) == {"trajectory", "delta_rows", "2delta_rows"}
+
+
+def test_slice_pair_needs_one_full_2delta_slice(tmp_path):
+    cfg = slice_config(tmp_path, T=0.35, delta=0.1)  # one delta slice
+    assert len(run_slice_diagnostic(cfg).rows) == 9
+    with pytest.raises(ValidationError, match="does not fit one slice"):
+        run_slice_pair(cfg)
+
+
 def test_slice_gap_ratio_behaviour(tmp_path):
     # in the sub-relaxation regime (A delta / eps < 1) the gap grows like
     # sqrt(tau), so doubling delta multiplies the per-slice max by ~sqrt(2)
@@ -448,6 +519,17 @@ def test_cli_slice_diag(tmp_path, capsys):
     assert os.path.exists(tmp_path / "cli" / "slice_gaps_delta.csv")
     assert os.path.exists(tmp_path / "cli" / "slice_gaps_2delta.csv")
     assert "gap ratio" in capsys.readouterr().out
+    manifest = json.load(open(tmp_path / "cli" / "manifest.json"))
+    assert manifest["config"]["seed"] == 2
+    assert manifest["delta"] == 0.1
+    assert manifest["dt_under"] == {format(0.05, ".17g"): 1e-3}
+    assert manifest["distinct_states"] == 2 * 4 + 1  # starts, midpoints, last end
+    assert set(manifest["runtimes_s"]) == {"trajectory", "delta_rows", "2delta_rows"}
+    assert manifest["runtimes_s"]["trajectory"] > 0
+    assert "numpy" in manifest["versions"] and manifest["timestamp"]
+    assert manifest["outputs"] == [
+        "manifest.json", "slice_gaps_2delta.csv", "slice_gaps_delta.csv", "slice_summary.json",
+    ]
 
 
 def test_cli_fp(tmp_path, capsys):

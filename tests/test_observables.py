@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from smallmass.ensemble import (
@@ -25,10 +27,15 @@ from smallmass.model import (
     make_quadratic_ou,
     make_state_dep_friction_1d,
 )
+from smallmass import observables
 from smallmass.observables import (
     TestFunction,
     WeakGapReport,
     WeakGapRow,
+    _doubling_quadrature,
+    _frozen_coefficients,
+    _gl_panels,
+    _slice_nodes_1d,
     bump_test_functions,
     energy_diagnostic,
     gap_row,
@@ -368,6 +375,60 @@ def test_gap_rows_yhat_from_anchor_coefficients():
         for row, psi in zip(rows, psis):
             assert row.Yhat == weak_Yhat(anchor, state.t, anchor.t, spec, psi)
     assert rows[0].Yhat == weak_momentum(anchor, psis[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.integers(1, 6))
+@example(n=1, seed=0, panels=1)
+@example(n=7, seed=1, panels=3)  # 8192 / 7 leaves a remainder
+@example(n=2000, seed=2, panels=2)  # blocks of 4 nodes
+@example(n=2700, seed=3, panels=5)  # blocks of 3 nodes, the last one short
+@example(n=3000, seed=4, panels=4)
+def test_blocked_slice_quadrature_matches_per_node_loop(n, seed, panels):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.2, 5.0, n)
+    j = rng.uniform(0.0, 2.0, n)
+    da, p, g = rng.normal(size=(3, n))
+    c = float(rng.uniform(0.01, 3.0))
+
+    def node_value(u):  # one node per call, as the quadrature was written
+        return np.mean(j * np.exp(-a * u) * (g - u * da * p))
+
+    blocked = _slice_nodes_1d(a, j, da, p, g)
+    nodes, _ = _gl_panels(c, panels)
+    assert np.array_equal(blocked(nodes), np.array([node_value(u) for u in nodes]))
+    looped = _doubling_quadrature(lambda us: [node_value(u) for u in us], c)
+    assert _doubling_quadrature(blocked, c) == looped
+
+
+def test_ystar_summands_once_per_snapshot_and_psi(monkeypatch):
+    spec = make_state_dep_friction_1d()
+    rng = np.random.default_rng(3)
+    x, v = rng.normal(size=(2, 2, 40, 1))
+    anchor = UnderdampedEnsemble(0.05, 0.5, x[0], v[0])
+    later = UnderdampedEnsemble(0.05, 0.51, x[1], v[1])
+    psis = bump_test_functions(dim=1)
+    calls = []
+    counted = observables.ystar_summands
+
+    def counting(frozen, spec, psi):
+        calls.append((id(frozen), psi.name))
+        return counted(frozen, spec, psi)
+
+    monkeypatch.setattr(observables, "ystar_summands", counting)
+    fa, fl = _frozen_coefficients(anchor, spec), _frozen_coefficients(later, spec)
+    first = weak_gap_rows(fl, spec, psis, anchor=fa)
+    again = weak_gap_rows(fl, spec, psis, anchor=fl)  # same snapshot, other anchor
+    start = weak_gap_rows(fa, spec, psis, anchor=fa)
+    assert sorted(calls) == sorted({(id(f), p.name) for f in (fa, fl) for p in psis})
+    for a, b in zip(first, again):
+        assert (a.Y, a.Ystar, a.mc_stderr) == (b.Y, b.Ystar, b.mc_stderr)
+    monkeypatch.undo()
+    # the shared terms and the anchor's cached psi values keep the bits of
+    # rows built from the ensembles themselves
+    assert first == weak_gap_rows(later, spec, psis, anchor=anchor)
+    assert start == weak_gap_rows(anchor, spec, psis, anchor=anchor)
+    assert all(r.gap_Y_Yhat == 0.0 for r in start)
 
 
 def test_yhat_validation():
