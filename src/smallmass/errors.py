@@ -1,9 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ValidationError (and its subclasses)
--> 2, every other SmallMassError (BlowUpError, a quadrature that does not
-settle, ...) -> 3. Exceptions outside this hierarchy are bugs and escape
-as a traceback.
+-> 2, every other SmallMassError (BlowUpError, ...) -> 3. Exceptions
+outside this hierarchy are bugs and escape as a traceback.
 """
 
 

@@ -448,8 +448,6 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
     limit_snaps = _limit_run(spec, config, base_stream, snaps)
     limit_runtime = time.perf_counter() - started
 
-    results = [None] * len(grid)
-
     def job(i):
         try:
             return _run_one_epsilon(
@@ -458,14 +456,11 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
         except Exception as exc:
             _abort_with_manifest(config, grid[i], exc)
 
-    workers = _worker_count(len(grid))
-    if workers == 1:
-        for i in range(len(grid)):
-            results[i] = job(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, res in enumerate(pool.map(job, range(len(grid)))):
-                results[i] = res
+    # every job runs to its end, so each failing epsilon writes its record;
+    # the first failure in grid order is the one raised
+    with ThreadPoolExecutor(max_workers=_worker_count(len(grid))) as pool:
+        futures = [pool.submit(job, i) for i in range(len(grid))]
+    results = [f.result() for f in futures]
 
     w2_rows = tuple(row for r in results for row in r["w2"])
     weak = WeakGapReport(rows=tuple(row for r in results for row in r["weak"]))

@@ -9,8 +9,8 @@ functions psi, as plain particle averages:
                   with g = (A^T)^-1 psi and A J + J A^T = sigma sigma^T
     <Yhat_t, psi> = frozen-coefficient evolution of <Y, psi> across a time
                   slice [t_k, t]: exponentially decayed momentum, an exactly
-                  integrated force source, and a time quadrature against the
-                  leading velocity-covariance term J/eps.
+                  integrated force source, and the exact time integral of
+                  the leading velocity-covariance term J/eps.
 
 Integration by parts replaces every density or density-gradient estimate,
 so the estimators are plain particle sums (the empirical convolutions are
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
+from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from .ensemble import (
@@ -38,13 +38,9 @@ from .ensemble import (
 from .errors import SmallMassError, ValidationError
 from .model import ModelSpec
 from .overdamped import _d_friction_at
-from .smallmat import _GL_NODES, _GL_WEIGHTS, _mT, invert, solve_lyapunov
+from .smallmat import _mT, invert, solve_lyapunov
 
 W2_EXACT_MAX_N = 1024
-_QUAD_TOL = 1e-8
-_QUAD_MAX_DOUBLINGS = 10
-# float budget of one (nodes, N) temporary in the 1D slice quadrature (64 KB)
-_QUAD_BLOCK_BUDGET = 1 << 13
 
 
 # ------------------------------------------------------------ test functions
@@ -279,32 +275,17 @@ def paired_gap_stderr(state: UnderdampedEnsemble, spec, psi) -> float:
     )
 
 
-def _gl_panels(c, n_panels):
-    edges = np.linspace(0.0, c, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
-
-
-def _doubling_quadrature(node_values, c):
-    """Gauss-Legendre integral over [0, c], doubling the panels until two
-    successive values agree; node_values maps the node array to its values."""
-    prev = None
-    panels = 1
-    for _ in range(_QUAD_MAX_DOUBLINGS):
-        nodes, weights = _gl_panels(c, panels)
-        # sequential in node order: a pairwise sum would move the bits
-        cur = float(sum(w * v for w, v in zip(weights, node_values(nodes))))
-        if prev is not None and abs(cur - prev) < _QUAD_TOL:
-            return cur
-        prev = cur
-        panels *= 2
-    raise SmallMassError(
-        f"slice quadrature did not settle below {_QUAD_TOL:g} "
-        f"with {16 * panels // 2} nodes"
-    )
+def _one_minus_exp_poly(x):
+    """1 - e^{-x}(1 + x) for x >= 0, without cancellation at small x."""
+    out = -np.expm1(-x) - x * np.exp(-x)  # within 1.2e-15 relative from 0.25 up
+    small = x < 0.25
+    s = x[small]
+    # Taylor series sum_{k >= 2} (-1)^k (k - 1) s^k / k!, truncated below 1e-16
+    acc = np.zeros_like(s)
+    for k in range(13, 1, -1):
+        acc = acc * s + (-1) ** k * (k - 1) / math.factorial(k)
+    out[small] = acc * s * s
+    return out
 
 
 def weak_Yhat(slice_start, t, t_k, spec: ModelSpec, psi: TestFunction) -> float:
@@ -314,6 +295,16 @@ def weak_Yhat(slice_start, t, t_k, spec: ModelSpec, psi: TestFunction) -> float:
     second moment is closed by its leading term J/eps. At t = t_k this is
     exactly weak_momentum of the slice start. slice_start is that ensemble
     or its frozen coefficients (weak_gap_rows computes them once per anchor).
+
+    The time integrals are exact. With M = -A^T, dM_k = -(d_k A)^T and
+    c = (t - t_k)/eps, each particle contributes
+
+        v . e^{Mc} psi - F . B psi + sum_{m,k} J_mk [L_k psi + B d_k psi]_m,
+
+    B = int_0^c e^{Mu} du, L_k = int_0^c int_0^u e^{M(u-s)} dM_k e^{Ms} ds du.
+    In 1D these are closed forms in e^{-ac}. In d > 1 they are the blocks
+    (1,1), (2,3) and (1,3) of expm(c [[M, dM_k, 0], [0, M, I], [0, 0, 0]])
+    (Van Loan, IEEE Trans. Automat. Control 23, 1978).
     """
     state = slice_start.state if isinstance(slice_start, _Frozen) else slice_start
     if not isinstance(state, UnderdampedEnsemble):
@@ -329,65 +320,30 @@ def weak_Yhat(slice_start, t, t_k, spec: ModelSpec, psi: TestFunction) -> float:
         raise ValidationError(f"t={t} precedes the slice origin t_k={t_k}")
     if tau == 0.0:
         return weak_momentum(slice_start, psi)
-    eps = state.epsilon
-    c = tau / eps
+    c = tau / state.epsilon
     V = state.velocities
     n, d = V.shape
     frozen = _frozen_coefficients(slice_start, spec)
-    A, F = frozen.A, frozen.F
-    P, Gpsi = frozen.psi_at(psi)
+    A, F, J = frozen.A, frozen.F, frozen.J
+    P, G = frozen.psi_at(psi)
     if d == 1:
-        a = A[:, 0, 0]
-        E = np.exp(-a * c)
-        term1 = float(np.mean(V[:, 0] * E * P[:, 0]))
-        term2 = -float(np.mean(F[:, 0] * (1.0 - E) / a * P[:, 0]))
-        j, da = frozen.J[:, 0, 0], frozen.dA[:, 0, 0, 0]
-        node_values = _slice_nodes_1d(a, j, da, P[:, 0], Gpsi[:, 0, 0])
-        return term1 + term2 + _doubling_quadrature(node_values, c)
-
-    dA, Js = frozen.dA, frozen.J
-    E = expm(-A * c)
-    B = frozen.A_inv @ (np.eye(d) - E)
-    # sequential sums from 0.0 in particle order (np.sum's pairwise order moves bits)
-    term1 = np.cumsum(np.append(0.0, V[:, None, :] @ (_mT(E) @ P[..., None])))[-1] / n
-    term2 = np.cumsum(np.append(0.0, -(F[:, None, :] @ (_mT(B) @ P[..., None]))))[-1] / n
-
-    def node_value(u):
-        total = 0.0
-        for i in range(n):
-            M = -A[i].T * u
-            EtU = expm(M)
-            Gg = np.empty((d, d))
-            for k in range(d):
-                dE = expm_frechet(M, -dA[i, :, :, k].T * u, compute_expm=False)
-                Gg[:, k] = dE @ P[i] + EtU @ Gpsi[i, :, k]
-            total += np.einsum("mk,mk->", Js[i], Gg)
-        return total / n
-
-    return term1 + term2 + _doubling_quadrature(
-        lambda nodes: [node_value(u) for u in nodes], c
-    )
-
-
-def _slice_nodes_1d(a, j, da, p, g):
-    """Node values u -> mean_i j_i exp(-a_i u) (g_i - u da_i p_i) of the 1D
-    slice quadrature, a block of nodes at a time.
-
-    A block is as many nodes as keep one (nodes, N) temporary within
-    _QUAD_BLOCK_BUDGET floats; each row is the same elementwise expression
-    and the same pairwise mean as one node alone, so the bits do not depend
-    on the block size.
-    """
-    block = max(1, _QUAD_BLOCK_BUDGET // a.size)
-
-    def node_values(nodes):
-        out = np.empty(nodes.size)
-        for lo in range(0, nodes.size, block):
-            u = nodes[lo : lo + block, None]
-            out[lo : lo + block] = np.mean(j * np.exp(-a * u) * (g - u * da * p), axis=1)
-        return out
-
-    return node_values
+        a, p, g, da = A[:, 0, 0], P[:, 0], G[:, 0, 0], frozen.dA[:, 0, 0, 0]
+        x = a * c
+        i0 = -np.expm1(-x) / a  # B
+        i1 = _one_minus_exp_poly(x) / (a * a)  # L = -da i1
+        memory = J[:, 0, 0] * (g * i0 - da * p * i1)
+        return float(np.mean(V[:, 0] * np.exp(-x) * p - F[:, 0] * i0 * p + memory))
+    # one exponential per (particle, k)
+    block = np.zeros((n, d, 3 * d, 3 * d))
+    block[..., :d, :d] = block[..., d : 2 * d, d : 2 * d] = -_mT(A)[:, None]
+    block[..., :d, d : 2 * d] = -_mT(np.moveaxis(frozen.dA, -1, 1))
+    block[..., d : 2 * d, 2 * d :] = np.eye(d)
+    expo = expm(c * block)
+    Et, B = expo[:, 0, :d, :d], expo[:, 0, d : 2 * d, 2 * d :]
+    Gg = np.einsum("ikmn,in->imk", expo[..., :d, 2 * d :], P) + B @ G
+    term1 = np.mean(V[:, None, :] @ (Et @ P[..., None]))
+    term2 = -np.mean(F[:, None, :] @ (B @ P[..., None]))
+    return float(term1 + term2 + np.mean(np.einsum("imk,imk->i", J, Gg)))
 
 
 # ---------------------------------------------------------------- distances

@@ -10,9 +10,8 @@ so the position process solves
 
     dx = [ -A(x)^-1 (grad V + grad K * rho)(x) + S(x) ] dt + A(x)^-1 sigma(x) dB.
 
-Two routes to S are kept: the product rule d(A^-1) = -A^-1 (dA) A^-1 fed by
-analytic coefficient Jacobians (central differences on A when absent), and a
-pure central difference of A(.)^-1 used as a cross-check.
+S is computed by the product rule d(A^-1) = -A^-1 (dA) A^-1, fed by analytic
+coefficient Jacobians (central differences on A when absent).
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ from .smallmat import (
     solve_lyapunov,
 )
 from .underdamped import _advance
-
-S_METHODS = ("product_rule", "fd_inverse")
 
 
 @dataclass(frozen=True)
@@ -74,37 +71,18 @@ def _d_friction_at(x, positions, spec: ModelSpec):
     )
 
 
-def noise_induced_drift(x, positions, spec: ModelSpec, method="product_rule"):
+def noise_induced_drift(x, positions, spec: ModelSpec):
     """S(x) against the empirical measure of `positions`, as a d-vector."""
-    if method not in S_METHODS:
-        raise ValidationError(f"method must be one of {S_METHODS}, got {method!r}")
     positions = _positions_of(positions)
     x = np.asarray(x, dtype=float).reshape(spec.dim)
-    d = spec.dim
     A = _friction_at(x, positions, spec)
     if min_symmetric_eigenvalue(A) <= 0.0:
         raise StabilityError(f"friction not positive definite at {x}")
     sig = spec.sigma_at(x)
     J = solve_lyapunov(A, sig @ sig.T).J
-    if method == "product_rule":
-        Ainv = invert(A)
-        dA = _d_friction_at(x, positions, spec)
-        dAinv = -np.einsum("ip,pqk,qj->ijk", Ainv, dA, Ainv)
-    else:
-        h = fd_step(x)
-        dAinv = np.empty((d, d, d))
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = h
-            slopes = []
-            for pt in (x + e, x - e):
-                Ap = _friction_at(pt, positions, spec)
-                if min_symmetric_eigenvalue(Ap) <= 0.0:
-                    raise StabilityError(
-                        f"friction not positive definite at stencil point {pt}"
-                    )
-                slopes.append(invert(Ap))
-            dAinv[:, :, k] = (slopes[0] - slopes[1]) / (2.0 * h)
+    Ainv = invert(A)
+    dA = _d_friction_at(x, positions, spec)
+    dAinv = -np.einsum("ip,pqk,qj->ijk", Ainv, dA, Ainv)
     return np.einsum("ijk,jk->i", dAinv, J)
 
 

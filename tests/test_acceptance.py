@@ -32,7 +32,7 @@ from smallmass.harness import (
     initial_positions,
     initial_velocities,
     run_convergence_sweep,
-    run_slice_diagnostic,
+    run_slice_pair,
     slice_gap_ratio,
     slice_starts,
 )
@@ -266,7 +266,8 @@ def test_criterion_07_uniform_bounds(double_well_sweep):
 def test_criterion_08_slice_gap_scaling(tmp_path):
     # delta well below the velocity relaxation time eps/A = 0.025, where the
     # in-slice gap still grows like sqrt(delta) and doubling delta moves the
-    # per-slice maximum by a factor inside [1.3, 3.0]
+    # per-slice maximum by a factor inside [1.3, 3.0]; both widths are read
+    # from one run, as the slice-diag command reads them
     delta = 0.002
     cfg = ExperimentConfig(
         preset="quadratic-ou",
@@ -274,15 +275,15 @@ def test_criterion_08_slice_gap_scaling(tmp_path):
         epsilon_grid=(0.05,),
         T=2.0,
         t_star=0.2,
+        delta=delta,
         seed=4,
         init_components=((1.0, 1.0, 0.3),),
         out_dir=str(tmp_path),
     )
-    small = run_slice_diagnostic(cfg, delta=delta)
-    big = run_slice_diagnostic(cfg, delta=2 * delta)
-    ratio = slice_gap_ratio(small, big, cfg.t_star, delta)
+    pair = run_slice_pair(cfg)
+    ratio = slice_gap_ratio(pair.small, pair.big, cfg.t_star, delta)
     anchors_ok = True
-    for rep, width in ((small, delta), (big, 2 * delta)):
+    for rep, width in ((pair.small, delta), (pair.big, 2 * delta)):
         n_slices = len(slice_starts(cfg.t_star, cfg.T, width))
         zero_rows = sum(1 for r in rep.rows if r.gap_Y_Yhat == 0.0)
         anchors_ok = anchors_ok and zero_rows == 3 * n_slices

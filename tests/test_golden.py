@@ -77,7 +77,7 @@ CASES = {
             seed=7,
         ),
     ),
-    # 2D slice diagnostic: the matrix Yhat quadrature
+    # 2D slice diagnostic: the matrix exponential of the exact Yhat integrals
     "slice-g2d": (
         ("slice-diag",),
         dict(

@@ -309,6 +309,20 @@ def test_failure_records_of_close_epsilons_do_not_collide(tmp_path, monkeypatch)
     assert eps == [0.1, 0.1000001]
 
 
+def test_every_failing_epsilon_writes_its_record_with_one_thread(tmp_path, monkeypatch):
+    # a failing job neither stops nor cancels the jobs after it, so every
+    # failing epsilon leaves its record; the first in grid order is raised
+    monkeypatch.setenv("SMALLMASS_THREADS", "1")
+    out = tmp_path / "h"
+    grid = (0.1000002, 0.1000001, 0.1)
+    cfg = micro_sweep_config(tmp_path, epsilon_grid=grid, dt_under=0.04, out_dir=str(out))
+    first = f"failed_eps_{format(grid[0], '.17g')}.json"
+    with pytest.raises(ValidationError, match=first):
+        run_convergence_sweep(cfg)
+    records = sorted(p for p in os.listdir(out) if p.startswith("failed_eps_"))
+    assert records == sorted(f"failed_eps_{format(e, '.17g')}.json" for e in grid)
+
+
 def test_coupled_and_uncoupled_w2_compatible(tmp_path):
     base = dict(
         preset="quadratic-ou",

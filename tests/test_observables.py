@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.integrate import quad, quad_vec
+from scipy.linalg import expm, expm_frechet, inv
 
 from smallmass.ensemble import (
     NoiseStream,
@@ -32,10 +33,8 @@ from smallmass.observables import (
     TestFunction,
     WeakGapReport,
     WeakGapRow,
-    _doubling_quadrature,
+    _Frozen,
     _frozen_coefficients,
-    _gl_panels,
-    _slice_nodes_1d,
     bump_test_functions,
     energy_diagnostic,
     gap_row,
@@ -276,7 +275,7 @@ def test_yhat_pure_decay_matrix_path():
 
 
 def test_yhat_closed_form_time_integrals():
-    # 1D: term (iii) has closed antiderivatives; quadrature must match them
+    # 1D: term (iii) has closed antiderivatives; weak_Yhat must match them
     spec = affine_gamma_spec(sigma=1.0, k=0.8)
     rng = np.random.default_rng(21)
     X = 0.5 * rng.normal(size=(40, 1))
@@ -377,28 +376,107 @@ def test_gap_rows_yhat_from_anchor_coefficients():
     assert rows[0].Yhat == weak_momentum(anchor, psis[0])
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.integers(1, 6))
-@example(n=1, seed=0, panels=1)
-@example(n=7, seed=1, panels=3)  # 8192 / 7 leaves a remainder
-@example(n=2000, seed=2, panels=2)  # blocks of 4 nodes
-@example(n=2700, seed=3, panels=5)  # blocks of 3 nodes, the last one short
-@example(n=3000, seed=4, panels=4)
-def test_blocked_slice_quadrature_matches_per_node_loop(n, seed, panels):
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(0.2, 5.0, n)
-    j = rng.uniform(0.0, 2.0, n)
-    da, p, g = rng.normal(size=(3, n))
-    c = float(rng.uniform(0.01, 3.0))
+def frozen_slice(A, F, dA, J, V, X):
+    """Frozen coefficients of a slice start at t = 0 with eps = 1, so that
+    weak_Yhat at time c integrates over [0, c]."""
+    state = UnderdampedEnsemble(1.0, 0.0, X, V)
+    return _Frozen(state, X, A, F, dA, J, None)
 
-    def node_value(u):  # one node per call, as the quadrature was written
-        return np.mean(j * np.exp(-a * u) * (g - u * da * p))
 
-    blocked = _slice_nodes_1d(a, j, da, p, g)
-    nodes, _ = _gl_panels(c, panels)
-    assert np.array_equal(blocked(nodes), np.array([node_value(u) for u in nodes]))
-    looped = _doubling_quadrature(lambda us: [node_value(u) for u in us], c)
-    assert _doubling_quadrature(blocked, c) == looped
+def linear_psi(W, b):
+    W, b = np.asarray(W, float), np.asarray(b, float)
+    return TestFunction(
+        dim=len(b),
+        value=lambda x: np.asarray(x, dtype=float) @ W.T + b,
+        gradient=lambda x: np.broadcast_to(W, np.asarray(x).shape[:-1] + W.shape),
+        lip_norm_hint=float(np.linalg.norm(W, 2)),
+    )
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")  # roundoff
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, 20.0), st.floats(-12.0, math.log10(50.0)))
+@example(a=1.0, log_ac=-12.0)
+@example(a=3.0, log_ac=math.log10(50.0))
+@example(a=2.5, log_ac=-1.0)  # on the small-x series
+@example(a=2.5, log_ac=math.log10(0.25))  # where the series hands over
+def test_yhat_1d_time_integrals_match_adaptive_quadrature(a, log_ac):
+    # i0 = int_0^c e^{-au} du and i1 = int_0^c u e^{-au} du, each isolated
+    # as the whole of Yhat: psi = 1, and only F (for i0) or J da (for i1) set
+    c = 10.0**log_ac / a
+    A, one, zero = np.full((1, 1, 1), a), np.ones((1, 1)), np.zeros((1, 1))
+    dA = np.ones((1, 1, 1, 1))
+    ones = constant_psi()
+    i0 = weak_Yhat(frozen_slice(A, -one, dA, 0.0 * A, zero, zero), c, 0.0, None, ones)
+    i1 = weak_Yhat(frozen_slice(A, zero, -dA, A / a, zero, zero), c, 0.0, None, ones)
+    for got, f in ((i0, lambda u: np.exp(-a * u)), (i1, lambda u: u * np.exp(-a * u))):
+        # quad's floor on epsrel with epsabs = 0 is 50 ulp, 1.11e-14
+        want = quad(f, 0.0, c, epsrel=1.2e-14, epsabs=0.0, limit=200)[0]
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def random_slice_coefficients(rng, n, d):
+    """Friction with a positive definite symmetric part, its Jacobian, SPD J."""
+    R = rng.normal(size=(n, d, d))
+    A = 1.5 * np.eye(d) + 0.3 * (R + 0.5 * np.swapaxes(R, -1, -2))
+    dA = 0.4 * rng.normal(size=(n, d, d, d))
+    L = rng.normal(size=(n, d, d))
+    J = L @ np.swapaxes(L, -1, -2) + 0.1 * np.eye(d)
+    psi = linear_psi(rng.normal(size=(d, d)), rng.normal(size=d))
+    return A, dA, J, psi
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("c", [0.01, 0.3, 3.0])
+def test_yhat_memory_term_matches_frechet_quadrature(d, c):
+    # with v = 0 and F = 0, Yhat is the memory term alone: the time integral
+    # of sum_mk J_mk [L(Mu, dM_k u) psi + e^{Mu} d_k psi]_m, M = -A^T
+    rng = np.random.default_rng(100 * d + int(10 * c))
+    n = 4
+    A, dA, J, psi = random_slice_coefficients(rng, n, d)
+    X = rng.normal(size=(n, d))
+    zero = np.zeros((n, d))
+    got = weak_Yhat(frozen_slice(A, zero, dA, J, zero, X), c, 0.0, None, psi)
+    P, G = psi.value_at(X), psi.gradient_at(X)
+
+    def integrand(u):
+        out = np.empty(n)
+        for i in range(n):
+            M = -A[i].T * u
+            Gg = np.empty((d, d))
+            for k in range(d):
+                dE = expm_frechet(M, -dA[i, :, :, k].T * u, compute_expm=False)
+                Gg[:, k] = dE @ P[i] + expm(M) @ G[i, :, k]
+            out[i] = np.einsum("mk,mk->", J[i], Gg)
+        return out
+
+    want = quad_vec(integrand, 0.0, c, epsrel=1e-13, epsabs=0.0)[0]
+    assert got == pytest.approx(np.mean(want), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("c", [0.01, 0.3, 3.0])
+def test_yhat_decay_and_force_blocks(d, c):
+    # J = 0 leaves v . E^T psi - F . B^T psi with E = expm(-A c) and
+    # B = A^-1 (I - E); one particle at a time isolates each block
+    rng = np.random.default_rng(7 * d + int(10 * c))
+    n = 3
+    A, dA, J, psi = random_slice_coefficients(rng, n, d)
+    X, V, F = rng.normal(size=(3, n, d))
+    zero = np.zeros((n, d))
+    P = psi.value_at(X)
+    for i in range(n):
+        one = slice(i, i + 1)
+        E = expm(-A[i] * c)
+        B = inv(A[i]) @ (np.eye(d) - E)
+        coeffs = A[one], zero[one], dA[one], 0.0 * J[one], V[one], X[one]
+        decay = weak_Yhat(frozen_slice(*coeffs), c, 0.0, None, psi)
+        assert decay == pytest.approx(V[i] @ (E.T @ P[i]), rel=1e-13, abs=1e-15)
+        coeffs = A[one], F[one], dA[one], 0.0 * J[one], zero[one], X[one]
+        force = weak_Yhat(frozen_slice(*coeffs), c, 0.0, None, psi)
+        # I - E cancels at small A c: the reference is good to A^-1 times ulps of E
+        scale = np.linalg.norm(F[i]) * np.linalg.norm(P[i]) * np.linalg.norm(inv(A[i]))
+        assert force == pytest.approx(-F[i] @ (B.T @ P[i]), rel=1e-13, abs=1e-13 * scale)
 
 
 def test_ystar_summands_once_per_snapshot_and_psi(monkeypatch):
