@@ -29,8 +29,8 @@ from .errors import CFLError, StabilityError, ValidationError
 from .model import ConstantMatrixField, LinearVectorField, ModelSpec, ZeroVectorField
 from .underdamped import _advance
 
-_MASS_TOL = 1e-9  # constructor/monitor tolerance; the conservation *drift*
-#                   over long runs is measured by tests at 1e-12
+_MASS_TOL = 1e-9  # Grid1D's tolerance, met by every step's grid; the
+#                   conservation *drift* over long runs is tested at 1e-12
 _CLIP_FLOOR = -1e-8  # undershoot below this is instability, not rounding
 _BOUNDARY_MASS_WARN = 1e-8
 
@@ -220,8 +220,8 @@ def fp_step(grid: Grid1D, spec: ModelSpec, dt, cache: _FPCache | None = None) ->
 def fp_solve(spec: ModelSpec, grid0: Grid1D, T, dt, snapshot_times=None) -> list[Grid1D]:
     """Integrate to T, emitting grids at the requested times.
 
-    Mass is monitored every step; boundary cells are watched so domain
-    truncation stays visible.
+    Every step's grid passes the Grid1D mass check; boundary cells are
+    watched so domain truncation stays visible.
     """
     cache = _build_cache(grid0, spec)
     warned = False
@@ -229,8 +229,6 @@ def fp_solve(spec: ModelSpec, grid0: Grid1D, T, dt, snapshot_times=None) -> list
     def step(grid, dt_sub):
         nonlocal warned
         grid = fp_step(grid, spec, dt_sub, cache=cache)
-        if abs(grid.h * grid.density.sum() - 1.0) > _MASS_TOL:
-            raise StabilityError(f"mass left 1 +/- {_MASS_TOL:g} at t={grid.t:.6g}")
         edge = max(grid.density[0], grid.density[-1])
         if edge > _BOUNDARY_MASS_WARN and not warned:
             warnings.warn(

@@ -546,50 +546,40 @@ def slice_starts(t_star: float, T: float, delta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SliceDiagnostic:
-    """Gap reports of one underdamped run cut into delta slices and, when
-    paired, into 2delta slices; see run_slice_pair."""
+    """Gap reports of one underdamped run cut into delta and 2delta slices;
+    see run_slice_pair."""
 
     delta: float
     small: WeakGapReport
-    big: WeakGapReport | None
+    big: WeakGapReport
+    ratio: float  # mean per-slice max |Y - Yhat| of the 2delta slices over delta's
     distinct_states: int  # states whose coefficients were computed, once each
     runtimes_s: dict  # trajectory, delta_rows, 2delta_rows
 
 
-def run_slice_diagnostic(config: ExperimentConfig, delta=None) -> WeakGapReport:
-    """Gap rows Y vs Yhat on one underdamped run partitioned into slices.
+def run_slice_pair(config: ExperimentConfig) -> SliceDiagnostic:
+    """Gap rows Y vs Yhat on one underdamped run cut into delta and 2delta slices.
 
     Each slice contributes rows at its start (gap exactly zero by
     construction), midpoint, and end, for every bump test function. delta
-    falls back to config.delta, then to the step-limited default.
+    is config.delta, else the step-limited default. The 2delta slice k is
+    delta slices 2k and 2k+1: its start, midpoint and end are the start of
+    slice 2k, the start of slice 2k+1 and the end of slice 2k+1. Each
+    snapshot's coefficients and per-psi Y and Y* terms are computed once
+    and serve its rows of both widths.
     """
-    return _slice_run(config, delta, paired=False).small
-
-
-def run_slice_pair(config: ExperimentConfig) -> SliceDiagnostic:
-    """The delta report of run_slice_diagnostic and a 2delta report, both
-    from the same underdamped run (delta as in run_slice_diagnostic).
-
-    The 2delta slice k is delta slices 2k and 2k+1: its start, midpoint
-    and end are the start of slice 2k, the start of slice 2k+1 and the end
-    of slice 2k+1. Each snapshot's coefficients and per-psi Y and Y*
-    terms are computed once and serve its rows of both widths.
-    """
-    return _slice_run(config, None, paired=True)
-
-
-def _slice_run(config, delta, paired) -> SliceDiagnostic:
     spec = build_spec(config)
     epsilon = config.epsilon_grid[0]
     dt = underdamped_dt(config, epsilon)
-    delta = float(_slice_delta(config) if delta is None else delta)
+    delta = float(_slice_delta(config))
     if delta < dt:
         raise ValidationError(f"delta={delta:g} is below one step dt={dt:g}")
     starts = slice_starts(config.t_star, config.T, delta)
     n = len(starts)
-    if paired:
-        # rejects a horizon without a full 2delta slice; the count is n // 2
-        slice_starts(config.t_star, config.T, 2.0 * delta)
+    if n < 2:
+        raise ValidationError(
+            f"delta={2.0 * delta:g} does not fit one slice in [t_star, T]"
+        )
     # where[k], where[n + k], where[2n + k]: indices of slice k's start,
     # midpoint and end among the sorted distinct times
     times, where = np.unique(
@@ -617,57 +607,41 @@ def _slice_run(config, delta, paired) -> SliceDiagnostic:
             computed += 1
         return live[id(state)]
 
-    def add_rows(points, out, timer):
+    def add_rows(points, out, maxima, timer):
         began = time.perf_counter()
         anchor = frozen_at(points[0])
+        top = 0.0
         for i in points:
-            out.extend(weak_gap_rows(frozen_at(i), spec, psis, anchor=anchor))
+            rows = weak_gap_rows(frozen_at(i), spec, psis, anchor=anchor)
+            for row in rows:
+                top = max(top, abs(row.gap_Y_Yhat))
+            out.extend(rows)
+        maxima.append(top)
         runtimes[timer] += time.perf_counter() - began
 
-    small, big = [], []
+    small, big, small_max, big_max = [], [], [], []
     for k in range(n):
-        add_rows((k, n + k, 2 * n + k), small, "delta_rows")
-        if paired and k % 2:
-            add_rows((k - 1, k, 2 * n + k), big, "2delta_rows")
+        add_rows((k, n + k, 2 * n + k), small, small_max, "delta_rows")
+        if k % 2:
+            add_rows((k - 1, k, 2 * n + k), big, big_max, "2delta_rows")
         # the end of slice k starts slice k + 1; an even k's start also
         # anchors the open 2delta slice
         keep = {id(snaps[where[2 * n + k]])}
-        if paired and k % 2 == 0:
+        if k % 2 == 0:
             keep.add(id(snaps[where[k]]))
         for key in set(live) - keep:
             del live[key]
+    small_mean = float(np.mean(small_max))
+    if small_mean == 0.0:
+        raise ValidationError("delta-run gaps are identically zero; ratio undefined")
     return SliceDiagnostic(
         delta=delta,
         small=WeakGapReport(rows=tuple(small)),
-        big=WeakGapReport(rows=tuple(big)) if paired else None,
+        big=WeakGapReport(rows=tuple(big)),
+        ratio=float(np.mean(big_max)) / small_mean,
         distinct_states=computed,
         runtimes_s=runtimes,
     )
-
-
-def slice_gap_ratio(
-    report_small: WeakGapReport, report_big: WeakGapReport, t_star, delta
-) -> float:
-    """Mean per-slice max |Y - Yhat| of the 2delta run over the delta run.
-
-    Slice membership is recovered from row times: t in (t_k, t_k + delta]
-    belongs to slice k. Start rows carry gap zero, so the misrounding of a
-    start time into the previous slice cannot move any maximum.
-    """
-
-    def mean_slice_max(report: WeakGapReport, width: float) -> float:
-        buckets = {}
-        for row in report.rows:
-            j = int(np.ceil((row.t - t_star) / width - 1e-9)) - 1
-            j = max(j, 0)
-            buckets[j] = max(buckets.get(j, 0.0), abs(row.gap_Y_Yhat))
-        return float(np.mean(list(buckets.values())))
-
-    small = mean_slice_max(report_small, delta)
-    big = mean_slice_max(report_big, 2.0 * delta)
-    if small == 0.0:
-        raise ValidationError("delta-run gaps are identically zero; ratio undefined")
-    return big / small
 
 
 # -------------------------------------------------------------------- CLI
@@ -765,11 +739,10 @@ def _cli_slice_diag(config: ExperimentConfig) -> int:
     p_big = os.path.join(config.out_dir, "slice_gaps_2delta.csv")
     diag.small.write_csv(p_small)
     diag.big.write_csv(p_big)
-    ratio = slice_gap_ratio(diag.small, diag.big, config.t_star, delta)
     summary = os.path.join(config.out_dir, "slice_summary.json")
     with open(summary, "w") as f:
         json.dump(
-            {"epsilon": epsilon, "delta": delta, "gap_ratio_2delta_over_delta": ratio},
+            {"epsilon": epsilon, "delta": delta, "gap_ratio_2delta_over_delta": diag.ratio},
             f,
             indent=2,
             sort_keys=True,
@@ -784,7 +757,7 @@ def _cli_slice_diag(config: ExperimentConfig) -> int:
         distinct_states=diag.distinct_states,
         runtimes_s=diag.runtimes_s,
     )
-    print(f"[slice-diag] epsilon={epsilon:g} delta={delta:g} gap ratio {ratio:.4g}")
+    print(f"[slice-diag] epsilon={epsilon:g} delta={delta:g} gap ratio {diag.ratio:.4g}")
     for p in (p_small, p_big, summary, manifest):
         print(f"[slice-diag] wrote {p}")
     return 0

@@ -13,17 +13,17 @@ grad_K directly.
 
 Callback conventions
 --------------------
-With ``vectorized=True`` (all presets) every callback accepts an array of
-shape (..., d) and returns
+Every callback takes an array of shape (..., d) and returns, for the same
+leading axes, exactly
 
     grad_V, grad_K : (..., d)
     phi, gamma, sigma : (..., d, d)
     d_gamma, d_phi : (..., d, d, d), entry [..., i, j, k] = d gamma_ij / d x_k
 
-With ``vectorized=False`` each callback takes a single (d,) vector and the
-package loops. Analytic Jacobians d_gamma / d_phi are optional; central
-finite differences with step h = max(1e-5, 1e-7 (1 + |x|)) are used when
-absent.
+Any other shape is rejected; there is no per-point mode, and a constant
+field broadcasts itself (ConstantMatrixField). Analytic Jacobians
+d_gamma / d_phi are optional; central finite differences with step
+h = max(1e-5, 1e-7 (1 + |x|)) are used when absent.
 
 The audit is a falsifier, not a prover: it samples the requested box,
 estimates Lipschitz constants by difference quotients over disjoint sample
@@ -90,23 +90,16 @@ class LinearVectorField:
         return self.coef * np.asarray(z, dtype=float)
 
 
-def _eval_field(f, X, core_shape, vectorized, name):
+def _eval_field(f, X, core_shape, name):
     """Evaluate callback f over leading axes of X (..., d) -> (..., *core)."""
     X = np.asarray(X, dtype=float)
     expected = X.shape[:-1] + core_shape
-    if vectorized:
-        out = np.asarray(f(X), dtype=float)
-        if out.shape != expected:
-            try:
-                out = np.broadcast_to(out, expected)
-            except ValueError:
-                raise ValidationError(
-                    f"field {name} returned shape {out.shape}, expected {expected}"
-                )
-        return out
-    flat = X.reshape(-1, X.shape[-1])
-    rows = [np.asarray(f(x), dtype=float).reshape(core_shape) for x in flat]
-    return np.stack(rows).reshape(expected)
+    out = np.asarray(f(X), dtype=float)
+    if out.shape != expected:
+        raise ValidationError(
+            f"field {name} returned shape {out.shape}, expected {expected}"
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -130,7 +123,6 @@ class ModelSpec:
     lambda_gamma_hint: float = 1.0
     lambda_phi_hint: float = 0.0
     classical_sk: bool = False
-    vectorized: bool = True
     name: str = ""
 
     def __post_init__(self):
@@ -148,25 +140,25 @@ class ModelSpec:
     # ---- batched evaluation (shape-checked) ----
 
     def grad_V_at(self, X):
-        return _eval_field(self.grad_V, X, (self.dim,), self.vectorized, "grad_V")
+        return _eval_field(self.grad_V, X, (self.dim,), "grad_V")
 
     def grad_K_at(self, X):
-        return _eval_field(self.grad_K, X, (self.dim,), self.vectorized, "grad_K")
+        return _eval_field(self.grad_K, X, (self.dim,), "grad_K")
 
     def phi_at(self, X):
-        return _eval_field(self.phi, X, (self.dim, self.dim), self.vectorized, "phi")
+        return _eval_field(self.phi, X, (self.dim, self.dim), "phi")
 
     def gamma_at(self, X):
-        return _eval_field(self.gamma, X, (self.dim, self.dim), self.vectorized, "gamma")
+        return _eval_field(self.gamma, X, (self.dim, self.dim), "gamma")
 
     def sigma_at(self, X):
-        return _eval_field(self.sigma, X, (self.dim, self.dim), self.vectorized, "sigma")
+        return _eval_field(self.sigma, X, (self.dim, self.dim), "sigma")
 
     def d_gamma_at(self, X):
         """Analytic Jacobian when present, else central differences on gamma."""
         d = self.dim
         if self.d_gamma is not None:
-            return _eval_field(self.d_gamma, X, (d, d, d), self.vectorized, "d_gamma")
+            return _eval_field(self.d_gamma, X, (d, d, d), "d_gamma")
         return fd_matrix_jacobian(self.gamma_at, X, d)
 
     def d_phi_at(self, X):
@@ -175,7 +167,7 @@ class ModelSpec:
             X = np.asarray(X, dtype=float)
             return np.zeros(X.shape[:-1] + (d, d, d))
         if self.d_phi is not None:
-            return _eval_field(self.d_phi, X, (d, d, d), self.vectorized, "d_phi")
+            return _eval_field(self.d_phi, X, (d, d, d), "d_phi")
         return fd_matrix_jacobian(self.phi_at, X, d)
 
 

@@ -216,13 +216,17 @@ def lyapunov_quadrature(A, Q, tol: float = 1e-10, max_doublings: int = 12) -> np
     def composite(panels: int) -> np.ndarray:
         total = np.zeros_like(Q)
         width = s_star / panels
-        for p in range(panels):
-            left = p * width
-            # map [-1,1] nodes onto the panel; one stacked expm per panel
-            s_vals = left + 0.5 * width * (_GL_NODES + 1.0)
-            E = scipy.linalg.expm(-A * s_vals[:, None, None])
+        # exp(-A (left + u)) = exp(-A left) exp(-A u): the [-1,1] nodes mapped
+        # onto the first panel, then one step of exp(-A width) per panel
+        u = 0.5 * width * (_GL_NODES + 1.0)
+        offsets = scipy.linalg.expm(-A * u[:, None, None])
+        step = scipy.linalg.expm(-A * width)
+        left = np.eye(A.shape[0])
+        for _ in range(panels):
+            E = left @ offsets
             for term, w in zip(E @ Q @ _mT(E), _GL_WEIGHTS):
                 total += (0.5 * width * w) * term
+            left = left @ step
         return total
 
     previous = composite(1)

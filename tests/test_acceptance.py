@@ -33,7 +33,6 @@ from smallmass.harness import (
     initial_velocities,
     run_convergence_sweep,
     run_slice_pair,
-    slice_gap_ratio,
     slice_starts,
 )
 from smallmass.model import (
@@ -281,7 +280,7 @@ def test_criterion_08_slice_gap_scaling(tmp_path):
         out_dir=str(tmp_path),
     )
     pair = run_slice_pair(cfg)
-    ratio = slice_gap_ratio(pair.small, pair.big, cfg.t_star, delta)
+    ratio = pair.ratio
     anchors_ok = True
     for rep, width in ((pair.small, delta), (pair.big, 2 * delta)):
         n_slices = len(slice_starts(cfg.t_star, cfg.T, width))

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,7 @@ from smallmass.harness import (
     initial_velocities,
     main,
     run_convergence_sweep,
-    run_slice_diagnostic,
     run_slice_pair,
-    slice_gap_ratio,
     slice_starts,
     underdamped_dt,
     _worker_count,
@@ -368,6 +367,27 @@ def slice_config(tmp_path, **overrides):
     return ExperimentConfig.from_mapping(base)
 
 
+def gap_ratio_from_times(diag, t_star):
+    """Mean per-slice max |Y - Yhat| of the 2delta rows over the delta rows,
+    with each row's slice recovered from its time alone.
+
+    t in (t_k, t_k + width] belongs to slice k. Start rows carry gap zero,
+    so the misrounding of a start time into the previous slice cannot move
+    any maximum.
+    """
+
+    def mean_slice_max(report, width):
+        buckets = {}
+        for row in report.rows:
+            j = int(np.ceil((row.t - t_star) / width - 1e-9)) - 1
+            j = max(j, 0)
+            buckets[j] = max(buckets.get(j, 0.0), abs(row.gap_Y_Yhat))
+        return float(np.mean(list(buckets.values())))
+
+    small = mean_slice_max(diag.small, diag.delta)
+    return mean_slice_max(diag.big, 2.0 * diag.delta) / small
+
+
 def test_slice_diagnostic_long_horizon(tmp_path):
     # accumulated step times miss a key rounded to 12 decimals once the
     # landing tolerance 1e-12 * T exceeds 1e-12; states are found by index
@@ -375,10 +395,11 @@ def test_slice_diagnostic_long_horizon(tmp_path):
         tmp_path, n_particles=2, epsilon_grid=(0.5,), dt_under=0.1,
         T=200.0, t_star=100.0, delta=7.0,
     )
-    report = run_slice_diagnostic(cfg)
+    diag = run_slice_pair(cfg)
     # 14 slices x 3 evaluation times x 3 bump functions
-    assert len(report.rows) == 126
-    assert all(np.isfinite(r.Yhat) for r in report.rows)
+    assert len(diag.small.rows) == 126
+    assert all(np.isfinite(r.Yhat) for r in diag.small.rows + diag.big.rows)
+    assert diag.ratio == gap_ratio_from_times(diag, cfg.t_star)
 
 
 def test_slice_starts_partition():
@@ -389,7 +410,7 @@ def test_slice_starts_partition():
 
 def test_slice_diagnostic_rows(tmp_path):
     cfg = slice_config(tmp_path)
-    report = run_slice_diagnostic(cfg)
+    report = run_slice_pair(cfg).small
     # 4 slices x 3 evaluation times x 3 bump functions
     assert len(report.rows) == 36
     starts = set(np.round(slice_starts(0.2, 0.6, 0.1), 12))
@@ -403,9 +424,9 @@ def test_slice_diagnostic_rows(tmp_path):
 
 
 def test_slice_diagnostic_deterministic(tmp_path):
-    a = run_slice_diagnostic(slice_config(tmp_path))
-    b = run_slice_diagnostic(slice_config(tmp_path))
-    assert a.rows == b.rows
+    a = run_slice_pair(slice_config(tmp_path))
+    b = run_slice_pair(slice_config(tmp_path))
+    assert (a.small.rows, a.big.rows, a.ratio) == (b.small.rows, b.big.rows, b.ratio)
 
 
 @pytest.mark.parametrize(
@@ -432,10 +453,10 @@ def test_slice_pair_reads_both_widths_from_one_run(tmp_path, monkeypatch, overri
     monkeypatch.undo()
     # Y* summands once per distinct (state, psi), for the rows of both widths
     assert len(calls) == len(set(calls)) == 3 * pair.distinct_states
-    assert pair.small.rows == run_slice_diagnostic(cfg, cfg.delta).rows
     n = len(slice_starts(cfg.t_star, cfg.T, cfg.delta))
     n_big = len(slice_starts(cfg.t_star, cfg.T, 2 * cfg.delta))
     assert n_big == n // 2
+    assert len(pair.small.rows) == 3 * 3 * n
     assert len(pair.big.rows) == 3 * 3 * n_big
     # slice k of 2delta starts at delta slice 2k and ends where 2k+1 ends
     small_times = sorted({r.t for r in pair.small.rows})
@@ -449,11 +470,12 @@ def test_slice_pair_reads_both_widths_from_one_run(tmp_path, monkeypatch, overri
     assert sum(r.gap_Y_Yhat == 0.0 for r in pair.big.rows) == 3 * n_big
     assert pair.distinct_states == 2 * n + 1
     assert set(pair.runtimes_s) == {"trajectory", "delta_rows", "2delta_rows"}
+    # the ratio read from the run's own slices is the one read from row times
+    assert pair.ratio == gap_ratio_from_times(pair, cfg.t_star)
 
 
 def test_slice_pair_needs_one_full_2delta_slice(tmp_path):
     cfg = slice_config(tmp_path, T=0.35, delta=0.1)  # one delta slice
-    assert len(run_slice_diagnostic(cfg).rows) == 9
     with pytest.raises(ValidationError, match="does not fit one slice"):
         run_slice_pair(cfg)
 
@@ -465,12 +487,10 @@ def test_slice_gap_ratio_behaviour(tmp_path):
         tmp_path, n_particles=400, T=1.0, delta=None,
         init_components=((1.0, 1.0, 0.3),),
     )
-    small = run_slice_diagnostic(cfg, delta=0.002)
-    big = run_slice_diagnostic(cfg, delta=0.004)
-    ratio = slice_gap_ratio(small, big, cfg.t_star, 0.002)
+    ratio = run_slice_pair(replace(cfg, delta=0.002)).ratio
     assert 1.1 <= ratio <= 3.0
     with pytest.raises(ValidationError, match="below one step"):
-        run_slice_diagnostic(cfg, delta=1e-9)
+        run_slice_pair(replace(cfg, delta=1e-9))
 
 
 # ---- CLI ----

@@ -189,12 +189,12 @@ def test_get_preset_unknown_name():
         get_preset("nope")
 
 
-def test_nonvectorized_callbacks_loop():
+def test_wrong_shaped_callback_output_is_rejected():
+    # a per-point callback gives one (d, d) matrix for the whole stack; it
+    # must not be broadcast into every particle's value
     def gamma_single(x):
-        return np.array([[2.0 + float(x[0]) ** 2]])
+        return np.diag(2.0 + np.ravel(x)[:1] ** 2)
 
-    spec = spec_1d(gamma_fn=gamma_single, vectorized=False)
-    X = np.array([[0.0], [1.0], [2.0]])
-    out = spec.gamma_at(X)
-    assert out.shape == (3, 1, 1)
-    assert np.allclose(out[:, 0, 0], [2.0, 3.0, 6.0])
+    spec = spec_1d(gamma_fn=gamma_single)
+    with pytest.raises(ValidationError, match=r"field gamma returned shape \(1, 1\)"):
+        spec.gamma_at([[0.0], [1.0], [2.0]])

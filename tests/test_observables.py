@@ -32,7 +32,6 @@ from smallmass import observables
 from smallmass.observables import (
     TestFunction,
     WeakGapReport,
-    WeakGapRow,
     _Frozen,
     _frozen_coefficients,
     bump_test_functions,
@@ -58,7 +57,6 @@ def identity_psi():
         dim=1,
         value=lambda x: np.asarray(x, dtype=float),
         gradient=lambda x: np.ones(np.asarray(x).shape[:-1] + (1, 1)),
-        lip_norm_hint=1.0,
     )
 
 
@@ -67,7 +65,6 @@ def constant_psi():
         dim=1,
         value=lambda x: np.ones(np.asarray(x).shape[:-1] + (1,)),
         gradient=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
-        lip_norm_hint=0.0,
     )
 
 
@@ -116,7 +113,6 @@ def test_gradient_consistency_enforced():
             dim=1,
             value=lambda x: np.asarray(x) ** 2,
             gradient=lambda x: np.ones(np.asarray(x).shape[:-1] + (1, 1)),
-            lip_norm_hint=1.0,
         )
 
 
@@ -195,7 +191,7 @@ def test_ystar_2d_runs_and_matches_1d_embedding():
         g[..., 0, 0] = 1.0
         return g
 
-    psi2 = TestFunction(dim=2, value=value, gradient=gradient, lip_norm_hint=1.0)
+    psi2 = TestFunction(dim=2, value=value, gradient=gradient)
     rng = np.random.default_rng(5)
     pos2 = rng.normal(size=(60, 2))
     spec1 = make_quadratic_ou()
@@ -389,7 +385,6 @@ def linear_psi(W, b):
         dim=len(b),
         value=lambda x: np.asarray(x, dtype=float) @ W.T + b,
         gradient=lambda x: np.broadcast_to(W, np.asarray(x).shape[:-1] + W.shape),
-        lip_norm_hint=float(np.linalg.norm(W, 2)),
     )
 
 
@@ -665,12 +660,6 @@ def test_gap_report_invariant_and_csv(tmp_path):
     row = gap_row(0.1, 2.0, "bump_c0_r1", Y=0.5, Ystar=0.3, Yhat=0.45, mc_stderr=0.01)
     assert row.gap_Y_Ystar == 0.5 - 0.3
     assert row.gap_Y_Yhat == 0.5 - 0.45
-    with pytest.raises(ValidationError):
-        WeakGapRow(
-            epsilon=0.1, t=2.0, psi_id="p", Y=0.5, Yhat=0.4, Ystar=0.3,
-            gap_Y_Ystar=0.1, gap_Y_Yhat=0.1,
-            mc_stderr=0.0,
-        )
     nan_row = gap_row(0.2, 1.0, "p2", Y=1.0, Ystar=0.25)
     assert math.isnan(nan_row.gap_Y_Yhat)
     rep = WeakGapReport(rows=(row, nan_row))
