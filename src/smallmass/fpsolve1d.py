@@ -21,7 +21,7 @@ phi and linear/zero K' short-circuit them exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,13 +60,14 @@ class Grid1D:
             raise ValidationError(
                 f"density shape {rho.shape} does not match M={self.M}"
             )
-        if not np.all(np.isfinite(rho)):
+        if not np.logical_and.reduce(np.isfinite(rho)):
             raise ValidationError("density has non-finite entries")
-        if np.min(rho) < 0.0:
+        if np.minimum.reduce(rho) < 0.0:
             raise ValidationError("density has negative entries")
-        if abs(self.h * rho.sum() - 1.0) > _MASS_TOL:
+        mass = self.h * np.add.reduce(rho)
+        if abs(mass - 1.0) > _MASS_TOL:
             raise ValidationError(
-                f"density mass {self.h * rho.sum():.12g} is not 1 within {_MASS_TOL:g}"
+                f"density mass {mass:.12g} is not 1 within {_MASS_TOL:g}"
             )
         object.__setattr__(self, "density", rho)
 
@@ -145,7 +146,7 @@ def _face_fluxes(grid: Grid1D, cache: _FPCache):
     """Interior face fluxes F plus the pieces the CFL bound needs."""
     rho = grid.density
     h = grid.h
-    mass = h * rho.sum()
+    mass = h * np.add.reduce(rho)
     if cache.phi_const is not None:
         phi_c = cache.phi_const * mass
         phi_f = phi_c
@@ -154,7 +155,7 @@ def _face_fluxes(grid: Grid1D, cache: _FPCache):
         phi_f = h * (cache.phiK_f @ rho)
     A_c = cache.gamma_c + phi_c
     A_f = cache.gamma_f + phi_f
-    if np.min(A_c) <= 0.0 or np.min(A_f) <= 0.0:
+    if np.minimum.reduce(A_c) <= 0.0 or np.minimum.reduce(A_f) <= 0.0:
         raise StabilityError("effective friction not positive on the grid")
     if cache.K_mode == "zero":
         Kconv = 0.0
@@ -180,16 +181,16 @@ def _face_fluxes(grid: Grid1D, cache: _FPCache):
 
 def _cfl_admissible(grid: Grid1D, u, A_c, J_c) -> float:
     h = grid.h
-    umax = float(np.max(np.abs(u))) if u.size else 0.0
-    jmax = float(np.max(J_c))
+    umax = float(np.maximum.reduce(np.abs(u)))
+    jmax = float(np.maximum.reduce(J_c))
     adv = h / umax if umax > 0.0 else np.inf
-    dif = h * h * float(np.min(A_c)) / jmax if jmax > 0.0 else np.inf
+    dif = h * h * float(np.minimum.reduce(A_c)) / jmax if jmax > 0.0 else np.inf
     return 0.4 * min(adv, dif)
 
 
 def fp_step(grid: Grid1D, spec: ModelSpec, dt, cache: _FPCache | None = None) -> Grid1D:
     """One conservative explicit step; dt is checked against the CFL bound."""
-    if dt < 0.0:
+    if not dt >= 0.0:
         raise ValidationError(f"dt must be >= 0, got {dt}")
     if dt == 0.0:
         return grid
@@ -202,18 +203,24 @@ def fp_step(grid: Grid1D, spec: ModelSpec, dt, cache: _FPCache | None = None) ->
             f"dt={dt:.3e} violates the CFL bound; reduce to <= {admissible:.3e}",
             admissible_dt=admissible,
         )
-    flux = np.concatenate(([0.0], F, [0.0]))  # zero-flux walls
-    new = grid.density - (dt / grid.h) * np.diff(flux)
+    # flux differences with zero-flux walls: F_{m+1/2} - F_{m-1/2}
+    div = np.empty(grid.M)
+    div[0] = F[0]
+    np.subtract(F[1:], F[:-1], out=div[1:-1])
+    div[-1] = 0.0 - F[-1]
+    new = grid.density - (dt / grid.h) * div
     clipped = 0
-    if np.min(new) < 0.0:
-        if np.min(new) < _CLIP_FLOOR:
+    low = np.minimum.reduce(new)
+    if low < 0.0:
+        if low < _CLIP_FLOOR:
             raise StabilityError(
-                f"density undershoot {np.min(new):.3e} exceeds rounding scale"
+                f"density undershoot {low:.3e} exceeds rounding scale"
             )
         clipped = int(np.count_nonzero(new < 0.0))
         new = np.clip(new, 0.0, None)
-    return replace(
-        grid, density=new, t=grid.t + dt, clip_count=grid.clip_count + clipped
+    return Grid1D(
+        L=grid.L, M=grid.M, density=new, t=grid.t + dt,
+        clip_count=grid.clip_count + clipped,
     )
 
 

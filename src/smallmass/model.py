@@ -348,7 +348,7 @@ def make_double_well_1d(theta=0.2, gamma=1.5, phi=0.5, sigma=1.0) -> ModelSpec:
 
     def grad_V(x):
         x = np.asarray(x, dtype=float)
-        return x**3 - x
+        return x * x * x - x
 
     return ModelSpec(
         dim=1,

@@ -154,7 +154,7 @@ def _limit_fields(spec: ModelSpec, positions):
             spec.d_gamma_at(positions)[:, 0, 0, 0]
             + _conv_dphi(positions, positions, spec)[:, 0, 0, 0]
         )
-        S = -(s**2) * da / (2.0 * a**3)
+        S = -(s**2) * da / (2.0 * (a * a * a))
         b = (-F[:, 0] / a + S)[:, None]
         D = (s / a)[:, None, None]
         return b, D
@@ -197,7 +197,7 @@ def simulate_limit(
     runs sharing (stream, run_id, dt) are driven by the same increments as
     an underdamped run with the same indices.
     """
-    if dt < 0:
+    if not dt >= 0:
         raise ValidationError(f"dt must be >= 0, got {dt}")
     d = spec.dim
     if init.dim != d:

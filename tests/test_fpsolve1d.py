@@ -1,12 +1,16 @@
 """Finite-volume solver tests: invariances, rates, and frozen oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from smallmass.ensemble import NoiseStream, OverdampedEnsemble
-from smallmass.errors import CFLError, ValidationError
+from smallmass.errors import CFLError, StabilityError, ValidationError
 from smallmass.fpsolve1d import (
+    _CLIP_FLOOR,
     Grid1D,
+    _build_cache,
     cell_centers,
     fp_solve,
     fp_step,
@@ -22,6 +26,7 @@ from smallmass.model import (
     ZeroVectorField,
     make_double_well_1d,
     make_gaussian_interaction_2d,
+    make_state_dep_friction_1d,
 )
 from smallmass.overdamped import simulate_limit
 
@@ -113,6 +118,8 @@ def test_step_rejects_negative_dt_and_2d_spec():
     g = gaussian_grid(4.0, 32, 0.5)
     with pytest.raises(ValidationError, match="dt"):
         fp_step(g, const_spec(), -1e-3)
+    with pytest.raises(ValidationError, match="dt must be >= 0, got nan"):
+        fp_step(g, const_spec(), float("nan"))
     with pytest.raises(ValidationError, match="d=1"):
         fp_step(g, make_gaussian_interaction_2d(), 1e-3)
 
@@ -207,8 +214,9 @@ def test_constant_phi_shortcut_matches_matrix_route():
     assert np.allclose(a.density, b.density, rtol=0, atol=1e-14)
 
 
-def test_state_dependent_friction_and_kernel_run():
-    spec = ModelSpec(
+def matrix_kernel_spec():
+    """State-dependent gamma, phi and grad_K: every kernel-matrix route runs."""
+    return ModelSpec(
         dim=1,
         grad_V=lambda x: x,
         grad_K=lambda z: 0.1 * np.tanh(z),
@@ -220,6 +228,10 @@ def test_state_dependent_friction_and_kernel_run():
         lambda_gamma_hint=1.4,
         lambda_phi_hint=0.3,
     )
+
+
+def test_state_dependent_friction_and_kernel_run():
+    spec = matrix_kernel_spec()
     g0 = gaussian_grid(4.0, 48, 0.4)
     (gT,) = fp_solve(spec, g0, T=0.05, dt=1e-3)
     assert abs(gT.h * gT.density.sum() - 1.0) < 1e-12
@@ -300,3 +312,153 @@ def test_histogram_density_unit_mass():
     assert g.h * hist.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValidationError, match="shapes"):
         l1_density_distance(g, np.ones(5))
+
+
+# ---- differential oracle: the step as first written, with numpy's wrappers ----
+
+def oracle_face_fluxes(grid, cache):
+    rho = grid.density
+    h = grid.h
+    mass = h * rho.sum()
+    if cache.phi_const is not None:
+        phi_c = cache.phi_const * mass
+        phi_f = phi_c
+    else:
+        phi_c = h * (cache.phiK_c @ rho)
+        phi_f = h * (cache.phiK_f @ rho)
+    A_c = cache.gamma_c + phi_c
+    A_f = cache.gamma_f + phi_f
+    if np.min(A_c) <= 0.0 or np.min(A_f) <= 0.0:
+        raise StabilityError("effective friction not positive on the grid")
+    if cache.K_mode == "zero":
+        Kconv = 0.0
+    elif cache.K_mode == "linear":
+        Kconv = cache.K_coef * (cache.x_f * mass - h * (cache.x_c @ rho))
+    else:
+        Kconv = h * (cache.gradK_f @ rho)
+    u = (cache.gV_f + Kconv) / A_f
+    J_c = cache.sig2_c / (2.0 * A_c)
+    J_f = cache.sig2_f / (2.0 * A_f)
+
+    centered = 0.5 * (rho[:-1] + rho[1:])
+    upwind = np.where(u < 0.0, rho[:-1], rho[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        peclet = np.abs(u) * h * A_f / J_f
+    peclet = np.where(J_f > 0.0, peclet, np.where(u == 0.0, 0.0, np.inf))
+    rho_face = np.where(peclet <= 2.0, centered, upwind)
+
+    rj = rho * J_c
+    F = -u * rho_face - (rj[1:] - rj[:-1]) / (h * A_f)
+    return F, u, A_c, J_c
+
+
+def oracle_cfl_admissible(grid, u, A_c, J_c):
+    h = grid.h
+    umax = float(np.max(np.abs(u))) if u.size else 0.0
+    jmax = float(np.max(J_c))
+    adv = h / umax if umax > 0.0 else np.inf
+    dif = h * h * float(np.min(A_c)) / jmax if jmax > 0.0 else np.inf
+    return 0.4 * min(adv, dif)
+
+
+def oracle_fp_step(grid, spec, dt, cache):
+    if dt < 0.0:
+        raise ValidationError(f"dt must be >= 0, got {dt}")
+    if dt == 0.0:
+        return grid
+    F, u, A_c, J_c = oracle_face_fluxes(grid, cache)
+    admissible = oracle_cfl_admissible(grid, u, A_c, J_c)
+    if dt > admissible:
+        raise CFLError(
+            f"dt={dt:.3e} violates the CFL bound; reduce to <= {admissible:.3e}",
+            admissible_dt=admissible,
+        )
+    flux = np.concatenate(([0.0], F, [0.0]))
+    new = grid.density - (dt / grid.h) * np.diff(flux)
+    clipped = 0
+    if np.min(new) < 0.0:
+        if np.min(new) < _CLIP_FLOOR:
+            raise StabilityError(
+                f"density undershoot {np.min(new):.3e} exceeds rounding scale"
+            )
+        clipped = int(np.count_nonzero(new < 0.0))
+        new = np.clip(new, 0.0, None)
+    return replace(
+        grid, density=new, t=grid.t + dt, clip_count=grid.clip_count + clipped
+    )
+
+
+def step_both(grid, spec, dt, cache):
+    """One step by fp_step and by the oracle; both grids, or both errors."""
+    outcomes = []
+    for step in (fp_step, oracle_fp_step):
+        try:
+            outcomes.append(step(grid, spec, dt, cache=cache))
+        except (CFLError, StabilityError) as exc:
+            outcomes.append(exc)
+    new, old = outcomes
+    assert type(new) is type(old)
+    if isinstance(old, Exception):
+        assert str(new) == str(old)
+        assert getattr(new, "admissible_dt", None) == getattr(old, "admissible_dt", None)
+        raise old
+    assert np.array_equal(new.density, old.density)
+    assert new.t == old.t
+    assert new.clip_count == old.clip_count
+    return new
+
+
+def admissible_dt(grid, spec, cache):
+    """The CLI's probe: an infinite step fails with the admissible dt."""
+    with pytest.raises(CFLError) as exc:
+        step_both(grid, spec, np.inf, cache)
+    return exc.value.admissible_dt
+
+
+DIFFERENTIAL_SPECS = {
+    "constant-phi-zero-K": make_state_dep_friction_1d,
+    "linear-K": make_double_well_1d,
+    "matrix-phi-K": matrix_kernel_spec,
+}
+
+
+@pytest.mark.parametrize("M", [4, 1600])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SPECS))
+def test_fp_step_matches_oracle_bit_for_bit(name, M):
+    spec = DIFFERENTIAL_SPECS[name]()
+    grid = gaussian_grid(4.0, M, 0.6, mean=0.3)
+    cache = _build_cache(grid, spec)
+    for _ in range(10):
+        dt = admissible_dt(grid, spec, cache)
+        with pytest.raises(CFLError):
+            step_both(grid, spec, 1.01 * dt, cache)
+        grid = step_both(grid, spec, 0.9 * dt, cache)
+    assert grid.t > 0.0
+
+
+def test_fp_step_matches_oracle_when_clipping_and_on_undershoot():
+    # a state-dependent sigma makes the cell-centered J of a loaded cell smaller
+    # than its face's J: the centered flux then pulls an empty neighbour below
+    # zero, by an amount linear in dt
+    spec = ModelSpec(
+        dim=1,
+        grad_V=LinearVectorField(3.0),
+        grad_K=ZeroVectorField(),
+        phi=ConstantMatrixField(0.5),
+        gamma=ConstantMatrixField(1.0),
+        sigma=lambda x: (1.0 + 0.9 * np.cos(10.0 * x[..., 0]))[..., None, None],
+        lambda_gamma_hint=1.0,
+        lambda_phi_hint=0.5,
+    )
+    grid = Grid1D.from_values(
+        2.0, 8, np.array([0.0, 0.955, 0.0, 0.0, 0.62, 0.0, 0.0, 0.0])
+    )
+    cache = _build_cache(grid, spec)
+    dt = admissible_dt(grid, spec, cache)
+    # at the bound the undershoot is about -0.05: -5e-8 here, past the floor
+    with pytest.raises(StabilityError, match="undershoot"):
+        step_both(grid, spec, 1e-6 * dt, cache)
+    # -5e-10: rounding scale, so the step clips
+    clipped = step_both(grid, spec, 1e-8 * dt, cache)
+    assert clipped.clip_count > 0
+    assert np.minimum.reduce(clipped.density) == 0.0

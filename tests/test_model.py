@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from smallmass.ensemble import NoiseStream
 from smallmass.errors import ValidationError
@@ -15,6 +18,7 @@ from smallmass.model import (
     fd_matrix_jacobian,
     get_preset,
     make_classical_sk_1d,
+    make_double_well_1d,
     make_gaussian_interaction_2d,
     make_state_dep_friction_1d,
 )
@@ -198,3 +202,23 @@ def test_wrong_shaped_callback_output_is_rejected():
     spec = spec_1d(gamma_fn=gamma_single)
     with pytest.raises(ValidationError, match=r"field gamma returned shape \(1, 1\)"):
         spec.gamma_at([[0.0], [1.0], [2.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.integers(1, 16),
+        elements=st.floats(-1e100, 1e100, allow_nan=False, allow_subnormal=True),
+    )
+)
+@example(np.array([0.0, -0.0, 5e-324, -1e-310, 1e-100, 0.1, -1.0, 1e100, -1e100]))
+def test_double_well_grad_V_by_products_matches_pow(x):
+    got = make_double_well_1d().grad_V_at(x[:, None])[:, 0]
+    ref = x**3 - x
+    # the two cubes differ by at most 2 ulp of |x|^3; the subtraction then
+    # rounds each to its own result's ulp, which for |x| < 1 is the ulp of x
+    tol = 2.0 * np.spacing(np.abs(x) ** 3) + np.spacing(
+        np.maximum(np.abs(got), np.abs(ref))
+    )
+    assert np.all(np.abs(got - ref) <= tol)

@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from smallmass.ensemble import RUN_INIT_POSITIONS, NoiseStream, OverdampedEnsemble, conv_phi
+from smallmass.ensemble import (
+    RUN_INIT_POSITIONS,
+    NoiseStream,
+    OverdampedEnsemble,
+    conv_phi,
+    mean_field_coefficients,
+)
 from smallmass.errors import BlowUpError, StiffnessError, ValidationError
 from smallmass.model import (
     ConstantMatrixField,
@@ -18,6 +26,8 @@ from smallmass.model import (
     make_state_dep_friction_1d,
 )
 from smallmass.overdamped import (
+    _conv_dphi,
+    _limit_fields,
     limit_coefficients,
     limit_diffusion,
     limit_drift,
@@ -260,3 +270,29 @@ def test_simulate_validation():
         simulate_limit(spec, init, 2.0, 0.0, NoiseStream(0))
     with pytest.raises(ValidationError):
         simulate_limit(spec, init, 2.0, -0.1, NoiseStream(0))
+    with pytest.raises(ValidationError, match="dt must be >= 0, got nan"):
+        simulate_limit(spec, init, 2.0, float("nan"), NoiseStream(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.floats(-1e100, 1e100, allow_nan=False, allow_subnormal=True),
+        min_size=1,
+        max_size=8,
+    ),
+    st.floats(0.1, 10.0),
+)
+@example([0.0, -0.0, 5e-324, -1e-310, 0.3, -1.0, 1e100, -1e100], 1.0)
+def test_1d_limit_drift_by_products_matches_pow(xs, sigma):
+    # V = K = 0 on this preset, so the 1D drift b is S alone
+    spec = make_state_dep_friction_1d(sigma=sigma)
+    X = np.array(xs)[:, None]
+    with np.errstate(over="ignore"):  # gamma' at |x| ~ 1e100 squares 1e200
+        b, _ = _limit_fields(spec, X)
+        A, _ = mean_field_coefficients(X, spec)
+        a = A[:, 0, 0]
+        s = spec.sigma_at(X)[:, 0, 0]
+        da = spec.d_gamma_at(X)[:, 0, 0, 0] + _conv_dphi(X, X, spec)[:, 0, 0, 0]
+    ref = -(s**2) * da / (2.0 * a**3)
+    assert np.all(np.abs(b[:, 0] - ref) <= 4.0 * np.finfo(float).eps * np.abs(ref))
