@@ -1,9 +1,12 @@
 """Golden outputs: every CLI output file, byte for byte, on tiny configs.
 
-Each case runs `smallmass.harness.main` on a fixed config and compares
-every file it writes (except `manifest.json`, which holds timestamps and
-runtimes) with the stored copy under `tests/golden/<case>/`. A refactor
-must leave these bytes unchanged.
+Each case runs `smallmass.harness.main` on a fixed config, from the case's
+own directory with the relative out_dir `out`, checks the exit code and
+compares every file it writes with the stored copy under
+`tests/golden/<case>/`. `manifest.json` is compared without the keys that
+change from run to run (timestamp, versions, runtimes_s): the stored copy
+is the manifest with those keys dropped, re-serialized as the harness
+writes JSON. A refactor must leave these bytes unchanged.
 
 The stored files are program output, never edited by hand. A change that
 is meant to alter outputs regenerates them with
@@ -13,6 +16,8 @@ is meant to alter outputs regenerates them with
 and says so in its change notes.
 """
 
+import contextlib
+import json
 import os
 import sys
 
@@ -22,8 +27,10 @@ import yaml
 from smallmass.harness import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-UNCOMPARED = ("manifest.json",)
+MANIFEST = "manifest.json"
+UNSTABLE = ("timestamp", "versions", "runtimes_s")  # manifest keys left uncompared
 
+# case -> (commands, config[, exit code of every command; 0 if omitted])
 CASES = {
     # 1D EM sweep, bimodal start (mixture component draw), constant friction
     "converge-dw1d-em": (
@@ -107,27 +114,80 @@ CASES = {
             seed=2,
         ),
     ),
+    # assumption audit of the 2D model: audit.json
+    "audit-g2d": (
+        ("audit",),
+        dict(
+            preset="gaussian-interaction-2d",
+            audit_samples=12,
+            audit_box=[-2.0, 2.0],
+            seed=6,
+        ),
+    ),
+    # a sweep whose second epsilon breaks the EM guard: failed_eps_*.json
+    # with the inline model and the mixture start in its config, exit 2
+    "converge-fail": (
+        ("converge",),
+        dict(
+            model={"kind": "double-well-1d", "gamma": 1.5},
+            n_particles=10,
+            epsilon_grid=[0.2, 0.01],
+            T=0.02,
+            t_star=0.01,
+            scheme="euler_maruyama",
+            dt_under=0.005,
+            dt_limit=0.005,
+            init_components=[[0.5, -1.0, 0.3], [0.5, 1.0, 0.3]],
+            seed=4,
+        ),
+        2,
+    ),
 }
 
 
-def run_case(name, out_dir, config_dir):
-    commands, config = CASES[name]
-    path = os.path.join(config_dir, f"{name}.yaml")
-    with open(path, "w") as f:
-        yaml.safe_dump({**config, "out_dir": str(out_dir)}, f)
-    for cmd in commands:
-        assert main([cmd, "--config", path]) == 0, cmd
-    return sorted(n for n in os.listdir(out_dir) if n not in UNCOMPARED)
+@contextlib.contextmanager
+def inside(path):
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+def stable_manifest(path) -> str:
+    with open(path) as f:
+        manifest = json.load(f)
+    for key in UNSTABLE:
+        manifest.pop(key)
+    return json.dumps(manifest, indent=2, sort_keys=True)
+
+
+def read_output(path) -> bytes:
+    if os.path.basename(path) == MANIFEST:
+        return stable_manifest(path).encode()
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def run_case(name, case_dir):
+    """Run the case in case_dir; returns the output directory's file names."""
+    commands, config, *code = CASES[name]
+    with inside(case_dir):
+        with open(f"{name}.yaml", "w") as f:
+            yaml.safe_dump({**config, "out_dir": "out"}, f)
+        for cmd in commands:
+            assert main([cmd, "--config", f"{name}.yaml"]) == (code or [0])[0], cmd
+    return sorted(os.listdir(os.path.join(case_dir, "out")))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_golden_files(name, tmp_path):
-    written = run_case(name, tmp_path / "out", tmp_path)
+    written = run_case(name, tmp_path)
     expected_dir = os.path.join(GOLDEN, name)
     assert written == sorted(os.listdir(expected_dir))
     for fname in written:
-        with open(tmp_path / "out" / fname, "rb") as f:
-            got = f.read()
+        got = read_output(tmp_path / "out" / fname)
         with open(os.path.join(expected_dir, fname), "rb") as f:
             want = f.read()
         assert got == want, f"{name}/{fname} differs from the golden copy"
@@ -142,7 +202,7 @@ if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
         shutil.rmtree(target, ignore_errors=True)
         os.makedirs(target)
         with tempfile.TemporaryDirectory() as tmp:
-            out = os.path.join(tmp, "out")
-            for fname in run_case(case, out, tmp):
-                shutil.copyfile(os.path.join(out, fname), os.path.join(target, fname))
+            for fname in run_case(case, tmp):
+                with open(os.path.join(target, fname), "wb") as f:
+                    f.write(read_output(os.path.join(tmp, "out", fname)))
                 print(os.path.join(target, fname))
