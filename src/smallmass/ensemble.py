@@ -247,51 +247,3 @@ def _check_friction_floor(A, points) -> None:
             f"friction not positive definite at {points[i]} "
             f"(min symmetric eigenvalue {lam[i]:.6e})"
         )
-
-
-# ----------------------------------------------------------- snapshot CSV
-
-
-def write_snapshots_csv(path, snapshots) -> None:
-    """Write ensemble snapshots: header t,particle,x0..[,v0..], 17 digits."""
-    if not snapshots:
-        raise ValidationError("no snapshots to write")
-    d = snapshots[0].dim
-    with_v = isinstance(snapshots[0], UnderdampedEnsemble)
-    cols = ["t", "particle"] + [f"x{j}" for j in range(d)]
-    if with_v:
-        cols += [f"v{j}" for j in range(d)]
-    with open(path, "w") as f:
-        f.write(",".join(cols) + "\n")
-        for snap in snapshots:
-            x = snap.positions
-            v = snap.velocities if with_v else None
-            for i in range(snap.N):
-                row = [f"{snap.t:.17g}", str(i)]
-                row += [f"{val:.17g}" for val in x[i]]
-                if with_v:
-                    row += [f"{val:.17g}" for val in v[i]]
-                f.write(",".join(row) + "\n")
-
-
-def read_snapshots_csv(path):
-    """Inverse of write_snapshots_csv.
-
-    Returns a list of (t, positions, velocities-or-None) in file order.
-    """
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        d = sum(1 for c in header if c.startswith("x"))
-        with_v = any(c.startswith("v") for c in header)
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
-    out = []
-    if data.size == 0:
-        return out
-    times = data[:, 0]
-    for t in np.unique(times):
-        rows = data[times == t]
-        rows = rows[np.argsort(rows[:, 1])]
-        x = rows[:, 2 : 2 + d]
-        v = rows[:, 2 + d : 2 + 2 * d] if with_v else None
-        out.append((float(t), x, v))
-    return out

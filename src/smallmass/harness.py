@@ -32,15 +32,13 @@ from .ensemble import (
     UnderdampedEnsemble,
     empirical_moment2,
     mean_field_coefficients,
-    write_snapshots_csv,
 )
 from .errors import BlowUpError, SmallMassError, ValidationError
-from .fpsolve1d import Grid1D, cell_centers, fp_solve, fp_step, write_density_csv
+from .fpsolve1d import Grid1D, cell_centers, fp_solve, fp_step
 from .model import PRESETS, ModelSpec, audit_assumptions, get_preset
 from .observables import (
     W2_EXACT_MAX_N,
     EnergyReport,
-    HolderReport,
     WeakGapReport,
     _frozen_coefficients,
     bump_test_functions,
@@ -57,6 +55,31 @@ from .underdamped import SCHEMES, UDStepperConfig, simulate_underdamped
 
 _W2_METHODS = ("auto", "exact", "sliced", "1d")
 _VELOCITY_STARTS = ("cold", "equilibrated")
+_FLOAT_FIELDS = (
+    "T", "t_star", "delta", "dt_under", "dt_limit", "psi_radius", "fp_halfwidth", "fp_dt",
+)
+_SEQUENCE_FIELDS = ("epsilon_grid", "snapshot_times", "psi_centers", "audit_box")
+
+
+def _number(name, val) -> float:
+    """val as a float if it is an int or a float (not a bool); else a ValidationError."""
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
+        return float(val)
+    hint = ""
+    if isinstance(val, str):
+        try:
+            float(val)
+            hint = "; YAML reads 1e-3 without a dot as a string, write 1.0e-3"
+        except ValueError:
+            pass
+    raise ValidationError(f"{name} must be a number, got {val!r}{hint}")
+
+
+def _numbers(name, val) -> tuple:
+    """A list or tuple of numbers, as a tuple of floats."""
+    if not isinstance(val, (list, tuple)):
+        raise ValidationError(f"{name} must be a list of numbers, got {val!r}")
+    return tuple(_number(f"{name}[{i}]", v) for i, v in enumerate(val))
 
 
 @dataclass(frozen=True)
@@ -97,13 +120,22 @@ class ExperimentConfig:
     fp_dt: float | None = None
 
     def __post_init__(self):
-        for name in ("epsilon_grid", "snapshot_times", "psi_centers", "audit_box"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, tuple(float(v) for v in val))
-        if self.init_components is not None:
-            comps = tuple(tuple(float(v) for v in c) for c in self.init_components)
-            object.__setattr__(self, "init_components", comps)
+        for name in _FLOAT_FIELDS:
+            if getattr(self, name) is not None:
+                _number(name, getattr(self, name))
+        for name in _SEQUENCE_FIELDS:
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _numbers(name, getattr(self, name)))
+        comps = self.init_components
+        if not isinstance(comps, (list, tuple)):
+            raise ValidationError(f"init_components must be a list, got {comps!r}")
+        comps = tuple(_numbers(f"init_components[{i}]", c) for i, c in enumerate(comps))
+        object.__setattr__(self, "init_components", comps)
+        if not isinstance(self.coupled, bool):
+            raise ValidationError(f"coupled must be true or false, got {self.coupled!r}")
+        for key, val in (self.model or {}).items():
+            if key != "kind":
+                _number(f"model.{key}", val)
 
         for name in ("n_particles", "n_projections", "fp_cells", "audit_samples", "seed"):
             val = getattr(self, name)
@@ -185,13 +217,6 @@ class ExperimentConfig:
             raise ValidationError(f"config {path} is not valid YAML: {exc}") from exc
         return cls.from_mapping(data)
 
-    def manifest_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for k, v in out.items():
-            if isinstance(v, tuple):
-                out[k] = [list(c) if isinstance(c, tuple) else c for c in v]
-        return out
-
 
 def build_spec(config: ExperimentConfig) -> ModelSpec:
     if config.model is not None:
@@ -204,7 +229,7 @@ def build_spec(config: ExperimentConfig) -> ModelSpec:
             )
         try:
             return factory(**params)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad parameters for model {kind!r}: {exc}") from exc
     return get_preset(config.preset)
 
@@ -233,10 +258,11 @@ def _slice_delta(config: ExperimentConfig) -> float:
     return default_delta(epsilon, underdamped_dt(config, epsilon))
 
 
-def default_snapshots(t_star: float, T: float, n: int = 9) -> tuple:
+def default_snapshots(t_star: float, T: float) -> tuple:
+    """Nine evenly spaced times from t_star to T; just T when they coincide."""
     if T == t_star:
         return (T,)
-    return tuple(float(t) for t in np.linspace(t_star, T, n))
+    return tuple(float(t) for t in np.linspace(t_star, T, 9))
 
 
 # ------------------------------------------------------ initial conditions
@@ -299,6 +325,82 @@ def _limit_run(spec, config, stream, snapshot_times):
     x0 = initial_positions(stream, config.n_particles, spec.dim, config.init_components)
     init = OverdampedEnsemble(t=0.0, positions=x0)
     return simulate_limit(spec, init, config.T, config.dt_limit, stream, snapshot_times)
+
+
+# ----------------------------------------------------------- output files
+
+
+def _write_csv(path, columns, rows) -> None:
+    """A header line, then one line per row: strings go out as they are and
+    every other cell with 17 significant digits, so floats read back exactly."""
+    with open(path, "w") as f:
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            cells = [c if isinstance(c, str) else f"{c:.17g}" for c in row]
+            f.write(",".join(cells) + "\n")
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+
+
+def write_snapshots_csv(path, snapshots) -> None:
+    """Ensemble snapshots: columns t, particle, x0.. [, v0..], one row per particle."""
+    if not snapshots:
+        raise ValidationError("no snapshots to write")
+    d = snapshots[0].dim
+    with_v = isinstance(snapshots[0], UnderdampedEnsemble)
+    cols = ["t", "particle"] + [f"x{j}" for j in range(d)]
+    if with_v:
+        cols += [f"v{j}" for j in range(d)]
+
+    def rows():
+        for s in snapshots:
+            cells = np.hstack((s.positions, s.velocities)) if with_v else s.positions
+            for i, row in enumerate(cells.tolist()):
+                yield (s.t, i, *row)
+
+    _write_csv(path, cols, rows())
+
+
+def read_snapshots_csv(path):
+    """Inverse of write_snapshots_csv: (t, positions, velocities or None) in file order."""
+    with open(path) as f:
+        header = f.readline().strip().split(",")
+        d = sum(1 for c in header if c.startswith("x"))
+        with_v = any(c.startswith("v") for c in header)
+        data = np.loadtxt(f, delimiter=",", ndmin=2)
+    out = []
+    if data.size == 0:
+        return out
+    times = data[:, 0]
+    for t in np.unique(times):
+        rows = data[times == t]
+        rows = rows[np.argsort(rows[:, 1])]
+        x = rows[:, 2 : 2 + d]
+        v = rows[:, 2 + d : 2 + 2 * d] if with_v else None
+        out.append((float(t), x, v))
+    return out
+
+
+def write_density_csv(path, snapshots) -> None:
+    """Fokker-Planck snapshots: columns t, x_center, rho, one row per cell."""
+    if not snapshots:
+        raise ValidationError("no snapshots to write")
+    blocks = [np.column_stack((np.full(g.M, g.t), g.centers, g.density)) for g in snapshots]
+    _write_csv(path, ("t", "x_center", "rho"), np.vstack(blocks).tolist())
+
+
+_GAP_COLUMNS = (
+    "epsilon", "t", "psi_id", "Y", "Yhat", "Ystar", "gap_Y_Ystar", "gap_Y_Yhat", "mc_stderr"
+)
+
+
+def write_weak_gaps_csv(path, report: WeakGapReport) -> None:
+    """One row per WeakGapRow, both gaps included."""
+    rows = ([getattr(r, c) for c in _GAP_COLUMNS] for r in report.rows)
+    _write_csv(path, _GAP_COLUMNS, rows)
 
 
 # ----------------------------------------------------------------- sweeps
@@ -385,17 +487,12 @@ def _worker_count(n_jobs: int) -> int:
 def _abort_with_manifest(config, epsilon, exc):
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, f"failed_eps_{_eps_key(epsilon)}.json")
-    with open(path, "w") as f:
-        json.dump(
-            {
-                "epsilon": epsilon,
-                "error": f"{type(exc).__name__}: {exc}",
-                "config": config.manifest_dict(),
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
+    record = {
+        "epsilon": epsilon,
+        "error": f"{type(exc).__name__}: {exc}",
+        "config": dataclasses.asdict(config),
+    }
+    _write_json(path, record)
     msg = f"sweep job epsilon={epsilon:g} failed: {exc}; manifest at {path}"
     err = type(exc)(msg) if isinstance(exc, SmallMassError) else SmallMassError(msg)
     raise err from exc
@@ -405,7 +502,7 @@ def _write_manifest(config, path, outputs, **fields) -> dict:
     """manifest.json: config, versions, timestamp, the output file names
     (outputs are their paths) and the command's own fields."""
     manifest = {
-        "config": config.manifest_dict(),
+        "config": dataclasses.asdict(config),
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -416,8 +513,7 @@ def _write_manifest(config, path, outputs, **fields) -> dict:
         "outputs": sorted(os.path.basename(p) for p in outputs),
         **fields,
     }
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+    _write_json(path, manifest)
     return manifest
 
 
@@ -475,36 +571,14 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
         "diagnostics": os.path.join(config.out_dir, "diagnostics.json"),
         "manifest": os.path.join(config.out_dir, "manifest.json"),
     }
-    with open(paths["w2"], "w") as f:
-        f.write("epsilon,t,w2,method\n")
-        for eps, t, value, method in w2_rows:
-            f.write(f"{eps:.17g},{t:.17g},{value:.17g},{method}\n")
-    weak.write_csv(paths["weak_gaps"])
-
-    def holder_json(h: HolderReport | None):
-        if h is None:
-            return None
-        return {
-            "slope": h.slope,
-            "intercept": h.intercept,
-            "n_pairs": h.n_pairs,
-            "degenerate": h.degenerate,
-        }
-
-    with open(paths["diagnostics"], "w") as f:
-        json.dump(
-            {
-                "holder": {_eps_key(e): holder_json(h) for e, h in holder.items()},
-                "energy": {
-                    "ratio": energy.ratio,
-                    "rows": [list(row) for row in energy.rows],
-                },
-                "max_moment2": {_eps_key(e): m for e, m in max_moment2.items()},
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
+    _write_csv(paths["w2"], ("epsilon", "t", "w2", "method"), w2_rows)
+    write_weak_gaps_csv(paths["weak_gaps"], weak)
+    diagnostics = {
+        "holder": {_eps_key(e): h and dataclasses.asdict(h) for e, h in holder.items()},
+        "energy": {"ratio": energy.ratio, "rows": energy.rows},
+        "max_moment2": {_eps_key(e): m for e, m in max_moment2.items()},
+    }
+    _write_json(paths["diagnostics"], diagnostics)
 
     manifest = _write_manifest(
         config,
@@ -666,8 +740,7 @@ def _cli_audit(config: ExperimentConfig) -> int:
         print("[audit] H4 bypassed (classical preset, phi == 0)")
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "audit.json")
-    with open(path, "w") as f:
-        json.dump(dataclasses.asdict(report), f, indent=2, sort_keys=True)
+    _write_json(path, dataclasses.asdict(report))
     print(f"[audit] wrote {path}")
     return 0 if report.all_pass else 2
 
@@ -737,16 +810,11 @@ def _cli_slice_diag(config: ExperimentConfig) -> int:
     os.makedirs(config.out_dir, exist_ok=True)
     p_small = os.path.join(config.out_dir, "slice_gaps_delta.csv")
     p_big = os.path.join(config.out_dir, "slice_gaps_2delta.csv")
-    diag.small.write_csv(p_small)
-    diag.big.write_csv(p_big)
+    write_weak_gaps_csv(p_small, diag.small)
+    write_weak_gaps_csv(p_big, diag.big)
     summary = os.path.join(config.out_dir, "slice_summary.json")
-    with open(summary, "w") as f:
-        json.dump(
-            {"epsilon": epsilon, "delta": delta, "gap_ratio_2delta_over_delta": diag.ratio},
-            f,
-            indent=2,
-            sort_keys=True,
-        )
+    record = {"epsilon": epsilon, "delta": delta, "gap_ratio_2delta_over_delta": diag.ratio}
+    _write_json(summary, record)
     manifest = os.path.join(config.out_dir, "manifest.json")
     _write_manifest(
         config,

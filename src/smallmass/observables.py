@@ -522,20 +522,3 @@ def gap_row(
 @dataclass(frozen=True)
 class WeakGapReport:
     rows: tuple
-
-    _COLS = (
-        "epsilon", "t", "psi_id", "Y", "Yhat", "Ystar",
-        "gap_Y_Ystar", "gap_Y_Yhat", "mc_stderr",
-    )
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(",".join(self._COLS) + "\n")
-            for r in self.rows:
-                vals = [
-                    f"{r.epsilon:.17g}", f"{r.t:.17g}", r.psi_id,
-                    f"{r.Y:.17g}", f"{r.Yhat:.17g}", f"{r.Ystar:.17g}",
-                    f"{r.gap_Y_Ystar:.17g}", f"{r.gap_Y_Yhat:.17g}",
-                    f"{r.mc_stderr:.17g}",
-                ]
-                f.write(",".join(vals) + "\n")

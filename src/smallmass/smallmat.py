@@ -38,6 +38,9 @@ from .model import MAX_DIM
 
 # fixed nodes for the composite Gauss-Legendre rule in lyapunov_quadrature
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# its truncation and panel-doubling tolerance, and the most doublings it takes
+_QUAD_TOL = 1e-10
+_QUAD_MAX_DOUBLINGS = 12
 
 # tolerance of the per-matrix "Q is symmetric" decision in solve_lyapunov
 _SYM_TOL = 1e-12
@@ -186,13 +189,13 @@ def solve_lyapunov(A, Q) -> LyapunovSolution:
     return LyapunovSolution(J=J, residual=float(residual.max()))
 
 
-def lyapunov_quadrature(A, Q, tol: float = 1e-10, max_doublings: int = 12) -> np.ndarray:
+def lyapunov_quadrature(A, Q) -> np.ndarray:
     """Integral-form Lyapunov solution, int_0^inf exp(-As) Q exp(-A^T s) ds.
 
     For one (d, d) pair, not a stack. Truncates at s* with
-    exp(-2 lambda_min s*) ||Q|| <= tol, then applies a composite 16-node
+    exp(-2 lambda_min s*) ||Q|| <= 1e-10, then applies a composite 16-node
     Gauss-Legendre rule with panel doubling until the change drops below
-    tol. Serves as the independent oracle for `solve_lyapunov` (no
+    1e-10. Serves as the independent oracle for `solve_lyapunov` (no
     Kronecker algebra in this route).
     """
     A = _as_square(A, "A")
@@ -210,7 +213,7 @@ def lyapunov_quadrature(A, Q, tol: float = 1e-10, max_doublings: int = 12) -> np
     qnorm = float(np.linalg.norm(Q))
     if qnorm == 0.0:
         return np.zeros_like(Q)
-    s_star = np.log(qnorm / tol) / (2.0 * lam)
+    s_star = np.log(qnorm / _QUAD_TOL) / (2.0 * lam)
     s_star = max(s_star, 16.0 * np.finfo(float).tiny)
 
     def composite(panels: int) -> np.ndarray:
@@ -231,9 +234,9 @@ def lyapunov_quadrature(A, Q, tol: float = 1e-10, max_doublings: int = 12) -> np
 
     previous = composite(1)
     panels = 2
-    for _ in range(max_doublings):
+    for _ in range(_QUAD_MAX_DOUBLINGS):
         current = composite(panels)
-        if np.linalg.norm(current - previous) <= tol:
+        if np.linalg.norm(current - previous) <= _QUAD_TOL:
             return current
         previous = current
         panels *= 2

@@ -13,10 +13,9 @@ from smallmass.ensemble import (
     conv_gradK,
     conv_phi,
     empirical_moment2,
-    read_snapshots_csv,
-    write_snapshots_csv,
 )
 from smallmass.errors import ValidationError
+from smallmass.harness import read_snapshots_csv, write_snapshots_csv
 from smallmass.model import (
     ConstantMatrixField,
     LinearVectorField,

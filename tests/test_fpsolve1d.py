@@ -17,8 +17,8 @@ from smallmass.fpsolve1d import (
     histogram_density,
     l1_density_distance,
     stationary_residual,
-    write_density_csv,
 )
+from smallmass.harness import write_density_csv
 from smallmass.model import (
     ConstantMatrixField,
     LinearVectorField,
@@ -415,10 +415,18 @@ def admissible_dt(grid, spec, cache):
     return exc.value.admissible_dt
 
 
+def one_sided_drift(x):
+    """grad V = 0 on x <= 0 and x^3 beyond: u = 0 on half the faces, up to 64 elsewhere."""
+    return np.where(x > 0.0, x * x * x, 0.0)
+
+
 DIFFERENTIAL_SPECS = {
     "constant-phi-zero-K": make_state_dep_friction_1d,
     "linear-K": make_double_well_1d,
     "matrix-phi-K": matrix_kernel_spec,
+    "one-sided-drift": lambda: const_spec(grad_V=one_sided_drift),
+    # J = 0 on every face: only the faces with u = 0 may stay centered
+    "one-sided-drift-no-noise": lambda: const_spec(sigma=0.0, grad_V=one_sided_drift),
 }
 
 

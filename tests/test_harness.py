@@ -615,6 +615,58 @@ def test_config_rejects_non_integer_counts(name, value):
     ExperimentConfig.from_mapping({"preset": "quadratic-ou", name: 10})
 
 
+@pytest.mark.parametrize(
+    "line, field, numeric_string",
+    [
+        ("dt_limit: 1e-3", "dt_limit", True),
+        ('fp_dt: "0.1"', "fp_dt", True),
+        ("T: 1e0", "T", True),
+        ("T: true", "T", False),
+        ("epsilon_grid: 0.1", "epsilon_grid", False),
+        ("psi_centers: [a]", "psi_centers[0]", False),
+        ("init_components: [[1.0, 0.0, 5e-1]]", "init_components[0][2]", True),
+        ('coupled: "false"', "coupled", False),
+        ("model: {kind: quadratic-ou, k: abc}", "model.k", False),
+    ],
+)
+def test_cli_rejects_config_values_of_the_wrong_type(
+    tmp_path, capsys, line, field, numeric_string
+):
+    # these used to crash with a TypeError/ValueError traceback or run with
+    # the value coerced (coupled: "false" ran coupled, T: true ran T = 1)
+    out = tmp_path / "out"
+    lines = [line, f"out_dir: {out}"]
+    if not line.startswith("model:"):
+        lines.append("preset: quadratic-ou")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(["audit", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field} must be" in err
+    assert ("1.0e-3" in err) == numeric_string
+    assert not out.exists()
+
+
+def test_config_accepts_ints_and_numpy_floats_for_float_fields():
+    cfg = ExperimentConfig.from_mapping(
+        {"preset": "quadratic-ou", "T": 2, "dt_limit": np.float64(1e-3),
+         "epsilon_grid": [1, np.float64(0.5)], "coupled": False}
+    )
+    assert cfg.T == 2 and cfg.epsilon_grid == (1.0, 0.5) and cfg.coupled is False
+    with pytest.raises(ValidationError, match="model.k must be a number"):
+        ExperimentConfig.from_mapping({"model": {"kind": "quadratic-ou", "k": "1.0"}})
+
+
+def test_build_spec_maps_value_errors(monkeypatch):
+    def factory(**params):
+        raise ValueError("k out of range")
+
+    monkeypatch.setitem(harness.PRESETS, "broken", factory)
+    config = ExperimentConfig.from_mapping({"model": {"kind": "broken", "k": 1.0}})
+    with pytest.raises(ValidationError, match="bad parameters for model 'broken'"):
+        build_spec(config)
+
+
 def test_cli_rejects_fractional_projection_count(tmp_path, capsys):
     # used to die inside the sweep job (exit 3) and leave a failed_eps record
     out = tmp_path / "out"

@@ -29,6 +29,7 @@ from smallmass.model import (
     make_state_dep_friction_1d,
 )
 from smallmass import observables
+from smallmass.harness import write_weak_gaps_csv
 from smallmass.observables import (
     TestFunction,
     WeakGapReport,
@@ -664,7 +665,7 @@ def test_gap_report_invariant_and_csv(tmp_path):
     assert math.isnan(nan_row.gap_Y_Yhat)
     rep = WeakGapReport(rows=(row, nan_row))
     path = tmp_path / "gaps.csv"
-    rep.write_csv(path)
+    write_weak_gaps_csv(path, rep)
     with open(path) as f:
         rows = list(csv.DictReader(f))
     assert list(rows[0]) == [
