@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.special
+import scipy
 import yaml
 
 from . import __version__
@@ -284,7 +284,9 @@ def initial_positions(stream: NoiseStream, n, dim, components) -> np.ndarray:
     sd = np.array([c[2] for c in components], dtype=float)
     if len(components) == 1:
         return mu[0] + sd[0] * z[:, :dim]
-    u = scipy.special.ndtr(z[:, D_MAX - 1])
+    from scipy.special import ndtr
+
+    u = ndtr(z[:, D_MAX - 1])
     idx = np.searchsorted(np.cumsum(w / w.sum()), u, side="right")
     idx = np.clip(idx, 0, len(components) - 1)
     return mu[idx, None] + sd[idx, None] * z[:, :dim]
@@ -362,26 +364,6 @@ def write_snapshots_csv(path, snapshots) -> None:
                 yield (s.t, i, *row)
 
     _write_csv(path, cols, rows())
-
-
-def read_snapshots_csv(path):
-    """Inverse of write_snapshots_csv: (t, positions, velocities or None) in file order."""
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        d = sum(1 for c in header if c.startswith("x"))
-        with_v = any(c.startswith("v") for c in header)
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
-    out = []
-    if data.size == 0:
-        return out
-    times = data[:, 0]
-    for t in np.unique(times):
-        rows = data[times == t]
-        rows = rows[np.argsort(rows[:, 1])]
-        x = rows[:, 2 : 2 + d]
-        v = rows[:, 2 + d : 2 + 2 * d] if with_v else None
-        out.append((float(t), x, v))
-    return out
 
 
 def write_density_csv(path, snapshots) -> None:
@@ -494,7 +476,12 @@ def _abort_with_manifest(config, epsilon, exc):
     }
     _write_json(path, record)
     msg = f"sweep job epsilon={epsilon:g} failed: {exc}; manifest at {path}"
-    err = type(exc)(msg) if isinstance(exc, SmallMassError) else SmallMassError(msg)
+    if isinstance(exc, SmallMassError):
+        err = type(exc)(msg)
+        # the carried value (admissible_dt, cond, t) names what would pass
+        err.__dict__.update(vars(exc))
+    else:
+        err = SmallMassError(msg)
     raise err from exc
 
 

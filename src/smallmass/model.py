@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.special
 
 from .errors import ValidationError
 
@@ -250,8 +249,10 @@ def audit_assumptions(spec: ModelSpec, box, n_samples: int, rng) -> AuditReport:
     if n_samples < 2:
         raise ValidationError("n_samples must be at least 2")
 
+    from scipy.special import ndtr
+
     z = rng.block(AUDIT_RUN, 0, n_samples)[:, : spec.dim]
-    u = scipy.special.ndtr(z)
+    u = ndtr(z)
     points = low + (high - low) * u
 
     gv = spec.grad_V_at(points)

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import linear_sum_assignment
 
 from .ensemble import (
     RUN_W2_PROJECTIONS,
@@ -307,12 +305,14 @@ def weak_Yhat(slice_start, t, t_k, spec: ModelSpec, psi: TestFunction) -> float:
         i1 = _one_minus_exp_poly(x) / (a * a)  # L = -da i1
         memory = J[:, 0, 0] * (g * i0 - da * p * i1)
         return float(np.mean(V[:, 0] * np.exp(-x) * p - F[:, 0] * i0 * p + memory))
+    import scipy.linalg
+
     # one exponential per (particle, k)
     block = np.zeros((n, d, 3 * d, 3 * d))
     block[..., :d, :d] = block[..., d : 2 * d, d : 2 * d] = -_mT(A)[:, None]
     block[..., :d, d : 2 * d] = -_mT(np.moveaxis(frozen.dA, -1, 1))
     block[..., d : 2 * d, 2 * d :] = np.eye(d)
-    expo = expm(c * block)
+    expo = scipy.linalg.expm(c * block)
     Et, B = expo[:, 0, :d, :d], expo[:, 0, d : 2 * d, 2 * d :]
     Gg = np.einsum("ikmn,in->imk", expo[..., :d, 2 * d :], P) + B @ G
     term1 = np.mean(V[:, None, :] @ (Et @ P[..., None]))
@@ -353,6 +353,8 @@ def w2_exact(samples_a, samples_b) -> float:
         raise ValidationError(
             f"w2_exact capped at N={W2_EXACT_MAX_N} (O(N^3)); use w2_sliced"
         )
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))

@@ -24,6 +24,10 @@ is the inequality np.isclose evaluates on finite input, Frobenius norms
 are sqrt(sum(x*x)) reduced as np.linalg.norm reduces them, and cond is
 s_max/s_min from the singular values, as np.linalg.cond takes it. The
 LAPACK calls themselves (solve, eigvalsh, inv, svd) are numpy's.
+
+`expm` is the only scipy route: it imports scipy.linalg at its first call,
+so a run that forms no exponential never loads it, and
+`lyapunov_quadrature` takes its exponentials through it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditionError, StabilityError, ValidationError
 from .model import MAX_DIM
@@ -138,6 +141,8 @@ def expm(M) -> np.ndarray:
     Scaling-and-squaring with a Pade core (scipy); relative error below
     1e-12 for ||M|| <= 50, which covers every exponent this package forms.
     """
+    import scipy.linalg
+
     return scipy.linalg.expm(_as_square(M, "expm argument"))
 
 
@@ -222,8 +227,8 @@ def lyapunov_quadrature(A, Q) -> np.ndarray:
         # exp(-A (left + u)) = exp(-A left) exp(-A u): the [-1,1] nodes mapped
         # onto the first panel, then one step of exp(-A width) per panel
         u = 0.5 * width * (_GL_NODES + 1.0)
-        offsets = scipy.linalg.expm(-A * u[:, None, None])
-        step = scipy.linalg.expm(-A * width)
+        offsets = expm(-A * u[:, None, None])
+        step = expm(-A * width)
         left = np.eye(A.shape[0])
         for _ in range(panels):
             E = left @ offsets

@@ -15,7 +15,7 @@ from smallmass.ensemble import (
     empirical_moment2,
 )
 from smallmass.errors import ValidationError
-from smallmass.harness import read_snapshots_csv, write_snapshots_csv
+from smallmass.harness import write_snapshots_csv
 from smallmass.model import (
     ConstantMatrixField,
     LinearVectorField,
@@ -231,6 +231,29 @@ def test_ensemble_validation():
         epsilon=0.5, t=1.0, positions=np.ones((3, 2)), velocities=np.zeros((3, 2))
     )
     assert ens.N == 3 and ens.dim == 2
+
+
+def read_snapshots_csv(path):
+    """Inverse of write_snapshots_csv: (t, positions, velocities or None) in file order.
+
+    The round-trip oracle of the writer; the package itself reads no snapshots.
+    """
+    with open(path) as f:
+        header = f.readline().strip().split(",")
+        d = sum(1 for c in header if c.startswith("x"))
+        with_v = any(c.startswith("v") for c in header)
+        data = np.loadtxt(f, delimiter=",", ndmin=2)
+    out = []
+    if data.size == 0:
+        return out
+    times = data[:, 0]
+    for t in np.unique(times):
+        rows = data[times == t]
+        rows = rows[np.argsort(rows[:, 1])]
+        x = rows[:, 2 : 2 + d]
+        v = rows[:, 2 + d : 2 + 2 * d] if with_v else None
+        out.append((float(t), x, v))
+    return out
 
 
 def test_snapshot_csv_roundtrip(tmp_path):

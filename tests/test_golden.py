@@ -24,7 +24,8 @@ import sys
 import pytest
 import yaml
 
-from smallmass.harness import main
+from smallmass.errors import StiffnessError
+from smallmass.harness import ExperimentConfig, main, run_convergence_sweep
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 MANIFEST = "manifest.json"
@@ -191,6 +192,23 @@ def test_outputs_match_golden_files(name, tmp_path):
         with open(os.path.join(expected_dir, fname), "rb") as f:
             want = f.read()
         assert got == want, f"{name}/{fname} differs from the golden copy"
+
+
+def test_failed_sweep_job_carries_the_admissible_dt(tmp_path, capsys):
+    # the re-raised job error keeps the guard's admissible dt, and the CLI
+    # still prints the golden run's one stderr line
+    _, config, _ = CASES["converge-fail"]
+    with inside(tmp_path):
+        with pytest.raises(StiffnessError) as exc:
+            run_convergence_sweep(ExperimentConfig.from_mapping({**config, "out_dir": "a"}))
+        assert exc.value.admissible_dt == exc.value.__cause__.admissible_dt == 0.0025
+        capsys.readouterr()
+        run_case("converge-fail", tmp_path)
+    assert capsys.readouterr().err == (
+        "error: sweep job epsilon=0.01 failed: EM step dt=5.000e-03 violates the "
+        "stability guard (dt*lam_max/eps = 1.000 > 0.5); reduce dt to <= 2.500e-03 "
+        "or switch to the exponential scheme; manifest at out/failed_eps_0.01.json\n"
+    )
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
