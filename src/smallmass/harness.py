@@ -388,15 +388,17 @@ def write_weak_gaps_csv(path, report: WeakGapReport) -> None:
 # ----------------------------------------------------------------- sweeps
 
 
+def _w2_method(config: ExperimentConfig, n: int, d: int) -> str:
+    """The W2 estimator for n samples in d dimensions; auto picks 1d, exact or sliced."""
+    if config.w2_method != "auto":
+        return config.w2_method
+    if d == 1:
+        return "1d"
+    return "exact" if n <= W2_EXACT_MAX_N else "sliced"
+
+
 def _w2_dispatch(a, b, config: ExperimentConfig, stream: NoiseStream):
-    method = config.w2_method
-    if method == "auto":
-        if a.shape[1] == 1:
-            method = "1d"
-        elif a.shape[0] <= W2_EXACT_MAX_N:
-            method = "exact"
-        else:
-            method = "sliced"
+    method = _w2_method(config, *a.shape)
     if method == "1d":
         return w2_1d(a, b), "w2_1d"
     if method == "exact":
@@ -526,6 +528,13 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
             "coupled by step index only, not by time",
             file=sys.stderr,
         )
+    # the scipy submodules the jobs call load now, not at a job's first
+    # exponential or exact W2, where the import would stall the other jobs
+    # on the import lock and land in that job's runtime; a 1D sweep needs none
+    if spec.dim > 1 and config.scheme == "exponential":
+        import scipy.linalg
+    if _w2_method(config, config.n_particles, spec.dim) == "exact":
+        import scipy.optimize
     base_stream = NoiseStream(config.seed)
     started = time.perf_counter()
     limit_snaps = _limit_run(spec, config, base_stream, snaps)
@@ -636,6 +645,8 @@ def run_slice_pair(config: ExperimentConfig) -> SliceDiagnostic:
     if delta < dt:
         raise ValidationError(f"delta={delta:g} is below one step dt={dt:g}")
     starts = slice_starts(config.t_star, config.T, delta)
+    if spec.dim > 1:
+        import scipy.linalg  # for weak_Yhat, loaded before the run as in the sweep
     n = len(starts)
     if n < 2:
         raise ValidationError(

@@ -2,7 +2,8 @@
 
 Each check runs in a fresh interpreter, since pytest itself (and the other
 test modules) import scipy.linalg, scipy.optimize and scipy.special. A 1D
-sweep and a Fokker-Planck solve load none of them; each lazy site, called
+sweep and a Fokker-Planck solve load none of them; a 2D exponential sweep
+or slice pass loads what it calls before its first step; each lazy site, called
 first in a fresh process, loads its submodule and returns the same bits
 as a direct scipy call made here.
 """
@@ -84,6 +85,44 @@ print(loaded())
     assert out.splitlines()[0] == "[]"
     assert out.splitlines()[-1] == "[]"
     assert {"w2.csv", "density.csv"} <= set(os.listdir(tmp_path / "out"))
+
+
+TWO_D = dict(
+    preset="gaussian-interaction-2d",
+    n_particles=6,
+    epsilon_grid=[0.2, 0.1],
+    T=0.004,
+    t_star=0.002,
+    delta=0.001,
+    scheme="exponential",
+    dt_under=0.001,
+    dt_limit=0.001,
+    out_dir="out",
+    seed=2,
+)
+
+
+@pytest.mark.parametrize(
+    "command, entry, loads",
+    [
+        ("converge", "simulate_limit", ["scipy.linalg", "scipy.optimize"]),
+        ("slice-diag", "simulate_underdamped", ["scipy.linalg"]),
+    ],
+)
+def test_2d_runs_load_their_submodules_before_the_first_step(command, entry, loads, tmp_path):
+    with open(tmp_path / "c.json", "w") as f:
+        json.dump(TWO_D, f)
+    out = fresh_python(LOADED + f"""
+import smallmass.harness as h
+run = h.{entry}
+def first_call(*args, **kwargs):
+    print(set({loads!r}) <= set(loaded()), loaded())
+    h.{entry} = run
+    return run(*args, **kwargs)
+h.{entry} = first_call
+assert h.main([{command!r}, "--config", "c.json"]) == 0
+""", tmp_path)
+    assert out.splitlines()[0].startswith("True"), out
 
 
 SITES = {
