@@ -14,7 +14,7 @@ from .errors import (
 )
 from .model import ModelSpec, audit_assumptions, get_preset
 from .overdamped import limit_coefficients, noise_induced_drift, simulate_limit
-from .smallmat import lyapunov_quadrature, solve_lyapunov
+from .smallmat import solve_lyapunov
 from .underdamped import UDStepperConfig, simulate_underdamped
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "noise_induced_drift",
     "simulate_limit",
     "solve_lyapunov",
-    "lyapunov_quadrature",
     "UDStepperConfig",
     "simulate_underdamped",
 ]

@@ -237,13 +237,18 @@ def mean_field_coefficients(positions, spec: ModelSpec):
     return A, F
 
 
-def _check_friction_floor(A, points) -> None:
+def _check_friction_floor(A, points) -> np.ndarray:
     """Raise StabilityError unless every friction in the (n, d, d) stack A
-    has a positive definite symmetric part; points[i] locates A[i]."""
-    lam = _symmetric_eigenvalues(A)[:, 0]
+    has a positive definite symmetric part; points[i] locates A[i].
+
+    Returns the ascending eigenvalues (n, d) of the symmetric parts.
+    """
+    eig = _symmetric_eigenvalues(A)
+    lam = eig[:, 0]
     i = int(np.argmin(lam))
     if lam[i] <= 0.0:
         raise StabilityError(
             f"friction not positive definite at {points[i]} "
             f"(min symmetric eigenvalue {lam[i]:.6e})"
         )
+    return eig

@@ -30,6 +30,7 @@ from .ensemble import (
     NoiseStream,
     OverdampedEnsemble,
     UnderdampedEnsemble,
+    _check_friction_floor,
     empirical_moment2,
     mean_field_coefficients,
 )
@@ -50,7 +51,7 @@ from .observables import (
     weak_gap_rows,
 )
 from .overdamped import simulate_limit
-from .smallmat import _mT, lyapunov_quadrature, solve_lyapunov
+from .smallmat import _mT, solve_lyapunov
 from .underdamped import SCHEMES, UDStepperConfig, simulate_underdamped
 
 _W2_METHODS = ("auto", "exact", "sliced", "1d")
@@ -304,6 +305,7 @@ def initial_velocities(
         raise ValidationError(f"init_velocities must be one of {_VELOCITY_STARTS}")
     z = stream.block(RUN_INIT_VELOCITIES, 0, n)[:, :d]
     A, _ = mean_field_coefficients(positions, spec)
+    _check_friction_floor(A, positions)
     sig = spec.sigma_at(positions)
     if d == 1:
         J = sig[:, 0, 0] ** 2 / (2.0 * A[:, 0, 0])
@@ -666,43 +668,35 @@ def run_slice_pair(config: ExperimentConfig) -> SliceDiagnostic:
     runtimes["delta_rows"] = runtimes["2delta_rows"] = 0.0
 
     psis = bump_test_functions(spec.dim, config.psi_centers, config.psi_radius)
-    # frozen coefficients of the states of open slices, by state identity
-    # (times closer than the landing tolerance share one state)
-    live = {}
-    computed = 0
 
     def frozen_at(i):
-        nonlocal computed
-        state = snaps[where[i]]
-        if id(state) not in live:
-            live[id(state)] = _frozen_coefficients(state, spec)
-            computed += 1
-        return live[id(state)]
+        return _frozen_coefficients(snaps[where[i]], spec)
 
-    def add_rows(points, out, maxima, timer):
-        began = time.perf_counter()
-        anchor = frozen_at(points[0])
+    def add_rows(frozen, out, maxima):
         top = 0.0
-        for i in points:
-            rows = weak_gap_rows(frozen_at(i), spec, psis, anchor=anchor)
+        for state in frozen:
+            rows = weak_gap_rows(state, spec, psis, anchor=frozen[0])
             for row in rows:
                 top = max(top, abs(row.gap_Y_Yhat))
             out.extend(rows)
         maxima.append(top)
-        runtimes[timer] += time.perf_counter() - began
 
     small, big, small_max, big_max = [], [], [], []
+    began = time.perf_counter()
+    # the end of slice k - 1 starts slice k; an even k's start also anchors
+    # the open 2delta slice
+    end = frozen_at(0)
     for k in range(n):
-        add_rows((k, n + k, 2 * n + k), small, small_max, "delta_rows")
-        if k % 2:
-            add_rows((k - 1, k, 2 * n + k), big, big_max, "2delta_rows")
-        # the end of slice k starts slice k + 1; an even k's start also
-        # anchors the open 2delta slice
-        keep = {id(snaps[where[2 * n + k]])}
+        start, mid, end = end, frozen_at(n + k), frozen_at(2 * n + k)
+        add_rows((start, mid, end), small, small_max)
+        lap = time.perf_counter()
+        runtimes["delta_rows"] += lap - began
         if k % 2 == 0:
-            keep.add(id(snaps[where[k]]))
-        for key in set(live) - keep:
-            del live[key]
+            pair_start = start
+        else:
+            add_rows((pair_start, start, end), big, big_max)
+        began = time.perf_counter()
+        runtimes["2delta_rows"] += began - lap
     small_mean = float(np.mean(small_max))
     if small_mean == 0.0:
         raise ValidationError("delta-run gaps are identically zero; ratio undefined")
@@ -711,7 +705,7 @@ def run_slice_pair(config: ExperimentConfig) -> SliceDiagnostic:
         small=WeakGapReport(rows=tuple(small)),
         big=WeakGapReport(rows=tuple(big)),
         ratio=float(np.mean(big_max)) / small_mean,
-        distinct_states=computed,
+        distinct_states=2 * n + 1,
         runtimes_s=runtimes,
     )
 
@@ -764,28 +758,6 @@ def _cli_limit(config: ExperimentConfig) -> int:
     write_snapshots_csv(path, snaps)
     print(f"[limit] N={config.n_particles} wrote {path}")
     return 0
-
-
-def _cli_lyapunov_check(config: ExperimentConfig) -> int:
-    rng = np.random.default_rng(config.seed)
-    worst_res, worst_quad = 0.0, 0.0
-    for i in range(200):
-        d = int(rng.integers(1, 7))
-        G = rng.normal(size=(d, d))
-        sym_min = float(np.linalg.eigvalsh((G + G.T) / 2.0)[0])
-        A = G + (abs(sym_min) + 0.5) * np.eye(d)
-        sig = rng.normal(size=(d, d))
-        Q = sig @ sig.T
-        sol = solve_lyapunov(A, Q)
-        res = np.linalg.norm(A @ sol.J + sol.J @ A.T - Q) / (1.0 + np.linalg.norm(Q))
-        quad = np.linalg.norm(sol.J - lyapunov_quadrature(A, Q))
-        worst_res = max(worst_res, float(res))
-        worst_quad = max(worst_quad, float(quad))
-    print(f"[lyapunov-check] 200 instances: max residual {worst_res:.3e}, "
-          f"max solve-vs-quadrature gap {worst_quad:.3e}")
-    ok = worst_res <= 1e-10 and worst_quad <= 1e-6
-    print(f"[lyapunov-check] {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 2
 
 
 def _cli_converge(config: ExperimentConfig) -> int:
@@ -868,7 +840,6 @@ _COMMANDS = {
     "audit": _cli_audit,
     "simulate": _cli_simulate,
     "limit": _cli_limit,
-    "lyapunov-check": _cli_lyapunov_check,
     "converge": _cli_converge,
     "slice-diag": _cli_slice_diag,
     "fp": _cli_fp,

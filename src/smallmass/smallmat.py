@@ -10,10 +10,6 @@ solved exactly as a d^2 x d^2 Kronecker linear system. All four take a
 stack (one matrix per particle; one (d, d) matrix is the special case),
 run each matrix through the same scipy/LAPACK routine as alone, so they
 return the bits of per-matrix calls, and guard against the worst matrix.
-The integral representation J = int_0^inf exp(-A s) Q exp(-A^T s) ds is
-implemented separately (`lyapunov_quadrature`, one matrix) as an
-independent cross-check of the direct solve; the two routes share no
-linear algebra beyond the exponential itself.
 
 The kernels run once per particle in the limit run, so their cost per
 call is mostly numpy's Python-level wrappers, not LAPACK. They skip the
@@ -26,8 +22,7 @@ s_max/s_min from the singular values, as np.linalg.cond takes it. The
 LAPACK calls themselves (solve, eigvalsh, inv, svd) are numpy's.
 
 `expm` is the only scipy route: it imports scipy.linalg at its first call,
-so a run that forms no exponential never loads it, and
-`lyapunov_quadrature` takes its exponentials through it.
+so a run that forms no exponential never loads it.
 """
 
 from __future__ import annotations
@@ -38,12 +33,6 @@ import numpy as np
 
 from .errors import ConditionError, StabilityError, ValidationError
 from .model import MAX_DIM
-
-# fixed nodes for the composite Gauss-Legendre rule in lyapunov_quadrature
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# its truncation and panel-doubling tolerance, and the most doublings it takes
-_QUAD_TOL = 1e-10
-_QUAD_MAX_DOUBLINGS = 12
 
 # tolerance of the per-matrix "Q is symmetric" decision in solve_lyapunov
 _SYM_TOL = 1e-12
@@ -192,57 +181,3 @@ def solve_lyapunov(A, Q) -> LyapunovSolution:
     J = np.where(_is_symmetric(Q), 0.5 * (J + _mT(J)), J)
     residual = _frobenius(A @ J + J @ _mT(A) - Q)
     return LyapunovSolution(J=J, residual=float(residual.max()))
-
-
-def lyapunov_quadrature(A, Q) -> np.ndarray:
-    """Integral-form Lyapunov solution, int_0^inf exp(-As) Q exp(-A^T s) ds.
-
-    For one (d, d) pair, not a stack. Truncates at s* with
-    exp(-2 lambda_min s*) ||Q|| <= 1e-10, then applies a composite 16-node
-    Gauss-Legendre rule with panel doubling until the change drops below
-    1e-10. Serves as the independent oracle for `solve_lyapunov` (no
-    Kronecker algebra in this route).
-    """
-    A = _as_square(A, "A")
-    Q = _as_square(Q, "Q")
-    if A.shape != Q.shape:
-        raise ValidationError(f"A and Q shapes differ: {A.shape} vs {Q.shape}")
-    if A.ndim != 2:
-        raise ValidationError(f"quadrature takes one (d, d) pair, got {A.shape}")
-    lam = min_symmetric_eigenvalue(A)
-    if lam <= 0.0:
-        raise StabilityError(
-            f"symmetric part of A has min eigenvalue {lam:.6e} <= 0; "
-            "the Lyapunov integral diverges"
-        )
-    qnorm = float(np.linalg.norm(Q))
-    if qnorm == 0.0:
-        return np.zeros_like(Q)
-    s_star = np.log(qnorm / _QUAD_TOL) / (2.0 * lam)
-    s_star = max(s_star, 16.0 * np.finfo(float).tiny)
-
-    def composite(panels: int) -> np.ndarray:
-        total = np.zeros_like(Q)
-        width = s_star / panels
-        # exp(-A (left + u)) = exp(-A left) exp(-A u): the [-1,1] nodes mapped
-        # onto the first panel, then one step of exp(-A width) per panel
-        u = 0.5 * width * (_GL_NODES + 1.0)
-        offsets = expm(-A * u[:, None, None])
-        step = expm(-A * width)
-        left = np.eye(A.shape[0])
-        for _ in range(panels):
-            E = left @ offsets
-            for term, w in zip(E @ Q @ _mT(E), _GL_WEIGHTS):
-                total += (0.5 * width * w) * term
-            left = left @ step
-        return total
-
-    previous = composite(1)
-    panels = 2
-    for _ in range(_QUAD_MAX_DOUBLINGS):
-        current = composite(panels)
-        if np.linalg.norm(current - previous) <= _QUAD_TOL:
-            return current
-        previous = current
-        panels *= 2
-    return previous

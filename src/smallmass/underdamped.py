@@ -52,9 +52,11 @@ from .ensemble import (
 )
 from .errors import BlowUpError, StiffnessError, ValidationError
 from .model import ModelSpec
-from .smallmat import _mT, _symmetric_eigenvalues, expm, invert, solve_lyapunov
+from .smallmat import _mT, expm, invert, solve_lyapunov
 
 SCHEMES = ("euler_maruyama", "exponential")
+# EM rejects a step with dt * lambda_max(sym A) / eps above this
+SUBSTEP_GUARD = 0.5
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,6 @@ class UDStepperConfig:
 
     scheme: str = "exponential"
     dt: float = 1e-3
-    substep_guard: float = 0.5
     run_id: int = 0
 
     def __post_init__(self):
@@ -75,8 +76,6 @@ class UDStepperConfig:
             raise ValidationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not self.dt >= 0:
             raise ValidationError(f"dt must be nonnegative, got {self.dt}")
-        if not 0 < self.substep_guard <= 1:
-            raise ValidationError("substep_guard must lie in (0, 1]")
 
 
 def step_underdamped_em(
@@ -86,19 +85,23 @@ def step_underdamped_em(
     stream: NoiseStream,
     dt: float | None = None,
 ) -> UnderdampedEnsemble:
-    """One explicit Euler-Maruyama step on the frozen snapshot."""
+    """One explicit Euler-Maruyama step on the frozen snapshot.
+
+    Rejects a friction that is not positive definite, as the exponential
+    step does, and a dt past the stability guard.
+    """
     dt = cfg.dt if dt is None else dt
     eps = state.epsilon
     X, V = state.positions, state.velocities
     d = state.dim
     A, F = mean_field_coefficients(X, spec)
 
-    lam_max = float(_symmetric_eigenvalues(A).max())
-    if dt * lam_max / eps > cfg.substep_guard:
-        admissible = cfg.substep_guard * eps / lam_max
+    lam_max = float(_check_friction_floor(A, X)[:, -1].max())
+    if dt * lam_max / eps > SUBSTEP_GUARD:
+        admissible = SUBSTEP_GUARD * eps / lam_max
         raise StiffnessError(
             f"EM step dt={dt:.3e} violates the stability guard "
-            f"(dt*lam_max/eps = {dt * lam_max / eps:.3f} > {cfg.substep_guard}); "
+            f"(dt*lam_max/eps = {dt * lam_max / eps:.3f} > {SUBSTEP_GUARD}); "
             f"reduce dt to <= {admissible:.3e} or switch to the exponential scheme",
             admissible_dt=admissible,
         )

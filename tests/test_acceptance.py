@@ -44,12 +44,14 @@ from smallmass.model import (
 )
 from smallmass.observables import w2_1d, w2_exact
 from smallmass.overdamped import simulate_limit
-from smallmass.smallmat import lyapunov_quadrature, solve_lyapunov
+from smallmass.smallmat import solve_lyapunov
 from smallmass.underdamped import (
     UDStepperConfig,
     frozen_velocity_covariance,
     simulate_underdamped,
 )
+
+from lyapunov_oracle import lyapunov_quadrature
 
 
 def _verdict(criterion: int, ok: bool, detail: str) -> bool:

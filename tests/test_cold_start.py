@@ -2,7 +2,7 @@
 
 Each check runs in a fresh interpreter, since pytest itself (and the other
 test modules) import scipy.linalg, scipy.optimize and scipy.special. A 1D
-sweep and a Fokker-Planck solve load none of them; a 2D exponential sweep
+sweep and a Fokker-Planck solve load none of them, nor numpy.polynomial; a 2D exponential sweep
 or slice pass loads what it calls before its first step; each lazy site, called
 first in a fresh process, loads its submodule and returns the same bits
 as a direct scipy call made here.
@@ -24,7 +24,8 @@ import smallmass
 from smallmass.ensemble import D_MAX, RUN_INIT_POSITIONS, NoiseStream
 from smallmass.model import audit_assumptions, get_preset
 
-SUBMODULES = ("scipy.linalg", "scipy.optimize", "scipy.special")
+# numpy.polynomial only serves the tests' quadrature oracles
+SUBMODULES = ("scipy.linalg", "scipy.optimize", "scipy.special", "numpy.polynomial")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(smallmass.__file__)))
 
 MIXTURE = ((0.5, -1.0, 0.3), (0.5, 1.0, 0.3))

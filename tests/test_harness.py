@@ -538,10 +538,16 @@ def test_cli_audit(tmp_path, capsys):
     assert os.path.exists(tmp_path / "cli" / "audit.json")
 
 
-def test_cli_lyapunov_check(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    assert main(["lyapunov-check", "--config", cfg]) == 0
-    assert "PASS" in capsys.readouterr().out
+NUMBER_WORDS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine")
+
+
+def test_readme_command_line_matches_the_subcommands():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("smallmass ")]
+    assert sorted(listed) == sorted(harness._COMMANDS)
+    assert f"has {NUMBER_WORDS[len(harness._COMMANDS)]} subcommands" in section
 
 
 def test_cli_slice_diag(tmp_path, capsys):

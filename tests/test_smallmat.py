@@ -27,10 +27,11 @@ from smallmass.smallmat import (
     _worst_condition,
     expm,
     invert,
-    lyapunov_quadrature,
     min_symmetric_eigenvalue,
     solve_lyapunov,
 )
+
+from lyapunov_oracle import lyapunov_quadrature
 
 
 def taylor_expm(M, terms=30):

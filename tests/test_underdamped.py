@@ -1,10 +1,13 @@
 """Underdamped integrator tests: hand-evaluated steps, exactness, guards."""
 
+import re
+
 import numpy as np
 import pytest
 
 from smallmass.ensemble import NoiseStream, UnderdampedEnsemble, empirical_moment2
 from smallmass.errors import BlowUpError, StabilityError, StiffnessError, ValidationError
+from smallmass.harness import initial_velocities
 from smallmass.model import (
     ConstantMatrixField,
     LinearVectorField,
@@ -13,6 +16,7 @@ from smallmass.model import (
     make_quadratic_ou,
 )
 from smallmass.underdamped import (
+    _STEPPERS,
     UDStepperConfig,
     frozen_velocity_covariance,
     simulate_underdamped,
@@ -240,8 +244,29 @@ def test_simulate_blowup_detected():
     with pytest.raises(BlowUpError):
         simulate_underdamped(
             spec, init, 50.0,
-            UDStepperConfig("euler_maruyama", 0.6, substep_guard=1.0), NoiseStream(0),
+            UDStepperConfig("euler_maruyama", 0.3), NoiseStream(0),
         )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("start", ["euler_maruyama", "exponential", "equilibrated"])
+def test_indefinite_friction_rejected_naming_the_point(start, dim):
+    # A = gamma + phi = -0.5 I everywhere, although the hints claim a floor
+    spec = ModelSpec(
+        dim=dim, grad_V=ZeroVectorField(), grad_K=ZeroVectorField(),
+        phi=ConstantMatrixField(0.5 * np.eye(dim)), gamma=ConstantMatrixField(-np.eye(dim)),
+        sigma=ConstantMatrixField(np.eye(dim)), lambda_phi_hint=0.5,
+    )
+    x = np.linspace(-1.0, 1.0, 4 * dim).reshape(4, dim)
+    named = re.escape(f"friction not positive definite at {x[0]}")
+    with pytest.raises(StabilityError, match=named):
+        if start == "equilibrated":
+            initial_velocities(NoiseStream(0), x, spec, 0.1, "equilibrated")
+        else:
+            state = UnderdampedEnsemble(
+                epsilon=0.1, t=0.0, positions=x, velocities=np.zeros_like(x)
+            )
+            _STEPPERS[start](state, spec, UDStepperConfig(start, 1e-3), NoiseStream(0))
 
 
 def test_simulate_validates_snapshots():
