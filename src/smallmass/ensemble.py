@@ -17,7 +17,10 @@ NoiseStream is a counter-based Gaussian source: the draw at
 the index tuple, independent of thread count and call order. Each
 (run, step) pair keys one Philox block; a block holds 8 lanes per particle
 (the max state dimension), so the scalar draw sits at flat index
-8*particle + component inside the block regardless of d.
+8*particle + component inside the block regardless of d. A stream keeps
+its last block, read-only, and hands the same array to the next request
+for the same (run, step, n), so coupled runs stepped in lockstep on one
+stream (a sweep's epsilon group) draw each step's block once.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ class NoiseStream:
 
     def __init__(self, master_seed: int):
         self.master_seed = int(master_seed) & _MASK64
+        # ((run, step, n), block) of the last draw; one tuple, so a thread
+        # reads a key and its block together
+        self._last = None
 
     def _generator(self, run: int, step: int) -> np.random.Generator:
         run = int(run)
@@ -73,12 +79,21 @@ class NoiseStream:
         return np.random.Generator(bg)
 
     def block(self, run: int, step: int, n: int) -> np.ndarray:
-        """(n, 8) standard normals for particles 0..n-1 at (run, step)."""
+        """(n, 8) standard normals for particles 0..n-1 at (run, step).
+
+        Read-only: a repeat of the last request returns the same array.
+        """
         n = int(n)
         if n < 0:
             raise ValidationError("block size must be nonnegative")
-        gen = self._generator(run, step)
-        return gen.standard_normal(n * D_MAX).reshape(n, D_MAX)
+        key = (int(run), int(step), n)
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        out = self._generator(run, step).standard_normal(n * D_MAX).reshape(n, D_MAX)
+        out.flags.writeable = False
+        self._last = (key, out)
+        return out
 
     def gaussian(self, run: int, particle: int, step: int, component: int) -> float:
         """Scalar draw; equals block(run, step, .)[particle, component]."""

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CFLError, StabilityError, ValidationError
 from .model import ConstantMatrixField, LinearVectorField, ModelSpec, ZeroVectorField
-from .underdamped import _advance
+from .underdamped import _advance, _run_to_end
 
 _MASS_TOL = 1e-9  # Grid1D's tolerance, met by every step's grid; the
 #                   conservation *drift* over long runs is tested at 1e-12
@@ -244,7 +244,7 @@ def fp_solve(spec: ModelSpec, grid0: Grid1D, T, dt, snapshot_times=None) -> list
             warned = True
         return grid
 
-    return _advance(grid0, T, dt, snapshot_times, step)
+    return _run_to_end(_advance(grid0, T, dt, snapshot_times, step))
 
 
 def stationary_residual(grid: Grid1D, spec: ModelSpec) -> float:

@@ -52,7 +52,7 @@ from .observables import (
 )
 from .overdamped import simulate_limit
 from .smallmat import _mT, solve_lyapunov
-from .underdamped import SCHEMES, UDStepperConfig, simulate_underdamped
+from .underdamped import SCHEMES, UDStepperConfig, _lockstep, simulate_underdamped
 
 _W2_METHODS = ("auto", "exact", "sliced", "1d")
 _VELOCITY_STARTS = ("cold", "equilibrated")
@@ -314,14 +314,58 @@ def initial_velocities(
     return (np.linalg.cholesky(J / epsilon) @ z[:, :, None])[:, :, 0]
 
 
-def _underdamped_run(spec, config, epsilon, stream, snapshot_times):
-    """One underdamped run from the configured start: positions, then
-    velocities, drawn from `stream`, then integration to config.T."""
+def _underdamped_start(spec, config, epsilon, stream):
+    """The configured start of an underdamped run, positions then velocities
+    drawn from `stream`, and its stepper config."""
     x0 = initial_positions(stream, config.n_particles, spec.dim, config.init_components)
     v0 = initial_velocities(stream, x0, spec, epsilon, config.init_velocities)
     init = UnderdampedEnsemble(epsilon=epsilon, t=0.0, positions=x0, velocities=v0)
-    cfg = UDStepperConfig(scheme=config.scheme, dt=underdamped_dt(config, epsilon))
+    return init, UDStepperConfig(scheme=config.scheme, dt=underdamped_dt(config, epsilon))
+
+
+def _underdamped_run(spec, config, epsilon, stream, snapshot_times):
+    """One underdamped run from the configured start to config.T."""
+    init, cfg = _underdamped_start(spec, config, epsilon, stream)
     return simulate_underdamped(spec, init, config.T, cfg, stream, snapshot_times)
+
+
+def _lockstep_runs(spec, T, snapshot_times, runs) -> dict:
+    """Underdamped runs to T, stepped in lockstep on this thread.
+
+    runs maps a key to (init, cfg, stream). Each run is still its own
+    simulate_underdamped call, so whatever wraps that entry point (a
+    profiler, the benchmark's particle-step count) sees every run return its
+    snapshots: the call of run k opens inside the drive of run k - 1, and the
+    innermost drive steps every time loop one step per round. Returns
+    {key: (snapshots or the exception that ended the run, seconds spent in
+    its own steps)}.
+    """
+    keys = list(runs)
+    loops, done = {}, {}
+
+    def open_run(k):
+        if k == len(keys):
+            done.update(zip(loops, _lockstep(list(loops.values()))))
+            return
+        key = keys[k]
+
+        def drive(loop):
+            loops[key] = loop
+            open_run(k + 1)
+            outcome = done[key][0]
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        init, cfg, stream = runs[key]
+        try:
+            simulate_underdamped(spec, init, T, cfg, stream, snapshot_times, drive=drive)
+        except Exception as exc:
+            if done.get(key, (None,))[0] is not exc:
+                raise
+
+    open_run(0)
+    return done
 
 
 def _limit_run(spec, config, stream, snapshot_times):
@@ -426,13 +470,8 @@ def _eps_key(epsilon: float) -> str:
     return format(epsilon, ".17g")
 
 
-def _run_one_epsilon(spec, config, epsilon, snaps, limit_snaps, base_stream, index):
-    # coupled runs reuse the base stream (same init blocks, same step indices);
-    # uncoupled runs get a fresh master seed per epsilon
-    stream = base_stream if config.coupled else NoiseStream(config.seed + index + 1)
-    started = time.perf_counter()
-    ud_snaps = _underdamped_run(spec, config, epsilon, stream, snaps)
-
+def _epsilon_report(spec, config, epsilon, ud_snaps, limit_snaps, base_stream):
+    """W2 and weak-gap rows, Holder and moment diagnostics of one epsilon run."""
     psis = bump_test_functions(spec.dim, config.psi_centers, config.psi_radius)
     w2_rows = []
     weak_rows = []
@@ -445,7 +484,6 @@ def _run_one_epsilon(spec, config, epsilon, snaps, limit_snaps, base_stream, ind
     except ValidationError:
         holder = None  # snapshot grid too coarse for lags >= 10 epsilon
     moment2 = max(empirical_moment2(s) for s in ud_snaps)
-    runtime = time.perf_counter() - started
     return {
         "epsilon": epsilon,
         "snaps": ud_snaps,
@@ -453,8 +491,41 @@ def _run_one_epsilon(spec, config, epsilon, snaps, limit_snaps, base_stream, ind
         "weak": weak_rows,
         "holder": holder,
         "moment2": moment2,
-        "runtime": runtime,
     }
+
+
+def _epsilon_group(spec, config, members, snaps, limit_snaps, base_stream) -> dict:
+    """The epsilons grid[i], i in members, run in lockstep on this thread.
+
+    A coupled group shares one stream that keeps its last block, so each
+    step's block is drawn once; uncoupled runs keep a master seed per
+    epsilon. Returns {i: report, or the error to raise for epsilon i}; a
+    report's runtime is the time spent on that epsilon alone: its start
+    draws, its own steps and its diagnostics.
+    """
+    grid = config.epsilon_grid
+    group_stream = NoiseStream(config.seed)
+    runs, out, spent = {}, {}, {}
+    for i in members:
+        stream = group_stream if config.coupled else NoiseStream(config.seed + i + 1)
+        started = time.perf_counter()
+        try:
+            runs[i] = (*_underdamped_start(spec, config, grid[i], stream), stream)
+        except Exception as exc:
+            out[i] = _job_failure(config, grid[i], exc)
+        spent[i] = time.perf_counter() - started
+    for i, (outcome, seconds) in _lockstep_runs(spec, config.T, snaps, runs).items():
+        started = time.perf_counter()
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            report = _epsilon_report(spec, config, grid[i], outcome, limit_snaps, base_stream)
+        except Exception as exc:
+            out[i] = _job_failure(config, grid[i], exc)
+        else:
+            report["runtime"] = spent[i] + seconds + time.perf_counter() - started
+            out[i] = report
+    return out
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -467,10 +538,15 @@ def _worker_count(n_jobs: int) -> int:
         if cap < 1:
             raise ValidationError("SMALLMASS_THREADS must be >= 1")
         return min(cap, n_jobs)
-    return min(4, os.cpu_count() or 1, n_jobs)
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(4, cpus, n_jobs)
 
 
-def _abort_with_manifest(config, epsilon, exc):
+def _job_failure(config, epsilon, exc) -> SmallMassError:
+    """Write failed_eps_<epsilon>.json; the error to raise for that epsilon."""
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, f"failed_eps_{_eps_key(epsilon)}.json")
     record = {
@@ -486,7 +562,8 @@ def _abort_with_manifest(config, epsilon, exc):
         err.__dict__.update(vars(exc))
     else:
         err = SmallMassError(msg)
-    raise err from exc
+    err.__cause__ = exc
+    return err
 
 
 def _write_manifest(config, path, outputs, **fields) -> dict:
@@ -542,19 +619,23 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
     limit_snaps = _limit_run(spec, config, base_stream, snaps)
     limit_runtime = time.perf_counter() - started
 
-    def job(i):
-        try:
-            return _run_one_epsilon(
-                spec, config, grid[i], snaps, limit_snaps, base_stream, i
+    # one job per worker: job g runs epsilons g, g + n_groups, ... in lockstep
+    n_groups = _worker_count(len(grid))
+    with ThreadPoolExecutor(max_workers=n_groups) as pool:
+        futures = [
+            pool.submit(
+                _epsilon_group, spec, config, range(g, len(grid), n_groups),
+                snaps, limit_snaps, base_stream,
             )
-        except Exception as exc:
-            _abort_with_manifest(config, grid[i], exc)
-
-    # every job runs to its end, so each failing epsilon writes its record;
+            for g in range(n_groups)
+        ]
+    by_index = {i: r for f in futures for i, r in f.result().items()}
+    results = [by_index[i] for i in range(len(grid))]
+    # every run goes to its end, so each failing epsilon wrote its record;
     # the first failure in grid order is the one raised
-    with ThreadPoolExecutor(max_workers=_worker_count(len(grid))) as pool:
-        futures = [pool.submit(job, i) for i in range(len(grid))]
-    results = [f.result() for f in futures]
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
 
     w2_rows = tuple(row for r in results for row in r["w2"])
     weak = WeakGapReport(rows=tuple(row for r in results for row in r["weak"]))

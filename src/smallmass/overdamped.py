@@ -38,7 +38,7 @@ from .smallmat import (
     min_symmetric_eigenvalue,
     solve_lyapunov,
 )
-from .underdamped import _advance
+from .underdamped import _advance, _run_to_end
 
 
 @dataclass(frozen=True)
@@ -225,4 +225,4 @@ def simulate_limit(
             )
         return state.advanced(x_new, dt_sub)
 
-    return _advance(init, T, dt, snapshot_times, step)
+    return _run_to_end(_advance(init, T, dt, snapshot_times, step))

@@ -38,6 +38,7 @@ simulation.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,19 +177,25 @@ def simulate_underdamped(
     cfg: UDStepperConfig,
     stream: NoiseStream,
     snapshot_times=None,
+    *,
+    drive=None,
 ) -> list[UnderdampedEnsemble]:
     """Integrate to T, emitting states at the requested times.
 
     Substeps are shortened to land exactly on each snapshot time (every
     step consumes one noise index regardless of its length). With
     snapshot_times None, only the final state is returned.
+
+    drive(loop) runs the time loop, a generator that yields after each step
+    and returns the snapshots; by default it is stepped to its end here. A
+    sweep passes a drive that steps it in lockstep with other runs.
     """
     stepper = _STEPPERS[cfg.scheme]
 
     def step(state, dt_sub):
         return stepper(state, spec, cfg, stream, dt=dt_sub)
 
-    return _advance(init, T, cfg.dt, snapshot_times, step)
+    return (drive or _run_to_end)(_advance(init, T, cfg.dt, snapshot_times, step))
 
 
 def _snapshot_targets(t0, T, dt, snapshot_times):
@@ -211,9 +218,9 @@ def _snapshot_targets(t0, T, dt, snapshot_times):
 def _advance(state, T, dt, snapshot_times, step):
     """The time loop of every integrator: state <- step(state, dt_sub) to T.
 
-    Returns the states at the snapshot times (only the final one when
-    snapshot_times is None). A substep is shortened to land on each target
-    within 1e-12 * max(1, |T|).
+    A generator that yields after each step and returns the states at the
+    snapshot times (only the final one when snapshot_times is None). A
+    substep is shortened to land on each target within 1e-12 * max(1, |T|).
     """
     targets = _snapshot_targets(state.t, T, dt, snapshot_times)
     out = []
@@ -221,8 +228,43 @@ def _advance(state, T, dt, snapshot_times, step):
     for target in targets:
         while state.t < target - tol:
             state = step(state, min(dt, target - state.t))
+            yield
         out.append(state)
     return out
+
+
+def _run_to_end(loop):
+    """Step one time loop to its end; its snapshots."""
+    while True:
+        try:
+            next(loop)
+        except StopIteration as stop:
+            return stop.value
+
+
+def _lockstep(loops):
+    """Step each time loop once per round, in order, until every one has ended.
+
+    Returns, per loop, its snapshots or the exception that ended it, and the
+    seconds spent in its own steps. Loops that read the same noise block at
+    the same step ask for it one after another, so a stream that keeps its
+    last block draws it once.
+    """
+    outcomes = [None] * len(loops)
+    seconds = [0.0] * len(loops)
+    live = list(range(len(loops)))
+    while live:
+        for i in live:
+            started = time.perf_counter()
+            try:
+                next(loops[i])
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except Exception as exc:
+                outcomes[i] = exc
+            seconds[i] += time.perf_counter() - started
+        live = [i for i in live if outcomes[i] is None]
+    return list(zip(outcomes, seconds))
 
 
 def frozen_velocity_covariance(

@@ -1,5 +1,8 @@
 """Ensemble, convolution, and noise-stream tests."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,6 +199,71 @@ def test_blocks_differ_across_runs_and_steps():
     b = s.block(0, 0, 4)
     assert not np.array_equal(b, s.block(0, 1, 4))
     assert not np.array_equal(b, s.block(1, 0, 4))
+
+
+def _count_draws(monkeypatch):
+    """Count the Philox blocks NoiseStream really draws, by (seed, run, step)."""
+    drawn = []
+    original = NoiseStream._generator
+
+    def counting(self, run, step):
+        drawn.append((self.master_seed, run, step))
+        return original(self, run, step)
+
+    monkeypatch.setattr(NoiseStream, "_generator", counting)
+    return drawn
+
+
+def test_repeated_block_key_returns_the_kept_block(monkeypatch):
+    drawn = _count_draws(monkeypatch)
+    s = NoiseStream(31)
+    first = s.block(2, 5, 7)
+    again = s.block(2, 5, 7)
+    assert again is first
+    assert drawn == [(31, 2, 5)]
+    assert np.array_equal(first, NoiseStream(31).block(2, 5, 7))
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        first[:, :1] *= 2.0
+
+
+def test_mixed_block_keys_never_return_a_stale_block(monkeypatch):
+    keys = [(0, 1, 4), (0, 1, 4), (0, 2, 4), (0, 1, 4), (1, 1, 4), (0, 1, 5), (0, 1, 4)]
+    fresh = {key: NoiseStream(8).block(*key) for key in keys}
+    drawn = _count_draws(monkeypatch)
+    s = NoiseStream(8)
+    for key in keys:
+        assert np.array_equal(s.block(*key), fresh[key]), key
+    # one draw per change of key
+    assert len(drawn) == 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+
+
+def test_a_stream_shared_by_threads_never_returns_another_keys_block():
+    # a sweep's workers all read W2 projection blocks from one stream
+    keys = [(run, step, n) for run in (0, 1) for step in (1, 2, 3) for n in (2, 3)]
+    fresh = {key: NoiseStream(17).block(*key) for key in keys}
+    shared = NoiseStream(17)
+    wrong = []
+
+    def hammer(offset):
+        for r in range(1000):
+            key = keys[(offset + r * (offset + 1)) % len(keys)]
+            if not np.array_equal(shared.block(*key), fresh[key]):
+                wrong.append(key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_gaussian_moment_checks():

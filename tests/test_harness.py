@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 import yaml
 
-from smallmass import harness, observables
+from smallmass import harness, observables, underdamped
 from smallmass.ensemble import D_MAX, NoiseStream
-from smallmass.errors import ValidationError
+from smallmass.errors import StiffnessError, ValidationError
 from smallmass.harness import (
     ExperimentConfig,
     build_spec,
@@ -223,14 +223,112 @@ def test_sweep_deterministic_outputs(tmp_path):
 
 
 def test_sweep_thread_count_does_not_change_results(tmp_path, monkeypatch):
-    monkeypatch.setenv("SMALLMASS_THREADS", "1")
-    a = run_convergence_sweep(micro_sweep_config(tmp_path, out_dir=str(tmp_path / "t1")))
-    monkeypatch.setenv("SMALLMASS_THREADS", "2")
-    b = run_convergence_sweep(micro_sweep_config(tmp_path, out_dir=str(tmp_path / "t2")))
-    assert open(a.out_paths["w2"]).read() == open(b.out_paths["w2"]).read()
+    # lockstep groups of one, two and three epsilons; EM steps at
+    # min(eps / 10, 1e-3), so in the second grid the runs take 200, 200, 400
+    # and 800 steps and the runs of a group end apart
+    for grid in ((0.2, 0.1, 0.05), (0.02, 0.01, 0.005, 0.0025)):
+        written = {}
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("SMALLMASS_THREADS", threads)
+            out = tmp_path / f"{len(grid)}-{threads}"
+            report = run_convergence_sweep(micro_sweep_config(
+                tmp_path, epsilon_grid=grid, T=0.2, snapshot_times=(0.1, 0.2),
+                out_dir=str(out),
+            ))
+            written[threads] = {
+                name: open(report.out_paths[name], "rb").read()
+                for name in ("w2", "weak_gaps", "diagnostics")
+            }
+        assert written["1"] == written["2"] == written["3"], grid
     monkeypatch.setenv("SMALLMASS_THREADS", "zero")
     with pytest.raises(ValidationError, match="SMALLMASS_THREADS"):
         _worker_count(4)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "uncoupled"])
+def test_a_lockstep_group_draws_each_coupled_step_block_once(
+    tmp_path, monkeypatch, threads, coupled
+):
+    monkeypatch.setenv("SMALLMASS_THREADS", str(threads))
+    drawn = []
+    original = NoiseStream._generator
+
+    def counting(self, run, step):
+        drawn.append((self.master_seed, run, step))
+        return original(self, run, step)
+
+    monkeypatch.setattr(NoiseStream, "_generator", counting)
+    grid = (0.2, 0.1, 0.05)
+    cfg = micro_sweep_config(tmp_path, epsilon_grid=grid, coupled=coupled)
+    run_convergence_sweep(cfg)
+    steps = 300  # T / dt for the limit run and every epsilon
+    counts = {}
+    for key in drawn:
+        counts[key] = counts.get(key, 0) + 1
+    seed = cfg.seed
+    for k in range(1, steps + 1):
+        if coupled:
+            # the limit run's draw, then one per lockstep group
+            assert counts[(seed, 0, k)] == 1 + threads
+        else:
+            assert counts[(seed, 0, k)] == 1
+            for i in range(len(grid)):
+                assert counts[(seed + i + 1, 0, k)] == 1
+    step_draws = sum(n for (_, run, step), n in counts.items() if run == 0 and step > 0)
+    assert step_draws == steps * ((1 + threads) if coupled else (1 + len(grid)))
+
+
+def test_worker_count_follows_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.delenv("SMALLMASS_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert _worker_count(4) == 2
+    assert _worker_count(1) == 1
+    # SMALLMASS_THREADS still wins over the affinity mask
+    monkeypatch.setenv("SMALLMASS_THREADS", "3")
+    assert _worker_count(4) == 3
+    # where the platform has no affinity mask, the CPU count applies
+    monkeypatch.delenv("SMALLMASS_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _worker_count(3) == 3
+    assert _worker_count(6) == 4
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failures_inside_a_lockstep_group(tmp_path, monkeypatch, threads):
+    # eps = 0.1 breaks the EM guard at step 1 (it needs dt <= 0.025); eps =
+    # 0.3 fails mid-run at step 3; eps = 0.2 passes. With one thread all
+    # three share a group; with two, 0.3 and 0.1 do.
+    monkeypatch.setenv("SMALLMASS_THREADS", threads)
+    em = underdamped._STEPPERS["euler_maruyama"]
+    reached = {}
+
+    def failing_mid_run(state, spec, cfg, stream, dt=None):
+        if state.epsilon == 0.3 and state.step == 3:
+            raise StiffnessError("injected failure at step 3", admissible_dt=0.01)
+        out = em(state, spec, cfg, stream, dt=dt)
+        reached[state.epsilon] = out.t
+        return out
+
+    monkeypatch.setitem(underdamped._STEPPERS, "euler_maruyama", failing_mid_run)
+    out = tmp_path / "out"
+    grid = (0.3, 0.2, 0.1)
+    cfg = micro_sweep_config(tmp_path, epsilon_grid=grid, dt_under=0.04, out_dir=str(out))
+    first = f"failed_eps_{format(0.3, '.17g')}.json"
+    with pytest.raises(StiffnessError, match=first) as exc:
+        run_convergence_sweep(cfg)
+    assert exc.value.admissible_dt == exc.value.__cause__.admissible_dt == 0.01
+    records = sorted(p for p in os.listdir(out) if p.startswith("failed_eps_"))
+    assert records == sorted(f"failed_eps_{format(e, '.17g')}.json" for e in (0.3, 0.1))
+    errors = {json.load(open(out / p))["epsilon"]: json.load(open(out / p))["error"]
+              for p in records}
+    assert "injected failure at step 3" in errors[0.3]
+    assert "violates the stability guard" in errors[0.1]
+    # the passing run went to T; the failing ones stopped where they failed
+    assert reached[0.2] == pytest.approx(cfg.T)
+    assert reached[0.3] == pytest.approx(0.1)  # steps of 0.04, 0.04, then 0.02 to 0.1
+    assert 0.1 not in reached
 
 
 def test_sweep_manifest_traceability(tmp_path):
