@@ -329,27 +329,35 @@ def _underdamped_run(spec, config, epsilon, stream, snapshot_times):
     return simulate_underdamped(spec, init, config.T, cfg, stream, snapshot_times)
 
 
-def _lockstep_runs(spec, T, snapshot_times, runs) -> dict:
-    """Underdamped runs to T, stepped in lockstep on this thread.
+def _lockstep_runs(opens, groups, pool) -> dict:
+    """Runs to their ends in lockstep groups, one pool job per group.
 
-    runs maps a key to (init, cfg, stream). Each run is still its own
-    simulate_underdamped call, so whatever wraps that entry point (a
-    profiler, the benchmark's particle-step count) sees every run return its
-    snapshots: the call of run k opens inside the drive of run k - 1, and the
-    innermost drive steps every time loop one step per round. Returns
-    {key: (snapshots or the exception that ended the run, seconds spent in
-    its own steps)}.
+    opens maps a key to open(drive), which makes the run's start draws and
+    calls one simulate_* entry point with that drive. Each run is still its
+    own entry-point call, so whatever wraps those calls (a profiler, the
+    benchmark's particle-step count) sees every run return its snapshots.
+    The calls open on this thread, run k inside the drive of run k - 1; the
+    innermost drive hands the time loops to the pool, where each group (a
+    list of keys) steps its loops once per round in order, and waits. An
+    error raised before a run's time loop starts propagates at once.
+    Returns {key: (snapshots or the exception that ended the run, seconds
+    spent opening it and in its own steps)}.
     """
-    keys = list(runs)
-    loops, done = {}, {}
+    keys = list(opens)
+    loops, opening, done = {}, {}, {}
 
     def open_run(k):
         if k == len(keys):
-            done.update(zip(loops, _lockstep(list(loops.values()))))
+            stepped = pool.map(_lockstep, [[loops[key] for key in g] for g in groups])
+            for g, outcomes in zip(groups, stepped):
+                for key, (outcome, seconds) in zip(g, outcomes):
+                    done[key] = (outcome, opening[key] + seconds)
             return
         key = keys[k]
+        started = time.perf_counter()
 
         def drive(loop):
+            opening[key] = time.perf_counter() - started
             loops[key] = loop
             open_run(k + 1)
             outcome = done[key][0]
@@ -357,9 +365,8 @@ def _lockstep_runs(spec, T, snapshot_times, runs) -> dict:
                 raise outcome
             return outcome
 
-        init, cfg, stream = runs[key]
         try:
-            simulate_underdamped(spec, init, T, cfg, stream, snapshot_times, drive=drive)
+            opens[key](drive)
         except Exception as exc:
             if done.get(key, (None,))[0] is not exc:
                 raise
@@ -368,11 +375,35 @@ def _lockstep_runs(spec, T, snapshot_times, runs) -> dict:
     return done
 
 
-def _limit_run(spec, config, stream, snapshot_times):
+def _ended(exc):
+    """A time loop that ends with exc at its first step."""
+    raise exc
+    yield
+
+
+def _epsilon_open(spec, config, epsilon, stream, snapshot_times):
+    """open(drive) of one sweep run at epsilon, for _lockstep_runs; a failed
+    start draw ends its time loop, so that it fails like its first step."""
+
+    def open_run(drive):
+        try:
+            init, cfg = _underdamped_start(spec, config, epsilon, stream)
+        except Exception as exc:
+            return drive(_ended(exc))
+        return simulate_underdamped(
+            spec, init, config.T, cfg, stream, snapshot_times, drive=drive
+        )
+
+    return open_run
+
+
+def _limit_run(spec, config, stream, snapshot_times, drive=None):
     """The limit run from the configured start positions drawn from `stream`."""
     x0 = initial_positions(stream, config.n_particles, spec.dim, config.init_components)
     init = OverdampedEnsemble(t=0.0, positions=x0)
-    return simulate_limit(spec, init, config.T, config.dt_limit, stream, snapshot_times)
+    return simulate_limit(
+        spec, init, config.T, config.dt_limit, stream, snapshot_times, drive=drive
+    )
 
 
 # ----------------------------------------------------------- output files
@@ -494,40 +525,6 @@ def _epsilon_report(spec, config, epsilon, ud_snaps, limit_snaps, base_stream):
     }
 
 
-def _epsilon_group(spec, config, members, snaps, limit_snaps, base_stream) -> dict:
-    """The epsilons grid[i], i in members, run in lockstep on this thread.
-
-    A coupled group shares one stream that keeps its last block, so each
-    step's block is drawn once; uncoupled runs keep a master seed per
-    epsilon. Returns {i: report, or the error to raise for epsilon i}; a
-    report's runtime is the time spent on that epsilon alone: its start
-    draws, its own steps and its diagnostics.
-    """
-    grid = config.epsilon_grid
-    group_stream = NoiseStream(config.seed)
-    runs, out, spent = {}, {}, {}
-    for i in members:
-        stream = group_stream if config.coupled else NoiseStream(config.seed + i + 1)
-        started = time.perf_counter()
-        try:
-            runs[i] = (*_underdamped_start(spec, config, grid[i], stream), stream)
-        except Exception as exc:
-            out[i] = _job_failure(config, grid[i], exc)
-        spent[i] = time.perf_counter() - started
-    for i, (outcome, seconds) in _lockstep_runs(spec, config.T, snaps, runs).items():
-        started = time.perf_counter()
-        try:
-            if isinstance(outcome, Exception):
-                raise outcome
-            report = _epsilon_report(spec, config, grid[i], outcome, limit_snaps, base_stream)
-        except Exception as exc:
-            out[i] = _job_failure(config, grid[i], exc)
-        else:
-            report["runtime"] = spent[i] + seconds + time.perf_counter() - started
-            out[i] = report
-    return out
-
-
 def _worker_count(n_jobs: int) -> int:
     cap = os.environ.get("SMALLMASS_THREADS", "")
     if cap:
@@ -607,30 +604,47 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
             "coupled by step index only, not by time",
             file=sys.stderr,
         )
-    # the scipy submodules the jobs call load now, not at a job's first
-    # exponential or exact W2, where the import would stall the other jobs
-    # on the import lock and land in that job's runtime; a 1D sweep needs none
+    # the scipy submodules the sweep calls load now, not at a run's first
+    # exponential step or exact W2, where the import would stall the other
+    # groups on the import lock and land in that run's runtime; a 1D sweep
+    # needs none
     if spec.dim > 1 and config.scheme == "exponential":
         import scipy.linalg
     if _w2_method(config, config.n_particles, spec.dim) == "exact":
         import scipy.optimize
     base_stream = NoiseStream(config.seed)
-    started = time.perf_counter()
-    limit_snaps = _limit_run(spec, config, base_stream, snaps)
-    limit_runtime = time.perf_counter() - started
-
-    # one job per worker: job g runs epsilons g, g + n_groups, ... in lockstep
-    n_groups = _worker_count(len(grid))
+    # a coupled sweep is one lockstep group: the limit run, then every
+    # epsilon in grid order, all on the limit run's stream, so each step's
+    # block is drawn once; uncoupled, epsilon i has its own master seed and
+    # joins group i mod n_groups, and the limit run leads group 0
+    opens = {"limit": lambda drive: _limit_run(spec, config, base_stream, snaps, drive)}
+    for i, e in enumerate(grid):
+        stream = base_stream if config.coupled else NoiseStream(config.seed + i + 1)
+        opens[i] = _epsilon_open(spec, config, e, stream, snaps)
+    n_groups = _worker_count(1 if config.coupled else len(grid))
+    groups = [list(range(g, len(grid), n_groups)) for g in range(n_groups)]
+    groups[0].insert(0, "limit")
     with ThreadPoolExecutor(max_workers=n_groups) as pool:
-        futures = [
-            pool.submit(
-                _epsilon_group, spec, config, range(g, len(grid), n_groups),
-                snaps, limit_snaps, base_stream,
-            )
-            for g in range(n_groups)
-        ]
-    by_index = {i: r for f in futures for i, r in f.result().items()}
-    results = [by_index[i] for i in range(len(grid))]
+        done = _lockstep_runs(opens, groups, pool)
+    limit_snaps, limit_runtime = done["limit"]
+    if isinstance(limit_snaps, Exception):
+        raise limit_snaps
+
+    # a report's runtime is the time spent on that epsilon alone: its start
+    # draws, its own steps and its diagnostics
+    results = []
+    for i, e in enumerate(grid):
+        outcome, seconds = done[i]
+        started = time.perf_counter()
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            report = _epsilon_report(spec, config, e, outcome, limit_snaps, base_stream)
+        except Exception as exc:
+            results.append(_job_failure(config, e, exc))
+        else:
+            report["runtime"] = seconds + time.perf_counter() - started
+            results.append(report)
     # every run goes to its end, so each failing epsilon wrote its record;
     # the first failure in grid order is the one raised
     for r in results:

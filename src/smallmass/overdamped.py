@@ -189,13 +189,16 @@ def simulate_limit(
     stream: NoiseStream,
     snapshot_times=None,
     run_id: int = 0,
+    *,
+    drive=None,
 ) -> list[OverdampedEnsemble]:
     """Euler-Maruyama for the limit SDE, emitting states at the given times.
 
     Coefficients are evaluated on the step-start snapshot (the empirical
     measure is the ensemble itself). Each step consumes one noise index, so
     runs sharing (stream, run_id, dt) are driven by the same increments as
-    an underdamped run with the same indices.
+    an underdamped run with the same indices. drive runs the time loop as
+    in simulate_underdamped.
     """
     if not dt >= 0:
         raise ValidationError(f"dt must be >= 0, got {dt}")
@@ -225,4 +228,4 @@ def simulate_limit(
             )
         return state.advanced(x_new, dt_sub)
 
-    return _run_to_end(_advance(init, T, dt, snapshot_times, step))
+    return (drive or _run_to_end)(_advance(init, T, dt, snapshot_times, step))

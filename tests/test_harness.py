@@ -3,15 +3,16 @@
 import dataclasses
 import json
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
-from smallmass import harness, observables, underdamped
+from smallmass import harness, observables, overdamped, underdamped
 from smallmass.ensemble import D_MAX, NoiseStream
-from smallmass.errors import StiffnessError, ValidationError
+from smallmass.errors import BlowUpError, StabilityError, StiffnessError, ValidationError
 from smallmass.harness import (
     ExperimentConfig,
     build_spec,
@@ -223,23 +224,25 @@ def test_sweep_deterministic_outputs(tmp_path):
 
 
 def test_sweep_thread_count_does_not_change_results(tmp_path, monkeypatch):
-    # lockstep groups of one, two and three epsilons; EM steps at
+    # a coupled sweep is one lockstep group at any thread count; uncoupled,
+    # the groups hold one, two and three epsilons. EM steps at
     # min(eps / 10, 1e-3), so in the second grid the runs take 200, 200, 400
     # and 800 steps and the runs of a group end apart
-    for grid in ((0.2, 0.1, 0.05), (0.02, 0.01, 0.005, 0.0025)):
-        written = {}
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("SMALLMASS_THREADS", threads)
-            out = tmp_path / f"{len(grid)}-{threads}"
-            report = run_convergence_sweep(micro_sweep_config(
-                tmp_path, epsilon_grid=grid, T=0.2, snapshot_times=(0.1, 0.2),
-                out_dir=str(out),
-            ))
-            written[threads] = {
-                name: open(report.out_paths[name], "rb").read()
-                for name in ("w2", "weak_gaps", "diagnostics")
-            }
-        assert written["1"] == written["2"] == written["3"], grid
+    for coupled in (True, False):
+        for grid in ((0.2, 0.1, 0.05), (0.02, 0.01, 0.005, 0.0025)):
+            written = {}
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("SMALLMASS_THREADS", threads)
+                out = tmp_path / f"{coupled}-{len(grid)}-{threads}"
+                report = run_convergence_sweep(micro_sweep_config(
+                    tmp_path, epsilon_grid=grid, T=0.2, snapshot_times=(0.1, 0.2),
+                    coupled=coupled, out_dir=str(out),
+                ))
+                written[threads] = {
+                    name: open(report.out_paths[name], "rb").read()
+                    for name in ("w2", "weak_gaps", "diagnostics")
+                }
+            assert written["1"] == written["2"] == written["3"], (coupled, grid)
     monkeypatch.setenv("SMALLMASS_THREADS", "zero")
     with pytest.raises(ValidationError, match="SMALLMASS_THREADS"):
         _worker_count(4)
@@ -268,15 +271,14 @@ def test_a_lockstep_group_draws_each_coupled_step_block_once(
         counts[key] = counts.get(key, 0) + 1
     seed = cfg.seed
     for k in range(1, steps + 1):
-        if coupled:
-            # the limit run's draw, then one per lockstep group
-            assert counts[(seed, 0, k)] == 1 + threads
-        else:
-            assert counts[(seed, 0, k)] == 1
+        # coupled, the limit run and every epsilon form one group on one
+        # stream, whatever the thread count: each block is drawn once
+        assert counts[(seed, 0, k)] == 1
+        if not coupled:
             for i in range(len(grid)):
                 assert counts[(seed + i + 1, 0, k)] == 1
     step_draws = sum(n for (_, run, step), n in counts.items() if run == 0 and step > 0)
-    assert step_draws == steps * ((1 + threads) if coupled else (1 + len(grid)))
+    assert step_draws == steps * (1 if coupled else 1 + len(grid))
 
 
 def test_worker_count_follows_the_cpus_this_process_may_run_on(monkeypatch):
@@ -331,6 +333,35 @@ def test_failures_inside_a_lockstep_group(tmp_path, monkeypatch, threads):
     assert 0.1 not in reached
 
 
+def test_a_failed_start_draw_fails_only_its_epsilon(tmp_path, monkeypatch):
+    # the start of eps = 0.1 fails before its time loop; it writes its
+    # record and is raised, while the limit run and eps = 0.05 go to T
+    start = harness._underdamped_start
+
+    def failing_start(spec, config, epsilon, stream):
+        if epsilon == 0.1:
+            raise StabilityError("injected start failure")
+        return start(spec, config, epsilon, stream)
+
+    monkeypatch.setattr(harness, "_underdamped_start", failing_start)
+    em = underdamped._STEPPERS["euler_maruyama"]
+    reached = {}
+
+    def recording(state, spec, cfg, stream, dt=None):
+        out = em(state, spec, cfg, stream, dt=dt)
+        reached[state.epsilon] = out.t
+        return out
+
+    monkeypatch.setitem(underdamped._STEPPERS, "euler_maruyama", recording)
+    out = tmp_path / "out"
+    cfg = micro_sweep_config(tmp_path, out_dir=str(out))
+    with pytest.raises(StabilityError, match="injected start failure"):
+        run_convergence_sweep(cfg)
+    records = [p for p in os.listdir(out) if p.startswith("failed_eps_")]
+    assert records == [f"failed_eps_{format(0.1, '.17g')}.json"]
+    assert reached == {0.05: pytest.approx(cfg.T)}
+
+
 def test_sweep_manifest_traceability(tmp_path):
     cfg = micro_sweep_config(tmp_path)
     report = run_convergence_sweep(cfg)
@@ -342,6 +373,18 @@ def test_sweep_manifest_traceability(tmp_path):
     assert all(v == 1e-3 for v in manifest["dt_under"].values())
     assert "numpy" in manifest["versions"]
     assert manifest["runtimes_s"]["limit"] > 0
+
+
+def test_limit_runtime_is_the_limit_runs_own_time(tmp_path):
+    # one lockstep group steps every run on one worker, and the reports run
+    # after the loops, so the runs' own times add up to less than the sweep
+    started = time.perf_counter()
+    report = run_convergence_sweep(micro_sweep_config(tmp_path, coupled=True))
+    wall = time.perf_counter() - started
+    runtimes = report.manifest["runtimes_s"]
+    assert set(runtimes) == {"limit", format(0.1, ".17g"), format(0.05, ".17g")}
+    assert 0 < runtimes["limit"] < wall
+    assert sum(runtimes.values()) < wall
 
 
 def test_sweep_warns_when_coupling_is_by_step_index_only(tmp_path, capsys):
@@ -370,6 +413,31 @@ def test_sweep_failure_in_limit_run_aborts(tmp_path):
     cfg = micro_sweep_config(tmp_path, dt_limit=5.0, out_dir=str(tmp_path / "f"))
     with pytest.raises(ValidationError, match="Lipschitz"):
         run_convergence_sweep(cfg)
+
+
+def test_a_limit_run_failure_in_a_coupled_group_raises_its_own_error(
+    tmp_path, monkeypatch
+):
+    # the limit run steps in one group with both epsilons and fails at
+    # step 3; its error is raised as it is, and no epsilon writes a record
+    fields = overdamped._limit_fields
+    injected = BlowUpError("injected limit failure at step 3", t=0.003)
+    calls = []
+
+    def failing_at_step_3(spec, positions):
+        calls.append(1)
+        if len(calls) == 3:
+            raise injected
+        return fields(spec, positions)
+
+    monkeypatch.setattr(overdamped, "_limit_fields", failing_at_step_3)
+    cfg = micro_sweep_config(tmp_path, epsilon_grid=(0.1, 0.05))
+    assert cfg.coupled
+    with pytest.raises(BlowUpError) as exc:
+        run_convergence_sweep(cfg)
+    assert exc.value is injected
+    assert len(calls) == 3
+    assert not list(tmp_path.glob("**/failed_eps_*.json"))
 
 
 def test_sweep_job_failure_manifest_path(tmp_path):
