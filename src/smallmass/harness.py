@@ -36,7 +36,15 @@ from .ensemble import (
 )
 from .errors import BlowUpError, SmallMassError, ValidationError
 from .fpsolve1d import Grid1D, cell_centers, fp_solve, fp_step
-from .model import PRESETS, ModelSpec, audit_assumptions, get_preset
+from .model import (
+    PRESETS,
+    ConstantMatrixField,
+    LinearVectorField,
+    ModelSpec,
+    ZeroVectorField,
+    audit_assumptions,
+    get_preset,
+)
 from .observables import (
     W2_EXACT_MAX_N,
     EnergyReport,
@@ -339,16 +347,30 @@ def _lockstep_runs(opens, groups, pool) -> dict:
     The calls open on this thread, run k inside the drive of run k - 1; the
     innermost drive hands the time loops to the pool, where each group (a
     list of keys) steps its loops once per round in order, and waits. An
-    error raised before a run's time loop starts propagates at once.
+    error raised before a run's time loop starts propagates at once. The
+    first run leads: an error that ends its time loop ends every other run,
+    in every group, with that error at the run's next step.
     Returns {key: (snapshots or the exception that ended the run, seconds
     spent opening it and in its own steps)}.
     """
     keys = list(opens)
     loops, opening, done = {}, {}, {}
+    abort = []  # the lead run's error, shared by every group
+
+    def leading(loop):
+        try:
+            return (yield from loop)
+        except Exception as exc:
+            abort.append(exc)
+            raise
 
     def open_run(k):
         if k == len(keys):
-            stepped = pool.map(_lockstep, [[loops[key] for key in g] for g in groups])
+            stepped = pool.map(
+                _lockstep,
+                [[loops[key] for key in g] for g in groups],
+                [abort] * len(groups),
+            )
             for g, outcomes in zip(groups, stepped):
                 for key, (outcome, seconds) in zip(g, outcomes):
                     done[key] = (outcome, opening[key] + seconds)
@@ -358,7 +380,7 @@ def _lockstep_runs(opens, groups, pool) -> dict:
 
         def drive(loop):
             opening[key] = time.perf_counter() - started
-            loops[key] = loop
+            loops[key] = leading(loop) if k == 0 else loop
             open_run(k + 1)
             outcome = done[key][0]
             if isinstance(outcome, Exception):
@@ -542,6 +564,18 @@ def _worker_count(n_jobs: int) -> int:
     return min(4, cpus, n_jobs)
 
 
+def _noise_bound(spec) -> bool:
+    """Whether noise draws are a large share of a sweep step: in 1D with no
+    pair sums, where a step is a few vector operations over the particles.
+    Elsewhere pair sums or per-particle small-matrix kernels dominate, and
+    a coupled sweep's runs go faster in parallel groups than in one."""
+    return (
+        spec.dim == 1
+        and isinstance(spec.phi, ConstantMatrixField)
+        and isinstance(spec.grad_K, (ZeroVectorField, LinearVectorField))
+    )
+
+
 def _job_failure(config, epsilon, exc) -> SmallMassError:
     """Write failed_eps_<epsilon>.json; the error to raise for that epsilon."""
     os.makedirs(config.out_dir, exist_ok=True)
@@ -613,38 +647,47 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
     if _w2_method(config, config.n_particles, spec.dim) == "exact":
         import scipy.optimize
     base_stream = NoiseStream(config.seed)
-    # a coupled sweep is one lockstep group: the limit run, then every
-    # epsilon in grid order, all on the limit run's stream, so each step's
-    # block is drawn once; uncoupled, epsilon i has its own master seed and
-    # joins group i mod n_groups, and the limit run leads group 0
+    # the runs step in lockstep groups: epsilon i joins group i mod
+    # n_groups, and the limit run leads the last group, which holds the
+    # fewest epsilons. Coupled, every run reads the same block at step k and
+    # the runs of a group share one stream, so each group draws each block
+    # once; the last group shares the limit run's. A coupled sweep whose
+    # steps are mostly noise draws is a single group, so each block is
+    # drawn once in all. Uncoupled, epsilon i has its own master seed.
+    n_workers = _worker_count(len(grid))
+    n_groups = 1 if config.coupled and _noise_bound(spec) else n_workers
+    streams = [NoiseStream(config.seed) for _ in range(n_groups - 1)] + [base_stream]
     opens = {"limit": lambda drive: _limit_run(spec, config, base_stream, snaps, drive)}
     for i, e in enumerate(grid):
-        stream = base_stream if config.coupled else NoiseStream(config.seed + i + 1)
+        if config.coupled:
+            stream = streams[i % n_groups]
+        else:
+            stream = NoiseStream(config.seed + i + 1)
         opens[i] = _epsilon_open(spec, config, e, stream, snaps)
-    n_groups = _worker_count(1 if config.coupled else len(grid))
     groups = [list(range(g, len(grid), n_groups)) for g in range(n_groups)]
-    groups[0].insert(0, "limit")
-    with ThreadPoolExecutor(max_workers=n_groups) as pool:
-        done = _lockstep_runs(opens, groups, pool)
-    limit_snaps, limit_runtime = done["limit"]
-    if isinstance(limit_snaps, Exception):
-        raise limit_snaps
+    groups[-1].insert(0, "limit")
 
-    # a report's runtime is the time spent on that epsilon alone: its start
-    # draws, its own steps and its diagnostics
-    results = []
-    for i, e in enumerate(grid):
+    def report(i):
+        """Epsilon i's report, or the error to raise for it; its runtime is
+        the time spent on that epsilon alone: its start draws, its own steps
+        and its diagnostics."""
         outcome, seconds = done[i]
         started = time.perf_counter()
         try:
             if isinstance(outcome, Exception):
                 raise outcome
-            report = _epsilon_report(spec, config, e, outcome, limit_snaps, base_stream)
+            r = _epsilon_report(spec, config, grid[i], outcome, limit_snaps, base_stream)
         except Exception as exc:
-            results.append(_job_failure(config, e, exc))
-        else:
-            report["runtime"] = seconds + time.perf_counter() - started
-            results.append(report)
+            return _job_failure(config, grid[i], exc)
+        r["runtime"] = seconds + time.perf_counter() - started
+        return r
+
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        done = _lockstep_runs(opens, groups, pool)
+        limit_snaps, limit_runtime = done["limit"]
+        if isinstance(limit_snaps, Exception):
+            raise limit_snaps
+        results = list(pool.map(report, range(len(grid))))
     # every run goes to its end, so each failing epsilon wrote its record;
     # the first failure in grid order is the one raised
     for r in results:

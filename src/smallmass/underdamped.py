@@ -242,19 +242,24 @@ def _run_to_end(loop):
             return stop.value
 
 
-def _lockstep(loops):
+def _lockstep(loops, abort):
     """Step each time loop once per round, in order, until every one has ended.
 
     Returns, per loop, its snapshots or the exception that ended it, and the
     seconds spent in its own steps. Loops that read the same noise block at
     the same step ask for it one after another, so a stream that keeps its
-    last block draws it once.
+    last block draws it once. abort is a list that other lockstep groups may
+    share: once it holds an exception, every loop still running ends with
+    that exception instead of taking its next step.
     """
     outcomes = [None] * len(loops)
     seconds = [0.0] * len(loops)
     live = list(range(len(loops)))
     while live:
         for i in live:
+            if abort:
+                outcomes[i] = abort[0]
+                continue
             started = time.perf_counter()
             try:
                 next(loops[i])

@@ -224,10 +224,10 @@ def test_sweep_deterministic_outputs(tmp_path):
 
 
 def test_sweep_thread_count_does_not_change_results(tmp_path, monkeypatch):
-    # a coupled sweep is one lockstep group at any thread count; uncoupled,
-    # the groups hold one, two and three epsilons. EM steps at
-    # min(eps / 10, 1e-3), so in the second grid the runs take 200, 200, 400
-    # and 800 steps and the runs of a group end apart
+    # a coupled 1D sweep with no pair sums is one lockstep group at any
+    # thread count; uncoupled, the groups hold one, two and three epsilons.
+    # EM steps at min(eps / 10, 1e-3), so in the second grid the runs take
+    # 200, 200, 400 and 800 steps and the runs of a group end apart
     for coupled in (True, False):
         for grid in ((0.2, 0.1, 0.05), (0.02, 0.01, 0.005, 0.0025)):
             written = {}
@@ -281,6 +281,43 @@ def test_a_lockstep_group_draws_each_coupled_step_block_once(
     assert step_draws == steps * (1 if coupled else 1 + len(grid))
 
 
+def test_a_coupled_sweep_with_pair_sums_steps_in_parallel_groups(tmp_path, monkeypatch):
+    # pair sums, not noise draws, dominate a gaussian-interaction-2d step,
+    # so a coupled sweep splits into one lockstep group per worker; each
+    # group draws each block once, and the output bytes stay the same
+    assert not harness._noise_bound(build_spec(micro_sweep_config(
+        tmp_path, preset="gaussian-interaction-2d")))
+    assert all(
+        harness._noise_bound(build_spec(micro_sweep_config(tmp_path, preset=p)))
+        for p in ("quadratic-ou", "double-well-1d", "state-dep-friction-1d")
+    )
+    drawn = []
+    original = NoiseStream._generator
+
+    def counting(self, run, step):
+        drawn.append((self.master_seed, run, step))
+        return original(self, run, step)
+
+    monkeypatch.setattr(NoiseStream, "_generator", counting)
+    written = {}
+    for threads in (1, 2):
+        monkeypatch.setenv("SMALLMASS_THREADS", str(threads))
+        drawn.clear()
+        cfg = micro_sweep_config(
+            tmp_path, preset="gaussian-interaction-2d", n_particles=20,
+            epsilon_grid=(0.2, 0.1, 0.05), T=0.01, t_star=0.005,
+            snapshot_times=(0.005, 0.01), out_dir=str(tmp_path / f"threads{threads}"),
+        )
+        report = run_convergence_sweep(cfg)
+        for k in range(1, 11):  # T / dt for the limit run and every epsilon
+            assert drawn.count((cfg.seed, 0, k)) == threads
+        written[threads] = {
+            name: open(report.out_paths[name], "rb").read()
+            for name in ("w2", "weak_gaps", "diagnostics")
+        }
+    assert written[1] == written[2]
+
+
 def test_worker_count_follows_the_cpus_this_process_may_run_on(monkeypatch):
     monkeypatch.delenv("SMALLMASS_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -300,8 +337,9 @@ def test_worker_count_follows_the_cpus_this_process_may_run_on(monkeypatch):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_failures_inside_a_lockstep_group(tmp_path, monkeypatch, threads):
     # eps = 0.1 breaks the EM guard at step 1 (it needs dt <= 0.025); eps =
-    # 0.3 fails mid-run at step 3; eps = 0.2 passes. With one thread all
-    # three share a group; with two, 0.3 and 0.1 do.
+    # 0.3 fails mid-run at step 3; eps = 0.2 passes. Coupled, all three
+    # share one group with the limit run; uncoupled, they do with one
+    # thread, and with two, 0.3 and 0.1 do.
     monkeypatch.setenv("SMALLMASS_THREADS", threads)
     em = underdamped._STEPPERS["euler_maruyama"]
     reached = {}
@@ -314,23 +352,29 @@ def test_failures_inside_a_lockstep_group(tmp_path, monkeypatch, threads):
         return out
 
     monkeypatch.setitem(underdamped._STEPPERS, "euler_maruyama", failing_mid_run)
-    out = tmp_path / "out"
     grid = (0.3, 0.2, 0.1)
-    cfg = micro_sweep_config(tmp_path, epsilon_grid=grid, dt_under=0.04, out_dir=str(out))
     first = f"failed_eps_{format(0.3, '.17g')}.json"
-    with pytest.raises(StiffnessError, match=first) as exc:
-        run_convergence_sweep(cfg)
-    assert exc.value.admissible_dt == exc.value.__cause__.admissible_dt == 0.01
-    records = sorted(p for p in os.listdir(out) if p.startswith("failed_eps_"))
-    assert records == sorted(f"failed_eps_{format(e, '.17g')}.json" for e in (0.3, 0.1))
-    errors = {json.load(open(out / p))["epsilon"]: json.load(open(out / p))["error"]
-              for p in records}
-    assert "injected failure at step 3" in errors[0.3]
-    assert "violates the stability guard" in errors[0.1]
-    # the passing run went to T; the failing ones stopped where they failed
-    assert reached[0.2] == pytest.approx(cfg.T)
-    assert reached[0.3] == pytest.approx(0.1)  # steps of 0.04, 0.04, then 0.02 to 0.1
-    assert 0.1 not in reached
+    for coupled in (True, False):
+        reached.clear()
+        out = tmp_path / f"out-{coupled}"
+        cfg = micro_sweep_config(
+            tmp_path, epsilon_grid=grid, dt_under=0.04, coupled=coupled, out_dir=str(out)
+        )
+        with pytest.raises(StiffnessError, match=first) as exc:
+            run_convergence_sweep(cfg)
+        assert exc.value.admissible_dt == exc.value.__cause__.admissible_dt == 0.01
+        records = sorted(p for p in os.listdir(out) if p.startswith("failed_eps_"))
+        assert records == sorted(
+            f"failed_eps_{format(e, '.17g')}.json" for e in (0.3, 0.1)
+        )
+        errors = {json.load(open(out / p))["epsilon"]: json.load(open(out / p))["error"]
+                  for p in records}
+        assert "injected failure at step 3" in errors[0.3]
+        assert "violates the stability guard" in errors[0.1]
+        # the passing run went to T; the failing ones stopped where they failed
+        assert reached[0.2] == pytest.approx(cfg.T)
+        assert reached[0.3] == pytest.approx(0.1)  # steps of 0.04, 0.04, then 0.02
+        assert 0.1 not in reached
 
 
 def test_a_failed_start_draw_fails_only_its_epsilon(tmp_path, monkeypatch):
@@ -375,9 +419,10 @@ def test_sweep_manifest_traceability(tmp_path):
     assert manifest["runtimes_s"]["limit"] > 0
 
 
-def test_limit_runtime_is_the_limit_runs_own_time(tmp_path):
-    # one lockstep group steps every run on one worker, and the reports run
+def test_limit_runtime_is_the_limit_runs_own_time(tmp_path, monkeypatch):
+    # on one thread, one lockstep group steps every run and the reports run
     # after the loops, so the runs' own times add up to less than the sweep
+    monkeypatch.setenv("SMALLMASS_THREADS", "1")
     started = time.perf_counter()
     report = run_convergence_sweep(micro_sweep_config(tmp_path, coupled=True))
     wall = time.perf_counter() - started
@@ -419,7 +464,8 @@ def test_a_limit_run_failure_in_a_coupled_group_raises_its_own_error(
     tmp_path, monkeypatch
 ):
     # the limit run steps in one group with both epsilons and fails at
-    # step 3; its error is raised as it is, and no epsilon writes a record
+    # step 3; its error is raised as it is, the epsilon runs stop there,
+    # and no epsilon writes a record
     fields = overdamped._limit_fields
     injected = BlowUpError("injected limit failure at step 3", t=0.003)
     calls = []
@@ -431,12 +477,22 @@ def test_a_limit_run_failure_in_a_coupled_group_raises_its_own_error(
         return fields(spec, positions)
 
     monkeypatch.setattr(overdamped, "_limit_fields", failing_at_step_3)
+    em = underdamped._STEPPERS["euler_maruyama"]
+    steps = {}
+
+    def counting(state, spec, cfg, stream, dt=None):
+        steps[state.epsilon] = steps.get(state.epsilon, 0) + 1
+        return em(state, spec, cfg, stream, dt=dt)
+
+    monkeypatch.setitem(underdamped._STEPPERS, "euler_maruyama", counting)
     cfg = micro_sweep_config(tmp_path, epsilon_grid=(0.1, 0.05))
     assert cfg.coupled
     with pytest.raises(BlowUpError) as exc:
         run_convergence_sweep(cfg)
     assert exc.value is injected
     assert len(calls) == 3
+    # of T / dt = 300 steps, each epsilon takes at most the limit run's 3
+    assert set(steps) == {0.1, 0.05} and max(steps.values()) <= 3
     assert not list(tmp_path.glob("**/failed_eps_*.json"))
 
 
