@@ -20,7 +20,7 @@ the index tuple, independent of thread count and call order. Each
 8*particle + component inside the block regardless of d. A stream keeps
 its last block, read-only, and hands the same array to the next request
 for the same (run, step, n), so coupled runs stepped in lockstep on one
-stream (a sweep's epsilon group) draw each step's block once.
+stream (a sweep's shared group) draw each step's block once.
 """
 
 from __future__ import annotations

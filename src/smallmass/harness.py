@@ -17,6 +17,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy
@@ -59,8 +60,8 @@ from .observables import (
     weak_gap_rows,
 )
 from .overdamped import simulate_limit
-from .smallmat import _mT, solve_lyapunov
-from .underdamped import SCHEMES, UDStepperConfig, _lockstep, simulate_underdamped
+from .smallmat import _stationary_covariance
+from .underdamped import SCHEMES, UDStepperConfig, simulate_underdamped
 
 _W2_METHODS = ("auto", "exact", "sliced", "1d")
 _VELOCITY_STARTS = ("cold", "equilibrated")
@@ -314,11 +315,9 @@ def initial_velocities(
     z = stream.block(RUN_INIT_VELOCITIES, 0, n)[:, :d]
     A, _ = mean_field_coefficients(positions, spec)
     _check_friction_floor(A, positions)
-    sig = spec.sigma_at(positions)
+    J = _stationary_covariance(A, spec.sigma_at(positions))
     if d == 1:
-        J = sig[:, 0, 0] ** 2 / (2.0 * A[:, 0, 0])
-        return np.sqrt(J / epsilon)[:, None] * z
-    J = solve_lyapunov(A, sig @ _mT(sig)).J
+        return np.sqrt(J[:, 0] / epsilon) * z
     return (np.linalg.cholesky(J / epsilon) @ z[:, :, None])[:, :, 0]
 
 
@@ -331,23 +330,69 @@ def _underdamped_start(spec, config, epsilon, stream):
     return init, UDStepperConfig(scheme=config.scheme, dt=underdamped_dt(config, epsilon))
 
 
-def _underdamped_run(spec, config, epsilon, stream, snapshot_times):
-    """One underdamped run from the configured start to config.T."""
-    init, cfg = _underdamped_start(spec, config, epsilon, stream)
-    return simulate_underdamped(spec, init, config.T, cfg, stream, snapshot_times)
+def _underdamped_run(spec, config, epsilon, stream, snapshot_times, drive=None):
+    """One underdamped run from the configured start to config.T. Under a
+    drive, a failed start draw ends the run's time loop, so that it fails
+    like its first step."""
+    try:
+        init, cfg = _underdamped_start(spec, config, epsilon, stream)
+    except Exception as exc:
+        if drive is None:
+            raise
+        return drive(_ended(exc))
+    return simulate_underdamped(
+        spec, init, config.T, cfg, stream, snapshot_times, drive=drive
+    )
+
+
+def _ended(exc):
+    """A time loop that ends with exc at its first step."""
+    raise exc
+    yield
+
+
+def _lockstep(loops, abort):
+    """Step each time loop once per round, in order, until every one has ended.
+
+    Returns, per loop, its snapshots or the exception that ended it, and the
+    seconds spent in its own steps. Loops that read the same noise block at
+    the same step ask for it one after another, so a stream that keeps its
+    last block draws it once. abort is a list that every group shares: once
+    it holds an exception, every loop still running ends with it instead of
+    taking its next step.
+    """
+    outcomes = [None] * len(loops)
+    seconds = [0.0] * len(loops)
+    live = list(range(len(loops)))
+    while live:
+        for i in live:
+            if abort:
+                outcomes[i] = abort[0]
+                continue
+            started = time.perf_counter()
+            try:
+                next(loops[i])
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except Exception as exc:
+                outcomes[i] = exc
+            seconds[i] += time.perf_counter() - started
+        live = [i for i in live if outcomes[i] is None]
+    return list(zip(outcomes, seconds))
 
 
 def _lockstep_runs(opens, groups, pool) -> dict:
-    """Runs to their ends in lockstep groups, one pool job per group.
+    """Runs to their ends in lockstep groups, one pool job per group. A
+    group exists only to share noise draws; a run that shares none is a
+    group of its own, which the pool starts as a worker comes free.
 
     opens maps a key to open(drive), which makes the run's start draws and
     calls one simulate_* entry point with that drive. Each run is still its
     own entry-point call, so whatever wraps those calls (a profiler, the
     benchmark's particle-step count) sees every run return its snapshots.
     The calls open on this thread, run k inside the drive of run k - 1; the
-    innermost drive hands the time loops to the pool, where each group (a
-    list of keys) steps its loops once per round in order, and waits. An
-    error raised before a run's time loop starts propagates at once. The
+    innermost drive hands the groups (lists of keys) to the pool and waits.
+    An error raised before a run's time loop starts propagates at once. The
     first run leads: an error that ends its time loop ends every other run,
     in every group, with that error at the run's next step.
     Returns {key: (snapshots or the exception that ended the run, seconds
@@ -395,28 +440,6 @@ def _lockstep_runs(opens, groups, pool) -> dict:
 
     open_run(0)
     return done
-
-
-def _ended(exc):
-    """A time loop that ends with exc at its first step."""
-    raise exc
-    yield
-
-
-def _epsilon_open(spec, config, epsilon, stream, snapshot_times):
-    """open(drive) of one sweep run at epsilon, for _lockstep_runs; a failed
-    start draw ends its time loop, so that it fails like its first step."""
-
-    def open_run(drive):
-        try:
-            init, cfg = _underdamped_start(spec, config, epsilon, stream)
-        except Exception as exc:
-            return drive(_ended(exc))
-        return simulate_underdamped(
-            spec, init, config.T, cfg, stream, snapshot_times, drive=drive
-        )
-
-    return open_run
 
 
 def _limit_run(spec, config, stream, snapshot_times, drive=None):
@@ -568,7 +591,7 @@ def _noise_bound(spec) -> bool:
     """Whether noise draws are a large share of a sweep step: in 1D with no
     pair sums, where a step is a few vector operations over the particles.
     Elsewhere pair sums or per-particle small-matrix kernels dominate, and
-    a coupled sweep's runs go faster in parallel groups than in one."""
+    a coupled sweep's runs go faster as parallel jobs than as one group."""
     return (
         spec.dim == 1
         and isinstance(spec.phi, ConstantMatrixField)
@@ -625,6 +648,17 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
     spec = build_spec(config)
     snaps = config.snapshot_times or default_snapshots(config.t_star, config.T)
     grid = config.epsilon_grid
+    method = _w2_method(config, config.n_particles, spec.dim)
+    if method == "1d" and spec.dim > 1:
+        raise ValidationError(
+            f"w2_method '1d' sorts each coordinate apart and needs a 1D model, "
+            f"got dim={spec.dim}; use auto, exact or sliced"
+        )
+    if method == "exact" and config.n_particles > W2_EXACT_MAX_N:
+        raise ValidationError(
+            f"w2_method 'exact' takes at most {W2_EXACT_MAX_N} particles, got "
+            f"n_particles={config.n_particles}; use sliced or auto"
+        )
     # coupled runs read noise block k at step k, which is the same time
     # only when both runs take the same step
     coupling_exact = {
@@ -640,32 +674,25 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
         )
     # the scipy submodules the sweep calls load now, not at a run's first
     # exponential step or exact W2, where the import would stall the other
-    # groups on the import lock and land in that run's runtime; a 1D sweep
+    # runs on the import lock and land in that run's runtime; a 1D sweep
     # needs none
     if spec.dim > 1 and config.scheme == "exponential":
         import scipy.linalg
-    if _w2_method(config, config.n_particles, spec.dim) == "exact":
+    if method == "exact":
         import scipy.optimize
     base_stream = NoiseStream(config.seed)
-    # the runs step in lockstep groups: epsilon i joins group i mod
-    # n_groups, and the limit run leads the last group, which holds the
-    # fewest epsilons. Coupled, every run reads the same block at step k and
-    # the runs of a group share one stream, so each group draws each block
-    # once; the last group shares the limit run's. A coupled sweep whose
-    # steps are mostly noise draws is a single group, so each block is
-    # drawn once in all. Uncoupled, epsilon i has its own master seed.
-    n_workers = _worker_count(len(grid))
-    n_groups = 1 if config.coupled and _noise_bound(spec) else n_workers
-    streams = [NoiseStream(config.seed) for _ in range(n_groups - 1)] + [base_stream]
-    opens = {"limit": lambda drive: _limit_run(spec, config, base_stream, snaps, drive)}
+    # a lockstep group exists to share noise draws. A coupled sweep whose
+    # steps are mostly noise draws is one group on the limit run's stream:
+    # every run reads the same block at step k, so each block is drawn once.
+    # In every other sweep each run is a group of its own, coupled on its own
+    # NoiseStream(seed), uncoupled on master seed seed + i + 1 for epsilon i.
+    shared = config.coupled and _noise_bound(spec)
+    opens = {"limit": partial(_limit_run, spec, config, base_stream, snaps)}
     for i, e in enumerate(grid):
-        if config.coupled:
-            stream = streams[i % n_groups]
-        else:
-            stream = NoiseStream(config.seed + i + 1)
-        opens[i] = _epsilon_open(spec, config, e, stream, snaps)
-    groups = [list(range(g, len(grid), n_groups)) for g in range(n_groups)]
-    groups[-1].insert(0, "limit")
+        seed = config.seed if config.coupled else config.seed + i + 1
+        stream = base_stream if shared else NoiseStream(seed)
+        opens[i] = partial(_underdamped_run, spec, config, e, stream, snaps)
+    groups = [list(opens)] if shared else [[key] for key in opens]
 
     def report(i):
         """Epsilon i's report, or the error to raise for it; its runtime is
@@ -682,7 +709,7 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
         r["runtime"] = seconds + time.perf_counter() - started
         return r
 
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    with ThreadPoolExecutor(max_workers=_worker_count(len(grid))) as pool:
         done = _lockstep_runs(opens, groups, pool)
         limit_snaps, limit_runtime = done["limit"]
         if isinstance(limit_snaps, Exception):

@@ -36,7 +36,7 @@ from .ensemble import (
 from .errors import SmallMassError, ValidationError
 from .model import ModelSpec, _eval_field
 from .overdamped import _d_friction_at
-from .smallmat import _mT, invert, solve_lyapunov
+from .smallmat import _mT, _stationary_covariance, invert
 
 W2_EXACT_MAX_N = 1024
 
@@ -182,14 +182,9 @@ def _frozen_coefficients(positions, spec: ModelSpec) -> _Frozen:
     X = _positions_of(positions)
     A, F = mean_field_coefficients(X, spec)
     _check_friction_floor(A, X)
-    sig = spec.sigma_at(X)
     dA = _d_friction_at(X, X, spec)
-    if X.shape[1] == 1:
-        s = sig[:, 0, 0]
-        J = (s * s / (2.0 * A[:, 0, 0]))[:, None, None]
-        return _Frozen(positions, X, A, F, dA, J, None)
-    J = solve_lyapunov(A, sig @ _mT(sig)).J
-    return _Frozen(positions, X, A, F, dA, J, invert(A))
+    J = _stationary_covariance(A, spec.sigma_at(X))
+    return _Frozen(positions, X, A, F, dA, J, invert(A) if X.shape[1] > 1 else None)
 
 
 def momentum_summands(state, psi: TestFunction):

@@ -181,3 +181,11 @@ def solve_lyapunov(A, Q) -> LyapunovSolution:
     J = np.where(_is_symmetric(Q), 0.5 * (J + _mT(J)), J)
     residual = _frobenius(A @ J + J @ _mT(A) - Q)
     return LyapunovSolution(J=J, residual=float(residual.max()))
+
+
+def _stationary_covariance(A, sig) -> np.ndarray:
+    """J of A J + J A^T = sigma sigma^T for each pair of a stack: sigma^2/(2a)
+    in closed form when d = 1, solve_lyapunov when d > 1."""
+    if A.shape[-1] == 1:
+        return sig * sig / (2.0 * A)
+    return solve_lyapunov(A, sig @ _mT(sig)).J

@@ -38,7 +38,6 @@ simulation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,7 @@ from .ensemble import (
 )
 from .errors import BlowUpError, StiffnessError, ValidationError
 from .model import ModelSpec
-from .smallmat import _mT, expm, invert, solve_lyapunov
+from .smallmat import _mT, _stationary_covariance, expm, invert, solve_lyapunov
 
 SCHEMES = ("euler_maruyama", "exponential")
 # EM rejects a step with dt * lambda_max(sym A) / eps above this
@@ -147,19 +146,16 @@ def step_underdamped_exp(
     _check_friction_floor(A, X)
     b = -F
     xi = stream.block(cfg.run_id, state.step + 1, state.N)[:, :d]
+    J = _stationary_covariance(A, spec.sigma_at(X))
 
     if d == 1:
         a = A[:, 0, 0]
-        s = spec.sigma_at(X)[:, 0, 0]
         E = np.exp(-a * dt / eps)
-        J = s * s / (2.0 * a)
         v_det = E[:, None] * V + ((1.0 - E) * b[:, 0] / a)[:, None]
-        std = np.sqrt(np.maximum(J * (1.0 - E * E) / eps, 0.0))
+        std = np.sqrt(np.maximum(J[:, 0, 0] * (1.0 - E * E) / eps, 0.0))
         v_new = v_det + std[:, None] * xi
     else:
-        sig = spec.sigma_at(X)
         E = expm(-A * (dt / eps))
-        J = solve_lyapunov(A, sig @ _mT(sig)).J
         cov = (J - E @ J @ _mT(E)) / eps
         v_det = E @ V[:, :, None] + invert(A) @ ((np.eye(d) - E) @ b[:, :, None])
         v_new = v_det[:, :, 0] + _gaussian_from_cov(cov, xi[:, None, :])[:, 0]
@@ -188,7 +184,7 @@ def simulate_underdamped(
 
     drive(loop) runs the time loop, a generator that yields after each step
     and returns the snapshots; by default it is stepped to its end here. A
-    sweep passes a drive that steps it in lockstep with other runs.
+    sweep passes a drive that steps it together with other runs.
     """
     stepper = _STEPPERS[cfg.scheme]
 
@@ -240,36 +236,6 @@ def _run_to_end(loop):
             next(loop)
         except StopIteration as stop:
             return stop.value
-
-
-def _lockstep(loops, abort):
-    """Step each time loop once per round, in order, until every one has ended.
-
-    Returns, per loop, its snapshots or the exception that ended it, and the
-    seconds spent in its own steps. Loops that read the same noise block at
-    the same step ask for it one after another, so a stream that keeps its
-    last block draws it once. abort is a list that other lockstep groups may
-    share: once it holds an exception, every loop still running ends with
-    that exception instead of taking its next step.
-    """
-    outcomes = [None] * len(loops)
-    seconds = [0.0] * len(loops)
-    live = list(range(len(loops)))
-    while live:
-        for i in live:
-            if abort:
-                outcomes[i] = abort[0]
-                continue
-            started = time.perf_counter()
-            try:
-                next(loops[i])
-            except StopIteration as stop:
-                outcomes[i] = stop.value
-            except Exception as exc:
-                outcomes[i] = exc
-            seconds[i] += time.perf_counter() - started
-        live = [i for i in live if outcomes[i] is None]
-    return list(zip(outcomes, seconds))
 
 
 def frozen_velocity_covariance(

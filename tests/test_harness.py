@@ -14,6 +14,7 @@ from smallmass import harness, observables, overdamped, underdamped
 from smallmass.ensemble import D_MAX, NoiseStream
 from smallmass.errors import BlowUpError, StabilityError, StiffnessError, ValidationError
 from smallmass.harness import (
+    W2_EXACT_MAX_N,
     ExperimentConfig,
     build_spec,
     default_delta,
@@ -225,7 +226,7 @@ def test_sweep_deterministic_outputs(tmp_path):
 
 def test_sweep_thread_count_does_not_change_results(tmp_path, monkeypatch):
     # a coupled 1D sweep with no pair sums is one lockstep group at any
-    # thread count; uncoupled, the groups hold one, two and three epsilons.
+    # thread count; uncoupled, each run is a job of its own on 1-3 workers.
     # EM steps at min(eps / 10, 1e-3), so in the second grid the runs take
     # 200, 200, 400 and 800 steps and the runs of a group end apart
     for coupled in (True, False):
@@ -281,10 +282,13 @@ def test_a_lockstep_group_draws_each_coupled_step_block_once(
     assert step_draws == steps * (1 if coupled else 1 + len(grid))
 
 
-def test_a_coupled_sweep_with_pair_sums_steps_in_parallel_groups(tmp_path, monkeypatch):
+def test_a_coupled_sweep_with_pair_sums_steps_each_run_as_its_own_job(
+    tmp_path, monkeypatch
+):
     # pair sums, not noise draws, dominate a gaussian-interaction-2d step,
-    # so a coupled sweep splits into one lockstep group per worker; each
-    # group draws each block once, and the output bytes stay the same
+    # so in a coupled sweep each run is a job of its own on its own stream
+    # of the seed: the limit run and every epsilon draw each block once, at
+    # any thread count, and the output bytes stay the same
     assert not harness._noise_bound(build_spec(micro_sweep_config(
         tmp_path, preset="gaussian-interaction-2d")))
     assert all(
@@ -310,7 +314,7 @@ def test_a_coupled_sweep_with_pair_sums_steps_in_parallel_groups(tmp_path, monke
         )
         report = run_convergence_sweep(cfg)
         for k in range(1, 11):  # T / dt for the limit run and every epsilon
-            assert drawn.count((cfg.seed, 0, k)) == threads
+            assert drawn.count((cfg.seed, 0, k)) == 1 + len(cfg.epsilon_grid)
         written[threads] = {
             name: open(report.out_paths[name], "rb").read()
             for name in ("w2", "weak_gaps", "diagnostics")
@@ -338,8 +342,7 @@ def test_worker_count_follows_the_cpus_this_process_may_run_on(monkeypatch):
 def test_failures_inside_a_lockstep_group(tmp_path, monkeypatch, threads):
     # eps = 0.1 breaks the EM guard at step 1 (it needs dt <= 0.025); eps =
     # 0.3 fails mid-run at step 3; eps = 0.2 passes. Coupled, all three
-    # share one group with the limit run; uncoupled, they do with one
-    # thread, and with two, 0.3 and 0.1 do.
+    # share one group with the limit run; uncoupled, each is a job of its own.
     monkeypatch.setenv("SMALLMASS_THREADS", threads)
     em = underdamped._STEPPERS["euler_maruyama"]
     reached = {}
@@ -905,6 +908,48 @@ def test_cli_rejects_fractional_projection_count(tmp_path, capsys):
     assert main(["converge", "--config", cfg]) == 2
     assert "n_projections must be an integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(w2_method="1d"), "needs a 1D model, got dim=2"),
+        (dict(w2_method="exact", n_particles=W2_EXACT_MAX_N + 1), "use sliced or auto"),
+    ],
+    ids=["1d-w2-in-2d", "exact-w2-past-its-cap"],
+)
+def test_cli_rejects_a_w2_method_it_cannot_apply_before_any_run(
+    tmp_path, capsys, monkeypatch, overrides, message
+):
+    # 1d W2 would sort the x and y columns of 2D clouds together, and exact
+    # W2 would fail each epsilon only after every run had gone to T
+    stepped = []
+    fields = overdamped._limit_fields
+    exp = underdamped._STEPPERS["exponential"]
+
+    def limit_fields(spec, positions):
+        stepped.append("limit")
+        return fields(spec, positions)
+
+    def exp_step(state, spec, cfg, stream, dt=None):
+        stepped.append(state.epsilon)
+        return exp(state, spec, cfg, stream, dt=dt)
+
+    monkeypatch.setattr(overdamped, "_limit_fields", limit_fields)
+    monkeypatch.setitem(underdamped._STEPPERS, "exponential", exp_step)
+    base = dict(
+        preset="gaussian-interaction-2d", n_particles=20, scheme="exponential",
+        T=0.01, t_star=0.005, snapshot_times=[0.005, 0.01],
+    )
+    out = tmp_path / "cli"
+    assert main(["converge", "--config", write_config(tmp_path, **base)]) == 0
+    assert stepped
+    stepped.clear()
+    cfg = write_config(tmp_path, name="bad.yaml", **{**base, **overrides})
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "bad")]) == 2
+    assert message in capsys.readouterr().err
+    assert stepped == []
+    assert os.path.exists(out) and not os.path.exists(tmp_path / "bad")
 
 
 def test_cli_validation_exit_codes(tmp_path, capsys):

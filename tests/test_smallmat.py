@@ -23,6 +23,7 @@ from smallmass.smallmat import (
     _is_symmetric,
     _kronecker_system,
     _mT,
+    _stationary_covariance,
     _symmetric_eigenvalues,
     _worst_condition,
     expm,
@@ -174,6 +175,22 @@ def test_lyapunov_scalar():
     sol = solve_lyapunov(np.array([[2.0]]), np.array([[1.0]]))
     assert sol.J[0, 0] == pytest.approx(0.25, abs=1e-14)
     assert sol.residual <= 1e-10 * 2.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stationary_covariance_solves_the_lyapunov_equation(d):
+    # sigma^2 / (2a) in 1D, the stacked Kronecker solve itself in d > 1
+    rng = np.random.default_rng(40 + d)
+    A = np.stack([random_stable(rng, d) for _ in range(5)])
+    sig = rng.standard_normal((5, d, d))
+    J = _stationary_covariance(A, sig)
+    assert J.shape == (5, d, d)
+    ref = solve_lyapunov(A, sig @ _mT(sig)).J
+    if d == 1:
+        assert np.array_equal(J, sig**2 / (2.0 * A))
+        assert np.allclose(J, ref, rtol=1e-14, atol=0.0)
+    else:
+        assert np.array_equal(J, ref)
 
 
 def test_lyapunov_commuting_identity():
