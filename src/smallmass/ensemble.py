@@ -26,11 +26,11 @@ stream (a sweep's shared group) draw each step's block once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StabilityError, ValidationError
+from .errors import BlowUpError, StabilityError, ValidationError
 from .model import (
     MAX_DIM,
     ConstantMatrixField,
@@ -108,8 +108,39 @@ class NoiseStream:
         return float(gen.standard_normal(idx + 1)[-1])
 
 
+class _Ensemble:
+    """What both ensembles share: their sizes and the step to the next state."""
+
+    @property
+    def N(self) -> int:
+        return self.positions.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.positions.shape[1]
+
+    def _advanced(self, dt, **arrays):
+        """This state one step of length dt later, holding a step's new arrays.
+
+        The one check of a step's result: a changed shape raises
+        ValidationError, a non-finite entry BlowUpError at the new time. The
+        frozen instance is built without __post_init__, which would repeat it.
+        """
+        t = self.t + dt
+        shape = self.positions.shape
+        for a in arrays.values():
+            if a.shape != shape:
+                raise ValidationError(f"step changed the state shape {shape} to {a.shape}")
+        for a in arrays.values():
+            if not np.isfinite(a).all():
+                raise BlowUpError(f"non-finite state after step to t={t:.6g}", t=t)
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, t=t, step=self.step + 1, **arrays)
+        return new
+
+
 @dataclass(frozen=True)
-class UnderdampedEnsemble:
+class UnderdampedEnsemble(_Ensemble):
     """Phase-space particle state (positions, velocities) at time t.
 
     step counts completed integrator steps since the run started and indexes
@@ -138,26 +169,12 @@ class UnderdampedEnsemble:
         object.__setattr__(self, "positions", x)
         object.__setattr__(self, "velocities", v)
 
-    @property
-    def N(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
-
     def advanced(self, positions, velocities, dt) -> "UnderdampedEnsemble":
-        return replace(
-            self,
-            positions=positions,
-            velocities=velocities,
-            t=self.t + dt,
-            step=self.step + 1,
-        )
+        return self._advanced(dt, positions=positions, velocities=velocities)
 
 
 @dataclass(frozen=True)
-class OverdampedEnsemble:
+class OverdampedEnsemble(_Ensemble):
     """Position-only particle state of the limit dynamics."""
 
     t: float
@@ -172,16 +189,8 @@ class OverdampedEnsemble:
             raise ValidationError("ensemble state has non-finite entries")
         object.__setattr__(self, "positions", x)
 
-    @property
-    def N(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
-
     def advanced(self, positions, dt) -> "OverdampedEnsemble":
-        return replace(self, positions=positions, t=self.t + dt, step=self.step + 1)
+        return self._advanced(dt, positions=positions)
 
 
 def _positions_of(ens) -> np.ndarray:
@@ -215,7 +224,7 @@ def conv_phi(x, ens, spec: ModelSpec) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     d = spec.dim
     if isinstance(spec.phi, ConstantMatrixField):
-        return np.broadcast_to(spec.phi.M, x.shape[:-1] + (d, d))
+        return spec.phi(x)
     out = _pair_mean(spec.phi_at, x.reshape(-1, d), positions, (d, d))
     return out.reshape(x.shape[:-1] + (d, d))
 
@@ -228,7 +237,9 @@ def conv_gradK(x, ens, spec: ModelSpec) -> np.ndarray:
     if isinstance(spec.grad_K, ZeroVectorField):
         return np.zeros_like(x)
     if isinstance(spec.grad_K, LinearVectorField):
-        return spec.grad_K.coef * (x - np.mean(positions, axis=0))
+        # np.mean(positions, axis=0) without its wrapper, as in _pair_mean
+        mean = np.add.reduce(positions, axis=0) / positions.shape[0]
+        return spec.grad_K.coef * (x - mean)
     out = _pair_mean(spec.grad_K_at, x.reshape(-1, d), positions, (d,))
     return out.reshape(x.shape)
 

@@ -57,15 +57,21 @@ class ConstantMatrixField:
     """Field x -> M for a fixed d x d matrix M.
 
     Recognized by the convolution kernels: phi of this type short-circuits
-    the O(N^2) pair sum, and its Jacobian is exactly zero.
+    the O(N^2) pair sum, and its Jacobian is exactly zero. A call returns
+    the read-only view np.broadcast_to(M, x.shape[:-1] + M.shape), made
+    once per shape and kept.
     """
 
     def __init__(self, M):
         self.M = np.atleast_2d(np.asarray(M, dtype=float))
+        self._views = {}
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(self.M, x.shape[:-1] + self.M.shape)
+        shape = np.shape(x)[:-1] + self.M.shape
+        view = self._views.get(shape)
+        if view is None:  # threads that race here store equal views
+            view = self._views[shape] = np.broadcast_to(self.M, shape)
+        return view
 
 
 class ZeroVectorField:

@@ -30,7 +30,7 @@ from .ensemble import (
     conv_phi,
     mean_field_coefficients,
 )
-from .errors import BlowUpError, StabilityError, StiffnessError, ValidationError
+from .errors import StabilityError, StiffnessError, ValidationError
 from .model import ConstantMatrixField, ModelSpec, fd_step
 from .smallmat import (
     LyapunovSolution,
@@ -52,8 +52,15 @@ class LimitCoefficients:
     S: np.ndarray
 
 
-def _friction_at(x, positions, spec: ModelSpec):
-    return spec.gamma_at(x) + conv_phi(x, positions, spec)
+def _checked_friction(x, positions, spec: ModelSpec):
+    """(positions, x, A(x)) at one point x; StabilityError unless the
+    symmetric part of the friction A(x) is positive definite."""
+    positions = _positions_of(positions)
+    x = np.asarray(x, dtype=float).reshape(spec.dim)
+    A = spec.gamma_at(x) + conv_phi(x, positions, spec)
+    if min_symmetric_eigenvalue(A) <= 0.0:
+        raise StabilityError(f"friction not positive definite at {x}")
+    return positions, x, A
 
 
 def _conv_dphi(x, positions, spec: ModelSpec):
@@ -73,11 +80,7 @@ def _d_friction_at(x, positions, spec: ModelSpec):
 
 def noise_induced_drift(x, positions, spec: ModelSpec):
     """S(x) against the empirical measure of `positions`, as a d-vector."""
-    positions = _positions_of(positions)
-    x = np.asarray(x, dtype=float).reshape(spec.dim)
-    A = _friction_at(x, positions, spec)
-    if min_symmetric_eigenvalue(A) <= 0.0:
-        raise StabilityError(f"friction not positive definite at {x}")
+    positions, x, A = _checked_friction(x, positions, spec)
     sig = spec.sigma_at(x)
     J = solve_lyapunov(A, sig @ sig.T).J
     Ainv = invert(A)
@@ -87,11 +90,7 @@ def noise_induced_drift(x, positions, spec: ModelSpec):
 
 
 def limit_coefficients(x, positions, spec: ModelSpec) -> LimitCoefficients:
-    positions = _positions_of(positions)
-    x = np.asarray(x, dtype=float).reshape(spec.dim)
-    A = _friction_at(x, positions, spec)
-    if min_symmetric_eigenvalue(A) <= 0.0:
-        raise StabilityError(f"friction not positive definite at {x}")
+    positions, x, A = _checked_friction(x, positions, spec)
     F = spec.grad_V_at(x) + conv_gradK(x, positions, spec)
     sig = spec.sigma_at(x)
     return LimitCoefficients(
@@ -111,11 +110,7 @@ def limit_drift(x, positions, spec: ModelSpec):
 
 def limit_diffusion(x, positions, spec: ModelSpec):
     """A(x)^-1 sigma(x)."""
-    positions = _positions_of(positions)
-    x = np.asarray(x, dtype=float).reshape(spec.dim)
-    A = _friction_at(x, positions, spec)
-    if min_symmetric_eigenvalue(A) <= 0.0:
-        raise StabilityError(f"friction not positive definite at {x}")
+    positions, x, A = _checked_friction(x, positions, spec)
     return invert(A) @ spec.sigma_at(x)
 
 
@@ -160,10 +155,11 @@ def _limit_fields(spec: ModelSpec, positions):
         return b, D
     b = np.empty((n, d))
     D = np.empty((n, d, d))
+    sig = spec.sigma_at(positions)
     for i in range(n):
         c = limit_coefficients(positions[i], positions, spec)
         b[i] = -c.A_inv @ c.F + c.S
-        D[i] = c.A_inv @ spec.sigma_at(positions[i])
+        D[i] = c.A_inv @ sig[i]
     return b, D
 
 
@@ -221,11 +217,6 @@ def simulate_limit(
             x_new = X + dt_sub * b + np.sqrt(dt_sub) * D[:, :, 0] * xi
         else:
             x_new = X + dt_sub * b + np.sqrt(dt_sub) * np.einsum("nij,nj->ni", D, xi)
-        if not np.all(np.isfinite(x_new)):
-            raise BlowUpError(
-                f"non-finite state after step to t={state.t + dt_sub:.6g}",
-                t=state.t + dt_sub,
-            )
         return state.advanced(x_new, dt_sub)
 
     return (drive or _run_to_end)(_advance(init, T, dt, snapshot_times, step))

@@ -1,5 +1,6 @@
 """Ensemble, convolution, and noise-stream tests."""
 
+import dataclasses
 import sys
 import threading
 
@@ -17,9 +18,10 @@ from smallmass.ensemble import (
     conv_phi,
     empirical_moment2,
 )
-from smallmass.errors import ValidationError
+from smallmass.errors import BlowUpError, ValidationError
 from smallmass.harness import write_snapshots_csv
 from smallmass.model import (
+    MAX_DIM,
     ConstantMatrixField,
     LinearVectorField,
     ModelSpec,
@@ -118,6 +120,76 @@ def test_conv_gradK_linear_shortcut_matches_generic():
     fast = conv_gradK(x, pos, spec_with(grad_K=LinearVectorField(0.7)))
     slow = conv_gradK(x, pos, spec_with(grad_K=gk_generic))
     assert np.allclose(fast, slow, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5000),
+    st.integers(1, MAX_DIM),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+    st.sampled_from([0.2, 1.0, -3.7]),
+)
+def test_conv_gradK_linear_shortcut_is_bit_equal_to_the_mean_form(n, d, seed, scale, coef):
+    rng = np.random.default_rng(seed)
+    pos = scale * rng.standard_normal((n, d)) + rng.standard_normal(d)
+    spec = spec_with(grad_K=LinearVectorField(coef), dim=d)
+    expected = coef * (pos - np.mean(pos, axis=0))
+    assert np.array_equal(conv_gradK(pos, pos, spec), expected)
+    assert np.array_equal(conv_gradK(pos[0], pos, spec), expected[0])
+
+
+def test_constant_field_views_match_broadcast_to_for_alternating_shapes():
+    M = np.array([[2.0, 0.3], [0.1, 1.5]])
+    field = ConstantMatrixField(M)
+    shapes = [(5, 2), (2,), (2, 2), (5, 3, 2), (5, 2), (1, 2), (2,), (5, 3, 2)]
+    for shape in shapes:
+        out = field(np.zeros(shape))
+        assert np.array_equal(out, np.broadcast_to(M, shape[:-1] + (2, 2)))
+        assert out.shape == shape[:-1] + (2, 2)
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[...] = 0.0
+        assert field(np.ones(shape)) is out  # one kept view per shape
+    assert np.array_equal(field.M, M)
+
+
+def test_constant_field_views_are_right_under_concurrent_threads():
+    M = np.array([[1.0, -0.5], [0.25, 3.0]])
+    field = ConstantMatrixField(M)
+    wrong = []
+
+    def caller(shapes):
+        for _ in range(1000):
+            for shape in shapes:
+                out = field(np.ones(shape))
+                if not (
+                    np.array_equal(out, np.broadcast_to(M, shape[:-1] + (2, 2)))
+                    and not out.flags.writeable
+                ):
+                    wrong.append(shape)
+
+    # more threads than a small host has cores, on overlapping shape sets
+    threads = [
+        threading.Thread(target=caller, args=(shapes,))
+        for shapes in (
+            [(7, 2), (2,), (3, 5, 2)],
+            [(3, 2), (7, 5, 2), (2, 2)],
+            [(2,), (3, 2), (7, 2)],
+            [(3, 5, 2), (2, 2), (7, 5, 2)],
+        )
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside a call, not between calls
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
 
 
 def test_conv_translation_covariance_exact():
@@ -299,6 +371,79 @@ def test_ensemble_validation():
         epsilon=0.5, t=1.0, positions=np.ones((3, 2)), velocities=np.zeros((3, 2))
     )
     assert ens.N == 3 and ens.dim == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructors_reject_non_finite_state(bad):
+    clean = np.zeros((3, 2))
+    dirty = clean.copy()
+    dirty[1, 1] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        UnderdampedEnsemble(epsilon=0.5, t=0.0, positions=dirty, velocities=clean)
+    with pytest.raises(ValidationError, match="non-finite"):
+        UnderdampedEnsemble(epsilon=0.5, t=0.0, positions=clean, velocities=dirty)
+    with pytest.raises(ValidationError, match="non-finite"):
+        OverdampedEnsemble(t=0.0, positions=dirty)
+
+
+def both_states():
+    rng = np.random.default_rng(8)
+    x, v = rng.standard_normal((2, 4, 3))
+    return (
+        UnderdampedEnsemble(epsilon=0.25, t=0.5, positions=x, velocities=v, step=7),
+        OverdampedEnsemble(t=0.5, positions=x, step=7),
+    )
+
+
+def new_arrays(state, positions):
+    """advanced()'s array arguments: positions, then velocities if the state has them."""
+    if isinstance(state, UnderdampedEnsemble):
+        return positions, 2.0 * positions
+    return (positions,)
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["underdamped", "overdamped"])
+def test_advanced_sets_time_step_and_arrays(kind, monkeypatch):
+    state = both_states()[kind]
+    x = state.positions + 1.0
+    arrays = new_arrays(state, x)
+    # a step's result is checked once, in advanced(), not again in __post_init__
+    monkeypatch.setattr(type(state), "__post_init__", lambda self: pytest.fail("rechecked"))
+    new = state.advanced(*arrays, 0.125)
+    assert type(new) is type(state)
+    assert new.t == 0.625 and new.step == 8
+    assert new.positions is x
+    if kind == 0:
+        assert new.epsilon == 0.25 and new.velocities is arrays[1]
+    assert state.t == 0.5 and state.step == 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        new.t = 0.0
+
+
+# (state kind, index of the array argument of advanced() to spoil)
+SPOILED = [(0, 0), (0, 1), (1, 0)]
+SPOILED_IDS = ["underdamped-positions", "underdamped-velocities", "overdamped-positions"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind, which", SPOILED, ids=SPOILED_IDS)
+def test_advanced_raises_blowup_naming_the_new_time(kind, which, bad):
+    state = both_states()[kind]
+    arrays = [a.copy() for a in new_arrays(state, state.positions + 1.0)]
+    arrays[which][2, 1] = bad
+    with pytest.raises(BlowUpError, match=r"non-finite state after step to t=0\.625") as err:
+        state.advanced(*arrays, 0.125)
+    assert err.value.t == 0.625
+
+
+@pytest.mark.parametrize("kind, which", SPOILED, ids=SPOILED_IDS)
+def test_advanced_rejects_a_changed_shape(kind, which):
+    state = both_states()[kind]
+    for shape in [(4, 2), (5, 3), (12,)]:
+        arrays = list(new_arrays(state, state.positions))
+        arrays[which] = np.zeros(shape)
+        with pytest.raises(ValidationError, match="shape"):
+            state.advanced(*arrays, 0.125)
 
 
 def read_snapshots_csv(path):

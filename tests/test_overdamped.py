@@ -296,3 +296,14 @@ def test_1d_limit_drift_by_products_matches_pow(xs, sigma):
         da = spec.d_gamma_at(X)[:, 0, 0, 0] + _conv_dphi(X, X, spec)[:, 0, 0, 0]
     ref = -(s**2) * da / (2.0 * a**3)
     assert np.all(np.abs(b[:, 0] - ref) <= 4.0 * np.finfo(float).eps * np.abs(ref))
+
+
+def test_2d_limit_fields_equal_the_per_point_drift_and_diffusion():
+    # the step's batched sigma and per-particle loop against the public
+    # one-point functions, which evaluate every field at x_i alone
+    spec = make_gaussian_interaction_2d()
+    X = NoiseStream(4).block(RUN_INIT_POSITIONS, 0, 12)[:, :2]
+    b, D = _limit_fields(spec, X)
+    for i, x in enumerate(X):
+        assert np.array_equal(b[i], limit_drift(x, X, spec))
+        assert np.array_equal(D[i], limit_diffusion(x, X, spec))
