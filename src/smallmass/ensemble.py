@@ -1,4 +1,4 @@
-"""Particle containers, empirical-measure convolutions, and the noise source.
+"""Particle containers, the model against the empirical measure, and the noise source.
 
 The law of the McKean-Vlasov dynamics is represented throughout by the
 empirical measure of the ensemble, so the convolution fields are plain
@@ -6,11 +6,13 @@ pair sums over particles,
 
     phi*rho(x)    ~ (1/N) sum_j phi(x - x_j)          (d x d)
     gradK*rho(x)  ~ (1/N) sum_j grad K(x - x_j)       (d,)
+    dphi*rho(x)   ~ (1/N) sum_j dphi(x - x_j)         (d x d x d)
 
-including the self term j = i. Constant and linear kernels (the preset
-cases) short-circuit the O(N^2) sum exactly; the generic path chunks the
-pair sum over targets to bound memory and keeps a fixed index-order
-reduction for reproducibility.
+including the self term j = i; they give the friction gamma + phi*rho, the
+force grad V + gradK*rho and the friction Jacobian dgamma + dphi*rho.
+Constant and linear kernels (the preset cases) short-circuit the O(N^2)
+sum exactly; the generic path chunks the pair sum over targets to bound
+memory and keeps a fixed index-order reduction for reproducibility.
 
 NoiseStream is a counter-based Gaussian source: the draw at
 (run, particle, step, component) is a pure function of the master seed and
@@ -203,19 +205,21 @@ def _positions_of(ens) -> np.ndarray:
 
 
 def _pair_mean(field_at, targets, positions, core):
-    """(1/N) sum_j f(x - x_j) for each row x of targets: (n, d) -> (n, *core).
+    """(1/N) sum_j f(x - x_j) for each target x: (..., d) -> (..., *core).
 
     Chunked over targets so one chunk holds at most _PAIR_CHUNK_BUDGET
     floats; each target's sum runs over j in index order.
     """
     n = positions.shape[0]
+    lead = targets.shape[:-1]
+    targets = targets.reshape(-1, targets.shape[-1])
     out = np.empty((targets.shape[0],) + core)
     chunk = max(1, _PAIR_CHUNK_BUDGET // max(1, n * math.prod(core)))
     for lo in range(0, targets.shape[0], chunk):
         diffs = targets[lo : lo + chunk, None, :] - positions[None, :, :]
         # np.mean(..., axis=1) without its wrapper: the same sum, then / n
         out[lo : lo + chunk] = np.add.reduce(field_at(diffs), axis=1) / n
-    return out
+    return out.reshape(lead + core)
 
 
 def conv_phi(x, ens, spec: ModelSpec) -> np.ndarray:
@@ -225,8 +229,7 @@ def conv_phi(x, ens, spec: ModelSpec) -> np.ndarray:
     d = spec.dim
     if isinstance(spec.phi, ConstantMatrixField):
         return spec.phi(x)
-    out = _pair_mean(spec.phi_at, x.reshape(-1, d), positions, (d, d))
-    return out.reshape(x.shape[:-1] + (d, d))
+    return _pair_mean(spec.phi_at, x, positions, (d, d))
 
 
 def conv_gradK(x, ens, spec: ModelSpec) -> np.ndarray:
@@ -240,8 +243,37 @@ def conv_gradK(x, ens, spec: ModelSpec) -> np.ndarray:
         # np.mean(positions, axis=0) without its wrapper, as in _pair_mean
         mean = np.add.reduce(positions, axis=0) / positions.shape[0]
         return spec.grad_K.coef * (x - mean)
-    out = _pair_mean(spec.grad_K_at, x.reshape(-1, d), positions, (d,))
-    return out.reshape(x.shape)
+    return _pair_mean(spec.grad_K_at, x, positions, (d,))
+
+
+def _conv_dphi(x, positions, spec: ModelSpec):
+    """Empirical convolution dphi*rho at target(s) x: (..., d) -> (..., d, d, d)."""
+    d = spec.dim
+    x = np.asarray(x, dtype=float)
+    if isinstance(spec.phi, ConstantMatrixField):
+        return np.zeros(x.shape[:-1] + (d, d, d))
+    return _pair_mean(spec.d_phi_at, x, positions, (d, d, d))
+
+
+def _d_friction_at(x, positions, spec: ModelSpec):
+    """Friction Jacobian dgamma + dphi*rho at target(s) x: (..., d) -> (..., d, d, d)."""
+    return spec.d_gamma_at(x) + _conv_dphi(x, positions, spec)
+
+
+def _constant_friction(spec: ModelSpec):
+    """gamma + phi*rho as one d x d matrix when both are constant, else None."""
+    if isinstance(spec.gamma, ConstantMatrixField) and isinstance(
+        spec.phi, ConstantMatrixField
+    ):
+        return spec.gamma.M + spec.phi.M
+    return None
+
+
+def _no_pair_sums(spec: ModelSpec) -> bool:
+    """Whether conv_phi and conv_gradK evaluate spec without an O(N^2) pair sum."""
+    return isinstance(spec.phi, ConstantMatrixField) and isinstance(
+        spec.grad_K, (ZeroVectorField, LinearVectorField)
+    )
 
 
 def empirical_moment2(ens) -> float:

@@ -196,7 +196,7 @@ def fp_step(grid: Grid1D, spec: ModelSpec, dt, cache: _FPCache | None = None) ->
         cache = _build_cache(grid, spec)
     F, u, A_c, J_c = _face_fluxes(grid, cache)
     admissible = _cfl_admissible(grid, u, A_c, J_c)
-    if dt > admissible:
+    if dt > admissible or dt == np.inf:  # inf is no step, even where nothing bounds it
         raise CFLError(
             f"dt={dt:.3e} violates the CFL bound; reduce to <= {admissible:.3e}",
             admissible_dt=admissible,

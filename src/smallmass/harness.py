@@ -32,17 +32,15 @@ from .ensemble import (
     OverdampedEnsemble,
     UnderdampedEnsemble,
     _check_friction_floor,
+    _no_pair_sums,
     empirical_moment2,
     mean_field_coefficients,
 )
-from .errors import BlowUpError, SmallMassError, ValidationError
+from .errors import BlowUpError, CFLError, SmallMassError, ValidationError
 from .fpsolve1d import Grid1D, cell_centers, fp_solve, fp_step
 from .model import (
     PRESETS,
-    ConstantMatrixField,
-    LinearVectorField,
     ModelSpec,
-    ZeroVectorField,
     audit_assumptions,
     get_preset,
 )
@@ -318,7 +316,14 @@ def initial_velocities(
     J = _stationary_covariance(A, spec.sigma_at(positions))
     if d == 1:
         return np.sqrt(J[:, 0] / epsilon) * z
-    return (np.linalg.cholesky(J / epsilon) @ z[:, :, None])[:, :, 0]
+    try:
+        return (np.linalg.cholesky(J / epsilon) @ z[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        i = int(np.argmin(np.linalg.eigvalsh(J)[:, 0]))
+        raise ValidationError(
+            f"equilibrated velocities need a positive definite J, but J is singular "
+            f"at {positions[i]}; init_velocities: cold avoids it"
+        ) from None
 
 
 def _underdamped_start(spec, config, epsilon, stream):
@@ -592,11 +597,7 @@ def _noise_bound(spec) -> bool:
     pair sums, where a step is a few vector operations over the particles.
     Elsewhere pair sums or per-particle small-matrix kernels dominate, and
     a coupled sweep's runs go faster as parallel jobs than as one group."""
-    return (
-        spec.dim == 1
-        and isinstance(spec.phi, ConstantMatrixField)
-        and isinstance(spec.grad_K, (ZeroVectorField, LinearVectorField))
-    )
+    return spec.dim == 1 and _no_pair_sums(spec)
 
 
 def _job_failure(config, epsilon, exc) -> SmallMassError:
@@ -967,9 +968,7 @@ def _cli_slice_diag(config: ExperimentConfig) -> int:
 
 
 def _cli_fp(config: ExperimentConfig) -> int:
-    spec = build_spec(config)
-    if spec.dim != 1:
-        raise ValidationError("fp subcommand needs a 1D model")
+    spec = build_spec(config)  # fp_step and fp_solve reject d > 1
     if any(c[2] <= 0 for c in config.init_components):
         raise ValidationError("fp initial mixture needs positive stds")
     x = cell_centers(config.fp_halfwidth, config.fp_cells)
@@ -979,15 +978,10 @@ def _cli_fp(config: ExperimentConfig) -> int:
     grid0 = Grid1D.from_values(config.fp_halfwidth, config.fp_cells, values)
     dt = config.fp_dt
     if dt is None:
-        try:
+        try:  # an infinite step fails with the admissible dt, inf with no CFL bound
             fp_step(grid0, spec, np.inf)
-        except SmallMassError as exc:
-            admissible = getattr(exc, "admissible_dt", None)
-            if admissible is None:
-                raise
-            dt = 0.9 * admissible
-        else:  # free-streaming grid with no CFL bound at all
-            dt = 1e-3
+        except CFLError as exc:
+            dt = 0.9 * exc.admissible_dt if np.isfinite(exc.admissible_dt) else 1e-3
     snaps = fp_solve(spec, grid0, config.T, dt, snapshot_times=config.snapshot_times)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "density.csv")

@@ -167,10 +167,8 @@ class ModelSpec:
         return fd_matrix_jacobian(self.gamma_at, X, d)
 
     def d_phi_at(self, X):
+        """Analytic Jacobian when present, else central differences on phi."""
         d = self.dim
-        if isinstance(self.phi, ConstantMatrixField):
-            X = np.asarray(X, dtype=float)
-            return np.zeros(X.shape[:-1] + (d, d, d))
         if self.d_phi is not None:
             return _eval_field(self.d_phi, X, (d, d, d), "d_phi")
         return fd_matrix_jacobian(self.phi_at, X, d)

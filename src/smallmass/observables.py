@@ -30,12 +30,12 @@ from .ensemble import (
     NoiseStream,
     UnderdampedEnsemble,
     _check_friction_floor,
+    _d_friction_at,
     _positions_of,
     mean_field_coefficients,
 )
 from .errors import SmallMassError, ValidationError
 from .model import ModelSpec, _eval_field
-from .overdamped import _d_friction_at
 from .smallmat import _mT, _stationary_covariance, invert
 
 W2_EXACT_MAX_N = 1024

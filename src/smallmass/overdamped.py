@@ -24,14 +24,15 @@ from .ensemble import (
     NoiseStream,
     OverdampedEnsemble,
     _check_friction_floor,
-    _pair_mean,
+    _constant_friction,
+    _d_friction_at,
     _positions_of,
     conv_gradK,
     conv_phi,
     mean_field_coefficients,
 )
 from .errors import StabilityError, StiffnessError, ValidationError
-from .model import ConstantMatrixField, ModelSpec, fd_step
+from .model import ModelSpec, fd_step
 from .smallmat import (
     LyapunovSolution,
     invert,
@@ -61,21 +62,6 @@ def _checked_friction(x, positions, spec: ModelSpec):
     if min_symmetric_eigenvalue(A) <= 0.0:
         raise StabilityError(f"friction not positive definite at {x}")
     return positions, x, A
-
-
-def _conv_dphi(x, positions, spec: ModelSpec):
-    """Empirical convolution of the phi Jacobian: (n, d) -> (n, d, d, d)."""
-    d = spec.dim
-    x = np.asarray(x, dtype=float).reshape(-1, d)
-    if isinstance(spec.phi, ConstantMatrixField):
-        return np.zeros(x.shape[:-1] + (d, d, d))
-    return _pair_mean(spec.d_phi_at, x, positions, (d, d, d))
-
-
-def _d_friction_at(x, positions, spec: ModelSpec):
-    return spec.d_gamma_at(x) + _conv_dphi(x, positions, spec).reshape(
-        np.asarray(x, dtype=float).shape[:-1] + (spec.dim,) * 3
-    )
 
 
 def noise_induced_drift(x, positions, spec: ModelSpec):
@@ -114,14 +100,6 @@ def limit_diffusion(x, positions, spec: ModelSpec):
     return invert(A) @ spec.sigma_at(x)
 
 
-def _constant_friction(spec: ModelSpec):
-    if isinstance(spec.gamma, ConstantMatrixField) and isinstance(
-        spec.phi, ConstantMatrixField
-    ):
-        return spec.gamma.M + spec.phi.M
-    return None
-
-
 def _limit_fields(spec: ModelSpec, positions):
     """Per-particle drift b and diffusion factor A^-1 sigma on a frozen snapshot.
 
@@ -136,23 +114,16 @@ def _limit_fields(spec: ModelSpec, positions):
             raise StabilityError("constant friction not positive definite")
         Ainv = invert(A0)
         F = spec.grad_V_at(positions) + conv_gradK(positions, positions, spec)
-        sig = spec.sigma_at(positions)
-        b = -F @ Ainv.T
-        D = np.einsum("ij,njk->nik", Ainv, sig)
-        return b, D
+        D = np.einsum("ij,njk->nik", Ainv, spec.sigma_at(positions))
+        return -F @ Ainv.T, D
     if d == 1:
         A, F = mean_field_coefficients(positions, spec)
         _check_friction_floor(A, positions)
         a = A[:, 0, 0]
         s = spec.sigma_at(positions)[:, 0, 0]
-        da = (
-            spec.d_gamma_at(positions)[:, 0, 0, 0]
-            + _conv_dphi(positions, positions, spec)[:, 0, 0, 0]
-        )
+        da = _d_friction_at(positions, positions, spec)[:, 0, 0, 0]
         S = -(s**2) * da / (2.0 * (a * a * a))
-        b = (-F[:, 0] / a + S)[:, None]
-        D = (s / a)[:, None, None]
-        return b, D
+        return (-F[:, 0] / a + S)[:, None], (s / a)[:, None, None]
     b = np.empty((n, d))
     D = np.empty((n, d, d))
     sig = spec.sigma_at(positions)

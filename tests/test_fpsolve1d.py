@@ -114,6 +114,15 @@ def test_cfl_violation_raises_with_admissible_dt():
     fp_step(g, spec, 0.999 * exc.value.admissible_dt)  # just under the bound works
 
 
+def test_an_infinite_step_on_a_grid_with_no_cfl_bound_is_refused():
+    # no drift and no noise: nothing bounds the step, and inf * 0 is nan
+    spec = const_spec(sigma=0.0)
+    g = gaussian_grid(4.0, 32, 0.5)
+    cache = _build_cache(g, spec)
+    assert admissible_dt(g, spec, cache) == np.inf
+    assert np.array_equal(step_both(g, spec, 1e3, cache).density, g.density)
+
+
 def test_step_rejects_negative_dt_and_2d_spec():
     g = gaussian_grid(4.0, 32, 0.5)
     with pytest.raises(ValidationError, match="dt"):
@@ -368,7 +377,7 @@ def oracle_fp_step(grid, spec, dt, cache):
         return grid
     F, u, A_c, J_c = oracle_face_fluxes(grid, cache)
     admissible = oracle_cfl_admissible(grid, u, A_c, J_c)
-    if dt > admissible:
+    if dt > admissible or dt == np.inf:
         raise CFLError(
             f"dt={dt:.3e} violates the CFL bound; reduce to <= {admissible:.3e}",
             admissible_dt=admissible,

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,13 @@ import yaml
 
 from smallmass import harness, observables, overdamped, underdamped
 from smallmass.ensemble import D_MAX, NoiseStream
-from smallmass.errors import BlowUpError, StabilityError, StiffnessError, ValidationError
+from smallmass.errors import (
+    BlowUpError,
+    SmallMassError,
+    StabilityError,
+    StiffnessError,
+    ValidationError,
+)
 from smallmass.harness import (
     W2_EXACT_MAX_N,
     ExperimentConfig,
@@ -28,6 +35,7 @@ from smallmass.harness import (
     underdamped_dt,
     _worker_count,
 )
+from smallmass.model import ConstantMatrixField, LinearVectorField, ModelSpec, ZeroVectorField
 
 
 def micro_sweep_config(tmp_path, **overrides):
@@ -195,6 +203,20 @@ def test_initial_velocities_2d_equilibrated():
     assert v.shape == (3000, 2)
     assert np.all(np.isfinite(v))
     assert np.var(v) > 0.1
+
+
+def test_initial_velocities_with_a_singular_J_are_a_validation_error():
+    # sigma = diag(1, 0): no noise drives the second velocity, so J is singular
+    spec = ModelSpec(
+        dim=2, grad_V=LinearVectorField(1.0), grad_K=ZeroVectorField(),
+        phi=ConstantMatrixField(np.eye(2)), gamma=ConstantMatrixField(np.eye(2)),
+        sigma=ConstantMatrixField(np.diag([1.0, 0.0])), lambda_phi_hint=1.0,
+    )
+    stream = NoiseStream(9)
+    x = initial_positions(stream, 10, 2, ((1.0, 0.0, 0.3),))
+    assert np.array_equal(initial_velocities(stream, x, spec, 0.1, "cold"), np.zeros_like(x))
+    with pytest.raises(ValidationError, match="J is singular at .*init_velocities: cold"):
+        initial_velocities(stream, x, spec, 0.1, "equilibrated")
 
 
 # ---- convergence sweep ----
@@ -755,6 +777,27 @@ def test_cli_converge_and_overrides(tmp_path, capsys):
     assert "W2(T)" in capsys.readouterr().out
 
 
+def test_cli_converge_with_sliced_w2_writes_the_same_bytes_at_any_thread_count(
+    tmp_path, capsys, monkeypatch
+):
+    # sliced W2 draws its projections inside the pooled report jobs, from
+    # the base stream that every job shares
+    written = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SMALLMASS_THREADS", threads)
+        cfg = write_config(
+            tmp_path, preset="gaussian-interaction-2d", n_particles=20,
+            epsilon_grid=[0.2, 0.1], T=0.01, t_star=0.005, w2_method="sliced",
+            n_projections=16, out_dir=str(tmp_path / threads),
+        )
+        assert main(["converge", "--config", cfg]) == 0
+        written[threads] = open(tmp_path / threads / "w2.csv", "rb").read()
+    rows = written["1"].decode().splitlines()[1:]
+    assert len(rows) == 2 * 9  # two epsilons, nine default snapshots
+    assert {r.rsplit(",", 1)[1] for r in rows} == {"w2_sliced"}
+    assert written["1"] == written["2"]
+
+
 def test_cli_audit(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["audit", "--config", cfg]) == 0
@@ -797,12 +840,57 @@ def test_cli_slice_diag(tmp_path, capsys):
     ]
 
 
+def test_cli_slice_diag_defaults_delta_to_ten_underdamped_steps(tmp_path, capsys):
+    cfg = write_config(tmp_path, n_particles=40, T=0.3, t_star=0.2, epsilon_grid=[0.05])
+    assert main(["slice-diag", "--config", cfg]) == 0
+    manifest = json.load(open(tmp_path / "cli" / "manifest.json"))
+    assert manifest["config"]["delta"] is None
+    dt = manifest["dt_under"][format(0.05, ".17g")]
+    assert dt == 1e-3
+    # max(eps^3, 10 dt) capped at 0.1: the step-limited term wins
+    assert manifest["delta"] == default_delta(0.05, dt) == 10 * dt
+    summary = json.load(open(tmp_path / "cli" / "slice_summary.json"))
+    assert summary["delta"] == manifest["delta"]
+    assert f"delta={10 * dt:g}" in capsys.readouterr().out
+
+
 def test_cli_fp(tmp_path, capsys):
     cfg = write_config(tmp_path, fp_cells=64, fp_halfwidth=4.0, T=0.05, t_star=0.05)
     assert main(["fp", "--config", cfg]) == 0
     assert os.path.exists(tmp_path / "cli" / "density.csv")
     cfg2 = write_config(tmp_path, name="cfg2d.yaml", preset="gaussian-interaction-2d")
     assert main(["fp", "--config", cfg2]) == 2
+    assert "fp solver is d=1 only, got dim=2" in capsys.readouterr().err
+
+
+def test_cli_fp_on_a_free_streaming_model_steps_by_the_fallback_dt(
+    tmp_path, capsys, monkeypatch
+):
+    # sigma = 0 and no forces: no CFL bound, and the density never moves
+    path = tmp_path / "free.yaml"
+    path.write_text(yaml.safe_dump(dict(
+        model={"kind": "state-dep-friction-1d", "sigma": 0.0},
+        T=0.1, t_star=0.05, fp_cells=50, out_dir=str(tmp_path / "cli"),
+    )))
+    solve = harness.fp_solve
+    seen = {}
+
+    def recording_solve(spec, grid0, T, dt, snapshot_times=None):
+        seen["grid0"], seen["dt"] = grid0, dt
+        seen["snaps"] = solve(spec, grid0, T, dt, snapshot_times=snapshot_times)
+        return seen["snaps"]
+
+    monkeypatch.setattr(harness, "fp_solve", recording_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fp", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _fp_line(out)["dt"] == "0.001"
+    assert seen["dt"] == 1e-3
+    final = seen["snaps"][-1]
+    assert final.t == pytest.approx(0.1, abs=1e-12)
+    assert np.array_equal(final.density, seen["grid0"].density)
 
 
 def _fp_line(out):
@@ -975,3 +1063,13 @@ def test_cli_blowup_exit_code(tmp_path, capsys):
         rc = main(["limit", "--config", cfg])
     assert rc == 3
     assert "blow-up" in capsys.readouterr().err
+
+
+def test_cli_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a package error that is neither bad input nor a blow-up
+    def failing_limit(*args, **kwargs):
+        raise SmallMassError("solver gave up")
+
+    monkeypatch.setattr(harness, "simulate_limit", failing_limit)
+    assert main(["limit", "--config", write_config(tmp_path)]) == 3
+    assert "numeric failure: solver gave up" in capsys.readouterr().err

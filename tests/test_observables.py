@@ -15,6 +15,7 @@ from smallmass.ensemble import (
     NoiseStream,
     OverdampedEnsemble,
     UnderdampedEnsemble,
+    _d_friction_at,
     conv_phi,
     mean_field_coefficients,
 )
@@ -49,7 +50,6 @@ from smallmass.observables import (
     weak_Ystar,
     ystar_summands,
 )
-from smallmass.overdamped import _d_friction_at
 from smallmass.smallmat import invert, solve_lyapunov
 
 

@@ -9,10 +9,11 @@ from smallmass.ensemble import (
     RUN_INIT_POSITIONS,
     NoiseStream,
     OverdampedEnsemble,
+    _conv_dphi,
     conv_phi,
     mean_field_coefficients,
 )
-from smallmass.errors import BlowUpError, StiffnessError, ValidationError
+from smallmass.errors import BlowUpError, StabilityError, StiffnessError, ValidationError
 from smallmass.model import (
     ConstantMatrixField,
     LinearVectorField,
@@ -26,7 +27,6 @@ from smallmass.model import (
     make_state_dep_friction_1d,
 )
 from smallmass.overdamped import (
-    _conv_dphi,
     _limit_fields,
     limit_coefficients,
     limit_diffusion,
@@ -200,6 +200,31 @@ def test_limit_coefficients_certified():
     assert np.allclose(c.S, noise_induced_drift([0.3], np.zeros((4, 1)), spec))
 
 
+def test_limit_coefficients_reject_a_friction_that_is_not_positive_definite():
+    # gamma(x) = 2 + x is negative left of x = -2; phi = 0
+    spec = affine_gamma_spec()
+    positions = np.zeros((4, 1))
+    limit_coefficients([-1.5], positions, spec)
+    with pytest.raises(StabilityError, match="friction not positive definite at"):
+        limit_coefficients([-2.5], positions, spec)
+
+
+def test_constant_friction_limit_fields_reject_a_friction_that_is_not_positive_definite():
+    def spec_with(gamma):
+        return ModelSpec(
+            dim=1, grad_V=LinearVectorField(1.0), grad_K=ZeroVectorField(),
+            phi=ConstantMatrixField([[0.5]]), gamma=ConstantMatrixField([[gamma]]),
+            sigma=ConstantMatrixField([[1.0]]), lambda_phi_hint=0.5,
+        )
+
+    X = np.linspace(-1.0, 1.0, 5)[:, None]
+    b, D = _limit_fields(spec_with(-0.25), X)  # A = 0.25
+    assert np.array_equal(D[:, 0, 0], np.full(5, 4.0))
+    for gamma in (-0.5, -1.0):  # A = 0, then A = -0.5
+        with pytest.raises(StabilityError, match="constant friction not positive definite"):
+            _limit_fields(spec_with(gamma), X)
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -272,6 +297,9 @@ def test_simulate_validation():
         simulate_limit(spec, init, 2.0, -0.1, NoiseStream(0))
     with pytest.raises(ValidationError, match="dt must be >= 0, got nan"):
         simulate_limit(spec, init, 2.0, float("nan"), NoiseStream(0))
+    flat = OverdampedEnsemble(t=0.0, positions=np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match="ensemble dim 2 != spec dim 1"):
+        simulate_limit(spec, flat, 1.0, 0.1, NoiseStream(0))
 
 
 @settings(max_examples=200, deadline=None)
