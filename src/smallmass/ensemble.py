@@ -65,7 +65,9 @@ class NoiseStream:
     """
 
     def __init__(self, master_seed: int):
-        self.master_seed = int(master_seed) & _MASK64
+        self.master_seed = int(master_seed)
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ValidationError(f"master seed must lie in [0, 2**64), got {master_seed}")
         # ((run, step, n), block) of the last draw; one tuple, so a thread
         # reads a key and its block together
         self._last = None

@@ -61,7 +61,7 @@ from .overdamped import simulate_limit
 from .smallmat import _stationary_covariance
 from .underdamped import SCHEMES, UDStepperConfig, simulate_underdamped
 
-_W2_METHODS = ("auto", "exact", "sliced", "1d")
+_W2_METHODS = ("auto", "exact", "sliced")
 _VELOCITY_STARTS = ("cold", "equilibrated")
 _FLOAT_FIELDS = (
     "T", "t_star", "delta", "dt_under", "dt_limit", "psi_radius", "fp_halfwidth", "fp_dt",
@@ -70,8 +70,10 @@ _SEQUENCE_FIELDS = ("epsilon_grid", "snapshot_times", "psi_centers", "audit_box"
 
 
 def _number(name, val) -> float:
-    """val as a float if it is an int or a float (not a bool); else a ValidationError."""
+    """val as a float if it is a finite int or float (not a bool); else a ValidationError."""
     if isinstance(val, (int, float)) and not isinstance(val, bool):
+        if not abs(val) <= sys.float_info.max:  # nan, +-inf, or an int past every float
+            raise ValidationError(f"{name} must be finite, got {val!r}")
         return float(val)
     hint = ""
     if isinstance(val, str):
@@ -190,11 +192,12 @@ class ExperimentConfig:
         if self.init_velocities not in _VELOCITY_STARTS:
             raise ValidationError(f"init_velocities must be one of {_VELOCITY_STARTS}")
         if self.w2_method not in _W2_METHODS:
-            raise ValidationError(f"w2_method must be one of {_W2_METHODS}")
+            raise ValidationError(f"w2_method {self.w2_method!r} is not one of {_W2_METHODS}")
         if self.n_projections < 1:
             raise ValidationError("n_projections must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
+        # an uncoupled sweep draws on master seeds seed + 1 .. seed + len(eg)
+        if not 0 <= self.seed < 2**64 - len(eg):
+            raise ValidationError(f"seed must lie in [0, {2**64 - 1 - len(eg)}], got {self.seed}")
         if len(self.audit_box) != 2 or not self.audit_box[1] > self.audit_box[0]:
             raise ValidationError("audit_box must be (low, high) with high > low")
         if self.audit_samples < 2:
@@ -650,11 +653,6 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
     snaps = config.snapshot_times or default_snapshots(config.t_star, config.T)
     grid = config.epsilon_grid
     method = _w2_method(config, config.n_particles, spec.dim)
-    if method == "1d" and spec.dim > 1:
-        raise ValidationError(
-            f"w2_method '1d' sorts each coordinate apart and needs a 1D model, "
-            f"got dim={spec.dim}; use auto, exact or sliced"
-        )
     if method == "exact" and config.n_particles > W2_EXACT_MAX_N:
         raise ValidationError(
             f"w2_method 'exact' takes at most {W2_EXACT_MAX_N} particles, got "

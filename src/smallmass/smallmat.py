@@ -21,8 +21,10 @@ are sqrt(sum(x*x)) reduced as np.linalg.norm reduces them, and cond is
 s_max/s_min from the singular values, as np.linalg.cond takes it. The
 LAPACK calls themselves (solve, eigvalsh, inv, svd) are numpy's.
 
-`expm` is the only scipy route: it imports scipy.linalg at its first call,
-so a run that forms no exponential never loads it.
+`expm` is this module's only scipy route: it imports scipy.linalg at its
+first call, so a run that forms no exponential never loads it. It is not
+the package's only one: observables.weak_Yhat imports scipy.linalg itself
+for its Van Loan block, which is 3d x 3d and so past MAX_DIM for d >= 3.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ from .ensemble import (
 )
 from .errors import StiffnessError, ValidationError
 from .model import ModelSpec
-from .smallmat import _mT, _stationary_covariance, expm, invert, solve_lyapunov
+from .smallmat import _mT, _stationary_covariance, expm, invert
 
 SCHEMES = ("euler_maruyama", "exponential")
 # EM rejects a step with dt * lambda_max(sym A) / eps above this
@@ -114,11 +114,27 @@ def step_underdamped_em(
     return state.advanced(x_new, v_new, dt)
 
 
-def _gaussian_from_cov(cov, xi):
-    """Color unit normals xi (..., n, d) by covariances cov (..., d, d), PSD-clipped."""
+def _velocity_transition(A, F, J, V, dt, eps, xi):
+    """Exact velocity after time dt of eps dv = (-A v - F) dt + sigma dB from V.
+
+    A, F and J are frozen, per row of V and of the unit normals xi or as one
+    (1, d, d), (1, d) row broadcast against them. Closed form in 1D; in d > 1
+    one expm, and xi colored by a PSD-clipped eigenfactor of the covariance.
+    """
+    d = A.shape[-1]
+    b = -F
+    if d == 1:
+        a = A[:, 0, 0]
+        E = np.exp(-a * dt / eps)
+        v_det = E[:, None] * V + ((1.0 - E) * b[:, 0] / a)[:, None]
+        std = np.sqrt(np.maximum(J[:, 0, 0] * (1.0 - E * E) / eps, 0.0))
+        return v_det + std[:, None] * xi
+    E = expm(-A * (dt / eps))
+    cov = (J - E @ J @ _mT(E)) / eps
+    v_det = E @ V[:, :, None] + invert(A) @ ((np.eye(d) - E) @ b[:, :, None])
     w, U = np.linalg.eigh(0.5 * (cov + _mT(cov)))
     L = U * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-    return xi @ _mT(L)
+    return v_det[:, :, 0] + (xi[:, None, :] @ _mT(L))[:, 0]
 
 
 def step_underdamped_exp(
@@ -135,21 +151,9 @@ def step_underdamped_exp(
     d = state.dim
     A, F = mean_field_coefficients(X, spec)
     _check_friction_floor(A, X)
-    b = -F
     xi = stream.block(cfg.run_id, state.step + 1, state.N)[:, :d]
     J = _stationary_covariance(A, spec.sigma_at(X))
-
-    if d == 1:
-        a = A[:, 0, 0]
-        E = np.exp(-a * dt / eps)
-        v_det = E[:, None] * V + ((1.0 - E) * b[:, 0] / a)[:, None]
-        std = np.sqrt(np.maximum(J[:, 0, 0] * (1.0 - E * E) / eps, 0.0))
-        v_new = v_det + std[:, None] * xi
-    else:
-        E = expm(-A * (dt / eps))
-        cov = (J - E @ J @ _mT(E)) / eps
-        v_det = E @ V[:, :, None] + invert(A) @ ((np.eye(d) - E) @ b[:, :, None])
-        v_new = v_det[:, :, 0] + _gaussian_from_cov(cov, xi[:, None, :])[:, 0]
+    v_new = _velocity_transition(A, F, J, V, dt, eps, xi)
     x_new = X + 0.5 * dt * (V + v_new)
     return state.advanced(x_new, v_new, dt)
 
@@ -243,9 +247,9 @@ def frozen_velocity_covariance(
 
     The pinned process has frozen coefficients (A, F, sigma evaluated at x
     against the fixed measure) and starts from v = 0, so its time-t law is
-    Gaussian with mean A^{-1}(I - E)b and covariance (J - E J E^T)/eps; one
-    exact exponential draw per replica realizes it. Returns the (d, d)
-    matrix eps * mean(v v^T) and its Monte Carlo standard-error matrix.
+    Gaussian with mean A^{-1}(I - E)b and covariance (J - E J E^T)/eps; the
+    exponential step's transition, one per replica, draws it. Returns the
+    (d, d) matrix eps * mean(v v^T) and its Monte Carlo standard-error matrix.
     """
     reps = int(reps)
     if reps < 2:
@@ -257,18 +261,13 @@ def frozen_velocity_covariance(
     if not (epsilon > 0 and t >= 0):
         raise ValidationError("need epsilon > 0 and t >= 0")
 
-    A = spec.gamma_at(x[None])[0] + conv_phi(x, measure, spec)
-    F = spec.grad_V_at(x[None])[0] + conv_gradK(x, measure, spec)
-    sig = spec.sigma_at(x[None])[0]
-    _check_friction_floor(A[None], x[None])
-
-    E = expm(-A * (t / epsilon))
-    J = solve_lyapunov(A, sig @ sig.T).J
-    mu = invert(A) @ ((np.eye(d) - E) @ (-F))
-    cov = (J - E @ J @ E.T) / epsilon
+    A = spec.gamma_at(x[None]) + conv_phi(x, measure, spec)
+    F = spec.grad_V_at(x[None]) + conv_gradK(x, measure, spec)
+    _check_friction_floor(A, x[None])
+    J = _stationary_covariance(A, spec.sigma_at(x[None]))
 
     xi = stream.block(run_id, 1, reps)[:, :d]
-    v = mu + _gaussian_from_cov(cov, xi)
+    v = _velocity_transition(A, F, J, np.zeros((reps, d)), t, epsilon, xi)
     outer = v[:, :, None] * v[:, None, :]
     second = epsilon * np.mean(outer, axis=0)
     stderr = epsilon * np.std(outer, axis=0, ddof=1) / np.sqrt(reps)

@@ -2,10 +2,11 @@
 
 Each check runs in a fresh interpreter, since pytest itself (and the other
 test modules) import scipy.linalg, scipy.optimize and scipy.special. A 1D
-sweep and a Fokker-Planck solve load none of them, nor numpy.polynomial; a 2D exponential sweep
-or slice pass loads what it calls before its first step; each lazy site, called
-first in a fresh process, loads its submodule and returns the same bits
-as a direct scipy call made here.
+sweep, slice pass, limit run, Fokker-Planck solve and velocity sampler load
+none of them, nor numpy.polynomial; a 2D exponential sweep or slice pass
+loads what it calls before its first step; each lazy site, called first in
+a fresh process, loads its submodule and returns the same bits as a direct
+scipy call made here.
 """
 
 import dataclasses
@@ -62,12 +63,15 @@ def loaded():
 
 
 def test_import_and_1d_runs_load_no_scipy_submodule(tmp_path):
+    # a single-component start draws no mixture labels (scipy.special), and
+    # the 1D velocity sampler takes the closed-form transition, not expm
     config = dict(
         preset="state-dep-friction-1d",
         n_particles=20,
         epsilon_grid=[0.1],
         T=0.02,
         t_star=0.01,
+        delta=0.005,
         dt_under=0.005,
         dt_limit=0.005,
         fp_cells=40,
@@ -78,14 +82,23 @@ def test_import_and_1d_runs_load_no_scipy_submodule(tmp_path):
         json.dump(config, f)  # JSON is YAML
     out = fresh_python(LOADED + """
 import smallmass, smallmass.harness
-print(loaded())
-assert smallmass.harness.main(["converge", "--config", "c.json"]) == 0
-assert smallmass.harness.main(["fp", "--config", "c.json"]) == 0
-print(loaded())
+print("loaded", loaded())
+for command in ("converge", "slice-diag", "limit", "fp"):
+    assert smallmass.harness.main([command, "--config", "c.json"]) == 0
+print("loaded", loaded())
+from smallmass.ensemble import NoiseStream
+from smallmass.model import get_preset
+from smallmass.underdamped import frozen_velocity_covariance
+spec, x = get_preset("state-dep-friction-1d"), [0.3]
+frozen_velocity_covariance(spec, x, [x], 0.1, 0.2, 50, NoiseStream(1))
+print("loaded", loaded())
 """, tmp_path)
-    assert out.splitlines()[0] == "[]"
-    assert out.splitlines()[-1] == "[]"
-    assert {"w2.csv", "density.csv"} <= set(os.listdir(tmp_path / "out"))
+    assert [line for line in out.splitlines() if line.startswith("loaded")] == [
+        "loaded []"
+    ] * 3
+    assert {"w2.csv", "slice_summary.json", "limit_snapshots.csv", "density.csv"} <= set(
+        os.listdir(tmp_path / "out")
+    )
 
 
 TWO_D = dict(

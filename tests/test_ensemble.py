@@ -355,6 +355,15 @@ def test_gaussian_index_validation():
         s.block(-1, 0, 3)
 
 
+def test_master_seed_outside_64_bits_is_rejected_not_masked():
+    # 2**64 + 5 used to be masked to 5 and draw seed 5's blocks
+    for seed in (2**64 + 5, 2**64, -1):
+        with pytest.raises(ValidationError, match="master seed must lie in"):
+            NoiseStream(seed)
+    top = NoiseStream(2**64 - 1)
+    assert not np.array_equal(top.block(0, 1, 4), NoiseStream(5).block(0, 1, 4))
+
+
 # -------------------------------------------------------------- containers
 
 

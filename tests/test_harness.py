@@ -946,13 +946,19 @@ def test_config_rejects_non_integer_counts(name, value):
         ("init_components: [[1.0, 0.0, 5e-1]]", "init_components[0][2]", True),
         ('coupled: "false"', "coupled", False),
         ("model: {kind: quadratic-ou, k: abc}", "model.k", False),
+        ("T: .inf", "T", False),
+        ("epsilon_grid: [0.1, -.inf]", "epsilon_grid[1]", False),
+        ("init_components: [[1.0, .nan, 0.5]]", "init_components[0][1]", False),
+        ("model: {kind: quadratic-ou, sigma: .nan}", "model.sigma", False),
     ],
 )
 def test_cli_rejects_config_values_of_the_wrong_type(
     tmp_path, capsys, line, field, numeric_string
 ):
     # these used to crash with a TypeError/ValueError traceback or run with
-    # the value coerced (coupled: "false" ran coupled, T: true ran T = 1)
+    # the value coerced (coupled: "false" ran coupled, T: true ran T = 1);
+    # nan and inf ran too, or failed later with an unrelated message (a nan
+    # sigma: "Q has non-finite entries")
     out = tmp_path / "out"
     lines = [line, f"out_dir: {out}"]
     if not line.startswith("model:"):
@@ -966,12 +972,47 @@ def test_cli_rejects_config_values_of_the_wrong_type(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["converge", "limit", "slice-diag"])
+def test_cli_rejects_an_infinite_horizon_before_any_run(tmp_path, capsys, command):
+    # T: .inf used to run: converge and limit wrote their rows at t = 0 (the
+    # time loop takes no step once its tolerance is infinite), and slice-diag
+    # escaped with an OverflowError
+    out = tmp_path / "cli"
+    cfg = write_config(
+        tmp_path, preset="double-well-1d", epsilon_grid=[0.2], T=float("inf"), t_star=0.1
+    )
+    assert main([command, "--config", cfg]) == 2
+    assert "error: T must be finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_rejects_seeds_whose_streams_pass_64_bits():
+    # seed 2**64 + 5 used to draw seed 5's blocks, and an uncoupled sweep's
+    # seed + i + 1 could wrap to 0
+    grid = [0.2, 0.1, 0.05]
+    top = 2**64 - 1 - len(grid)
+    base = {"preset": "quadratic-ou", "epsilon_grid": grid, "coupled": False}
+    assert ExperimentConfig.from_mapping({**base, "seed": top}).seed == top
+    for seed in (top + 1, 2**64 + 5, -1):
+        with pytest.raises(ValidationError, match=rf"seed must lie in \[0, {top}\]"):
+            ExperimentConfig.from_mapping({**base, "seed": seed})
+
+
+def test_cli_rejects_a_seed_override_past_the_range(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["converge", "--config", cfg, "--seed", str(2**64 + 5)]) == 2
+    assert f"seed must lie in [0, {2**64 - 2}]" in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
+
+
 def test_config_accepts_ints_and_numpy_floats_for_float_fields():
     cfg = ExperimentConfig.from_mapping(
         {"preset": "quadratic-ou", "T": 2, "dt_limit": np.float64(1e-3),
          "epsilon_grid": [1, np.float64(0.5)], "coupled": False}
     )
     assert cfg.T == 2 and cfg.epsilon_grid == (1.0, 0.5) and cfg.coupled is False
+    with pytest.raises(ValidationError, match="T must be finite"):
+        ExperimentConfig.from_mapping({"preset": "quadratic-ou", "T": 10**400})
     with pytest.raises(ValidationError, match="model.k must be a number"):
         ExperimentConfig.from_mapping({"model": {"kind": "quadratic-ou", "k": "1.0"}})
 
@@ -1001,7 +1042,7 @@ def test_cli_rejects_fractional_projection_count(tmp_path, capsys):
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        (dict(w2_method="1d"), "needs a 1D model, got dim=2"),
+        (dict(w2_method="1d"), "w2_method '1d' is not one of ('auto', 'exact', 'sliced')"),
         (dict(w2_method="exact", n_particles=W2_EXACT_MAX_N + 1), "use sliced or auto"),
     ],
     ids=["1d-w2-in-2d", "exact-w2-past-its-cap"],
@@ -1009,8 +1050,9 @@ def test_cli_rejects_fractional_projection_count(tmp_path, capsys):
 def test_cli_rejects_a_w2_method_it_cannot_apply_before_any_run(
     tmp_path, capsys, monkeypatch, overrides, message
 ):
-    # 1d W2 would sort the x and y columns of 2D clouds together, and exact
-    # W2 would fail each epsilon only after every run had gone to T
+    # 1d is not a w2_method value (auto takes the sorted coupling in 1D, and
+    # in 2D it sorted the x and y columns apart), and exact W2 would fail
+    # each epsilon only after every run had gone to T
     stepped = []
     fields = overdamped._limit_fields
     exp = underdamped._STEPPERS["exponential"]

@@ -1,5 +1,6 @@
 """Module layering: each smallmass module imports only the ones before it,
-and only the modules that short-circuit pair sums name the field classes."""
+only the modules that short-circuit pair sums name the field classes, and
+scipy's submodules are imported inside the functions that call them."""
 
 import ast
 from pathlib import Path
@@ -52,6 +53,24 @@ def names_used(module):
     return found
 
 
+def module_level_imports(module):
+    """The modules `module` imports when it loads: every import outside a
+    function body; `from x import y` counts as x and x.y."""
+    found = set()
+    nodes = list(tree_of(module).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+            found.update(f"{node.module}.{a.name}" for a in node.names)
+        nodes.extend(ast.iter_child_nodes(node))
+    return found
+
+
 def test_the_order_lists_every_module():
     modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
     assert modules == set(ORDER)
@@ -69,3 +88,13 @@ def test_no_module_imports_a_later_one():
 def test_only_the_pair_sum_modules_name_the_field_classes():
     naming = {m for m in ORDER if names_used(m) & FIELD_CLASSES}
     assert naming <= FIELD_MODULES
+
+
+def test_no_module_imports_a_scipy_submodule_when_it_loads():
+    # scipy.linalg, scipy.optimize and scipy.special each add 20-25 MB and
+    # up to 0.3 s to a run; harness reads scipy.__version__ for the manifest
+    scipy = {
+        m: sorted(n for n in module_level_imports(m) if n.split(".")[0] == "scipy")
+        for m in ORDER
+    }
+    assert {m: names for m, names in scipy.items() if names} == {"harness": ["scipy"]}
