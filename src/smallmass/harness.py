@@ -180,8 +180,13 @@ class ExperimentConfig:
         if st is not None:
             if not st or list(st) != sorted(st):
                 raise ValidationError("snapshot_times must be nonempty and sorted")
-            if st[0] < self.t_star - 1e-12 or st[-1] > self.T + 1e-12:
+            if st[0] < self.t_star - 1e-12:
                 raise ValidationError("snapshot_times must lie in [t_star, T]")
+            # every run stops at the last snapshot time
+            if abs(st[-1] - self.T) > 1e-12 * max(1.0, abs(self.T)):
+                raise ValidationError(
+                    f"snapshot_times must end at T={self.T!r}, but the last is {st[-1]!r}"
+                )
         if not self.psi_centers or not self.psi_radius > 0:
             raise ValidationError("need at least one psi center and psi_radius > 0")
         comps = self.init_components
@@ -359,6 +364,21 @@ def _ended(exc):
     yield
 
 
+def _arrivals(loop):
+    """Run a time loop to its end, yielding (index, state) for each snapshot
+    as it arrives; the loop's snapshot list lets go of each one read."""
+    seen, done = 0, False
+    while not done:
+        try:
+            out = next(loop)
+        except StopIteration as stop:
+            out, done = stop.value, True
+        for i in range(seen, len(out)):
+            state, out[i] = out[i], None
+            yield i, state
+        seen = len(out)
+
+
 def _lockstep(loops, abort):
     """Step each time loop once per round, in order, until every one has ended.
 
@@ -475,6 +495,14 @@ def _write_csv(path, columns, rows) -> None:
 def _write_json(path, obj) -> None:
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
+
+
+def _make_out_dir(path) -> None:
+    """Create the output directory; an unusable path is a ValidationError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot use out_dir {path!r}: {exc}") from exc
 
 
 def write_snapshots_csv(path, snapshots) -> None:
@@ -605,7 +633,6 @@ def _noise_bound(spec) -> bool:
 
 def _job_failure(config, epsilon, exc) -> SmallMassError:
     """Write failed_eps_<epsilon>.json; the error to raise for that epsilon."""
-    os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, f"failed_eps_{_eps_key(epsilon)}.json")
     record = {
         "epsilon": epsilon,
@@ -679,6 +706,9 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
         import scipy.linalg
     if method == "exact":
         import scipy.optimize
+    # the directory exists before any run, so that an unusable path fails
+    # at once and a failing job can write its record
+    _make_out_dir(config.out_dir)
     base_stream = NoiseStream(config.seed)
     # a lockstep group exists to share noise draws. A coupled sweep whose
     # steps are mostly noise draws is one group on the limit run's stream:
@@ -726,7 +756,6 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
     energy = energy_diagnostic({r["epsilon"]: r["snaps"] for r in results})
     max_moment2 = {r["epsilon"]: r["moment2"] for r in results}
 
-    os.makedirs(config.out_dir, exist_ok=True)
     paths = {
         "w2": os.path.join(config.out_dir, "w2.csv"),
         "weak_gaps": os.path.join(config.out_dir, "weak_gaps.csv"),
@@ -802,7 +831,9 @@ def run_slice_pair(config: ExperimentConfig) -> SliceDiagnostic:
     delta slices 2k and 2k+1: its start, midpoint and end are the start of
     slice 2k, the start of slice 2k+1 and the end of slice 2k+1. Each
     snapshot's coefficients and per-psi Y and Y* terms are computed once
-    and serve its rows of both widths.
+    and serve its rows of both widths. The pass streams: each snapshot is
+    read as the run reaches it and dropped once no open slice needs it, so
+    it holds a few states whatever (T - t_star) / delta is.
     """
     spec = build_spec(config)
     epsilon = config.epsilon_grid[0]
@@ -824,17 +855,12 @@ def run_slice_pair(config: ExperimentConfig) -> SliceDiagnostic:
         np.concatenate([starts, starts + 0.5 * delta, starts + delta]),
         return_inverse=True,
     )
-    started = time.perf_counter()
-    snaps = _underdamped_run(
-        spec, config, epsilon, NoiseStream(config.seed), [float(t) for t in times]
-    )
-    runtimes = {"trajectory": time.perf_counter() - started}
-    runtimes["delta_rows"] = runtimes["2delta_rows"] = 0.0
-
+    ends = where[2 * n :]
+    # the snapshots whose coefficients the rows read, once each: slice 0's
+    # start, then every midpoint and end (the end of slice k - 1 starts k)
+    read = {int(i) for i in where[n:]} | {int(where[0])}
     psis = bump_test_functions(spec.dim, config.psi_centers, config.psi_radius)
-
-    def frozen_at(i):
-        return _frozen_coefficients(snaps[where[i]], spec)
+    runtimes = {"delta_rows": 0.0, "2delta_rows": 0.0}
 
     def add_rows(frozen, out, maxima):
         top = 0.0
@@ -846,21 +872,43 @@ def run_slice_pair(config: ExperimentConfig) -> SliceDiagnostic:
         maxima.append(top)
 
     small, big, small_max, big_max = [], [], [], []
-    began = time.perf_counter()
-    # the end of slice k - 1 starts slice k; an even k's start also anchors
-    # the open 2delta slice
-    end = frozen_at(0)
-    for k in range(n):
-        start, mid, end = end, frozen_at(n + k), frozen_at(2 * n + k)
-        add_rows((start, mid, end), small, small_max)
-        lap = time.perf_counter()
-        runtimes["delta_rows"] += lap - began
-        if k % 2 == 0:
-            pair_start = start
-        else:
-            add_rows((pair_start, start, end), big, big_max)
-        began = time.perf_counter()
-        runtimes["2delta_rows"] += began - lap
+
+    def drive(loop):
+        """Run the time loop, writing each slice's rows when its end
+        arrives; a state is held only while an open slice needs it."""
+        k, start = 0, None
+        for i, last in _arrivals(loop):
+            if i not in read:
+                continue
+            began = time.perf_counter()
+            frozen = _frozen_coefficients(last, spec)
+            if start is None:  # slice 0's start
+                start = frozen
+            elif i != ends[k]:  # slice k's midpoint
+                mid = frozen
+            else:
+                add_rows((start, mid, frozen), small, small_max)
+                lap = time.perf_counter()
+                runtimes["delta_rows"] += lap - began
+                # an even k's start also anchors the open 2delta slice
+                if k % 2 == 0:
+                    pair_start = start
+                else:
+                    add_rows((pair_start, start, frozen), big, big_max)
+                runtimes["2delta_rows"] += time.perf_counter() - lap
+                # the end of slice k starts slice k + 1
+                start, mid, k = frozen, None, k + 1
+                continue
+            runtimes["delta_rows"] += time.perf_counter() - began
+        return [last]
+
+    started = time.perf_counter()
+    _underdamped_run(
+        spec, config, epsilon, NoiseStream(config.seed), [float(t) for t in times], drive
+    )
+    runtimes["trajectory"] = (
+        time.perf_counter() - started - runtimes["delta_rows"] - runtimes["2delta_rows"]
+    )
     small_mean = float(np.mean(small_max))
     if small_mean == 0.0:
         raise ValidationError("delta-run gaps are identically zero; ratio undefined")
@@ -869,7 +917,7 @@ def run_slice_pair(config: ExperimentConfig) -> SliceDiagnostic:
         small=WeakGapReport(rows=tuple(small)),
         big=WeakGapReport(rows=tuple(big)),
         ratio=float(np.mean(big_max)) / small_mean,
-        distinct_states=2 * n + 1,
+        distinct_states=len(read),
         runtimes_s=runtimes,
     )
 
@@ -894,7 +942,6 @@ def _cli_audit(config: ExperimentConfig) -> int:
         print(f"[audit] {label}: {'PASS' if ok else 'FAIL'}")
     if report.h4_bypassed:
         print("[audit] H4 bypassed (classical preset, phi == 0)")
-    os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "audit.json")
     _write_json(path, dataclasses.asdict(report))
     print(f"[audit] wrote {path}")
@@ -907,7 +954,6 @@ def _cli_simulate(config: ExperimentConfig) -> int:
     snaps = _underdamped_run(
         spec, config, epsilon, NoiseStream(config.seed), config.snapshot_times
     )
-    os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "underdamped_snapshots.csv")
     write_snapshots_csv(path, snaps)
     print(f"[simulate] epsilon={epsilon:g} N={config.n_particles} wrote {path}")
@@ -917,7 +963,6 @@ def _cli_simulate(config: ExperimentConfig) -> int:
 def _cli_limit(config: ExperimentConfig) -> int:
     spec = build_spec(config)
     snaps = _limit_run(spec, config, NoiseStream(config.seed), config.snapshot_times)
-    os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "limit_snapshots.csv")
     write_snapshots_csv(path, snaps)
     print(f"[limit] N={config.n_particles} wrote {path}")
@@ -941,7 +986,6 @@ def _cli_slice_diag(config: ExperimentConfig) -> int:
     epsilon = config.epsilon_grid[0]
     diag = run_slice_pair(config)
     delta = diag.delta
-    os.makedirs(config.out_dir, exist_ok=True)
     p_small = os.path.join(config.out_dir, "slice_gaps_delta.csv")
     p_big = os.path.join(config.out_dir, "slice_gaps_2delta.csv")
     write_weak_gaps_csv(p_small, diag.small)
@@ -981,7 +1025,6 @@ def _cli_fp(config: ExperimentConfig) -> int:
         except CFLError as exc:
             dt = 0.9 * exc.admissible_dt if np.isfinite(exc.admissible_dt) else 1e-3
     snaps = fp_solve(spec, grid0, config.T, dt, snapshot_times=config.snapshot_times)
-    os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "density.csv")
     write_density_csv(path, snaps)
     final = snaps[-1]
@@ -1021,6 +1064,7 @@ def main(argv=None) -> int:
             config = replace(config, seed=args.seed)
         if args.out is not None:
             config = replace(config, out_dir=args.out)
+        _make_out_dir(config.out_dir)
         return _COMMANDS[args.command](config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -177,9 +177,11 @@ def simulate_underdamped(
     step consumes one noise index regardless of its length). With
     snapshot_times None, only the final state is returned.
 
-    drive(loop) runs the time loop, a generator that yields after each step
-    and returns the snapshots; by default it is stepped to its end here. A
-    sweep passes a drive that steps it together with other runs.
+    drive(loop) runs the time loop, a generator that yields the snapshots
+    taken so far after each step and returns them all; by default it is
+    stepped to its end here. A sweep passes a drive that steps it together
+    with other runs; the slice pass, one that consumes each snapshot as it
+    arrives.
     """
     stepper = _STEPPERS[cfg.scheme]
 
@@ -199,7 +201,8 @@ def _snapshot_targets(t0, T, dt, snapshot_times):
         targets = [float(s) for s in snapshot_times]
         if targets != sorted(targets):
             raise ValidationError("snapshot_times must be sorted")
-        if targets and (targets[0] < t0 - 1e-12 or targets[-1] > T + 1e-12):
+        # past T, the time loop's landing tolerance
+        if targets and (targets[0] < t0 - 1e-12 or targets[-1] > T + 1e-12 * max(1.0, abs(T))):
             raise ValidationError("snapshot_times must lie within [init.t, T]")
     if dt == 0.0 and T > t0:
         raise ValidationError("dt=0 cannot reach T > init.t")
@@ -212,6 +215,8 @@ def _advance(state, T, dt, snapshot_times, step):
     A generator that yields after each step and returns the states at the
     snapshot times (only the final one when snapshot_times is None). A
     substep is shortened to land on each target within 1e-12 * max(1, |T|).
+    Each yield hands over the list of snapshots filled so far, the one it
+    returns; a drive may read and release its entries as they arrive.
     """
     targets = _snapshot_targets(state.t, T, dt, snapshot_times)
     out = []
@@ -219,7 +224,7 @@ def _advance(state, T, dt, snapshot_times, step):
     for target in targets:
         while state.t < target - tol:
             state = step(state, min(dt, target - state.t))
-            yield
+            yield out
         out.append(state)
     return out
 

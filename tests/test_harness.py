@@ -5,6 +5,7 @@ import json
 import os
 import time
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import yaml
 
 from smallmass import harness, observables, overdamped, underdamped
-from smallmass.ensemble import D_MAX, NoiseStream
+from smallmass.ensemble import D_MAX, NoiseStream, UnderdampedEnsemble
 from smallmass.errors import (
     BlowUpError,
     SmallMassError,
@@ -36,6 +37,8 @@ from smallmass.harness import (
     _worker_count,
 )
 from smallmass.model import ConstantMatrixField, LinearVectorField, ModelSpec, ZeroVectorField
+from smallmass.observables import bump_test_functions, weak_gap_rows
+from smallmass.underdamped import UDStepperConfig, simulate_underdamped
 
 
 def micro_sweep_config(tmp_path, **overrides):
@@ -692,7 +695,8 @@ def test_slice_pair_reads_both_widths_from_one_run(tmp_path, monkeypatch, overri
     counted = observables.ystar_summands
 
     def counting(frozen, spec, psi):
-        calls.append((id(frozen.state), psi.name))
+        # keyed by step, not id: the pass drops states, and ids get reused
+        calls.append((frozen.state.step, psi.name))
         return counted(frozen, spec, psi)
 
     monkeypatch.setattr(observables, "ystar_summands", counting)
@@ -738,6 +742,86 @@ def test_slice_gap_ratio_behaviour(tmp_path):
     assert 1.1 <= ratio <= 3.0
     with pytest.raises(ValidationError, match="below one step"):
         run_slice_pair(replace(cfg, delta=1e-9))
+
+
+def slice_pair_reference(cfg):
+    """run_slice_pair's rows, ratio and state count, read off the full
+    snapshot list of one simulate_underdamped run."""
+    spec = build_spec(cfg)
+    epsilon = cfg.epsilon_grid[0]
+    stream = NoiseStream(cfg.seed)
+    x0 = initial_positions(stream, cfg.n_particles, spec.dim, cfg.init_components)
+    v0 = initial_velocities(stream, x0, spec, epsilon, cfg.init_velocities)
+    init = UnderdampedEnsemble(epsilon=epsilon, t=0.0, positions=x0, velocities=v0)
+    step = UDStepperConfig(scheme=cfg.scheme, dt=underdamped_dt(cfg, epsilon))
+    starts = slice_starts(cfg.t_star, cfg.T, cfg.delta)
+    mids, ends = starts + 0.5 * cfg.delta, starts + cfg.delta
+    times = sorted({float(t) for t in np.concatenate([starts, mids, ends])})
+    at = dict(zip(times, simulate_underdamped(spec, init, cfg.T, step, stream, times)))
+    psis = bump_test_functions(spec.dim, cfg.psi_centers, cfg.psi_radius)
+    small, big, small_max, big_max = [], [], [], []
+
+    def add(states, rows, maxima):
+        new = [r for s in states for r in weak_gap_rows(s, spec, psis, anchor=states[0])]
+        rows.extend(new)
+        maxima.append(max(abs(r.gap_Y_Yhat) for r in new))
+
+    start = at[float(starts[0])]
+    for k in range(len(starts)):
+        end = at[float(ends[k])]
+        add((start, at[float(mids[k])], end), small, small_max)
+        if k % 2 == 0:
+            pair_start = start
+        else:
+            add((pair_start, start, end), big, big_max)
+        start = end  # slice k + 1 starts from slice k's end, not at starts[k + 1]
+    return small, big, float(np.mean(big_max)) / float(np.mean(small_max)), len(times)
+
+
+@pytest.mark.parametrize(
+    "overrides, missed",
+    [
+        (dict(n_particles=40, T=0.6, delta=0.1), 0),
+        (dict(n_particles=30, T=0.225, delta=0.005, dt_under=0.002), 1),
+        (dict(n_particles=20, T=0.5, t_star=0.3, delta=0.01, dt_under=0.002), 3),
+    ],
+    ids=["aligned", "unaligned", "ulp-ends"],
+)
+def test_streamed_slice_pass_matches_the_full_snapshot_list(tmp_path, overrides, missed):
+    cfg = slice_config(tmp_path, **overrides)
+    starts = slice_starts(cfg.t_star, cfg.T, cfg.delta)
+    # slice ends that miss the next start by an ulp
+    assert sum(a + cfg.delta != b for a, b in zip(starts, starts[1:])) == missed
+    small, big, ratio, n_times = slice_pair_reference(cfg)
+    pair = run_slice_pair(cfg)
+    assert pair.small.rows == tuple(small)
+    assert pair.big.rows == tuple(big)
+    assert pair.ratio == ratio
+    # every start, midpoint and end, less the starts that are an earlier end
+    assert pair.distinct_states == 2 * len(starts) + 1 == n_times - missed
+
+
+def test_slice_pass_holds_a_few_states_whatever_the_slice_count(tmp_path, monkeypatch):
+    # 200 slices: the pass used to hold all 401 slice states of the run
+    cfg = slice_config(
+        tmp_path, n_particles=10, T=0.6, t_star=0.2, delta=0.002, dt_under=0.001
+    )
+    assert len(slice_starts(cfg.t_star, cfg.T, cfg.delta)) == 200
+    alive, peak = [0], [0]
+    advanced = UnderdampedEnsemble.advanced
+
+    def counted(self, *args, **kwargs):
+        new = advanced(self, *args, **kwargs)
+        alive[0] += 1
+        peak[0] = max(peak[0], alive[0])
+        weakref.finalize(new, lambda: alive.__setitem__(0, alive[0] - 1))
+        return new
+
+    monkeypatch.setattr(UnderdampedEnsemble, "advanced", counted)
+    pair = run_slice_pair(cfg)
+    monkeypatch.undo()
+    assert pair.distinct_states == 401
+    assert peak[0] <= 8
 
 
 # ---- CLI ----
@@ -1005,6 +1089,61 @@ def test_cli_rejects_a_seed_override_past_the_range(tmp_path, capsys):
     assert not (tmp_path / "cli").exists()
 
 
+def forbid_runs(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    for name in ("simulate_underdamped", "simulate_limit", "fp_solve", "audit_assumptions"):
+        monkeypatch.setattr(harness, name, no_run)
+
+
+@pytest.mark.parametrize("command", sorted(harness._COMMANDS))
+def test_cli_rejects_an_unusable_out_dir_before_any_run(tmp_path, capsys, monkeypatch, command):
+    # the sweep used to run to its end and then crash with NotADirectoryError
+    # or FileExistsError while writing its outputs
+    forbid_runs(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, T=0.6, t_star=0.2, delta=0.1)
+    for out in (blocker, blocker / "sub"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: cannot use out_dir {str(out)!r}" in capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
+def test_sweep_rejects_an_unusable_out_dir_before_any_run(tmp_path, monkeypatch):
+    forbid_runs(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = micro_sweep_config(tmp_path, out_dir=str(blocker / "sub"))
+    with pytest.raises(ValidationError, match="cannot use out_dir"):
+        run_convergence_sweep(cfg)
+
+
+@pytest.mark.parametrize("command", ["converge", "simulate", "limit", "slice-diag", "fp"])
+def test_cli_rejects_snapshot_times_that_end_before_T(tmp_path, capsys, command):
+    # converge used to stop every run at t = 0.05 and print W2(T) there, and
+    # limit wrote only t = 0.05, while the manifest said T = 1.0
+    cfg = write_config(tmp_path, T=1.0, t_star=0.01, snapshot_times=[0.02, 0.05])
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "error: snapshot_times must end at T=1.0, but the last is 0.05" in err
+    assert not (tmp_path / "cli").exists()
+
+
+def test_config_accepts_a_last_snapshot_time_within_the_landing_tolerance(tmp_path, capsys):
+    base = {"preset": "quadratic-ou", "T": 2.0, "t_star": 0.5}
+    for last in (2.0 - 3e-12, 2.0 + 3e-12):
+        with pytest.raises(ValidationError, match="must end at T=2.0"):
+            ExperimentConfig.from_mapping({**base, "snapshot_times": [1.0, last]})
+    # 1e-12 * T past T: the config and the time loop both accept it
+    for last in (2.0 - 1.5e-12, 2.0 + 1.5e-12):
+        cfg = write_config(
+            tmp_path, **base, n_particles=2, dt_limit=0.05, snapshot_times=[1.0, last]
+        )
+        assert main(["limit", "--config", cfg]) == 0
+
+
 def test_config_accepts_ints_and_numpy_floats_for_float_fields():
     cfg = ExperimentConfig.from_mapping(
         {"preset": "quadratic-ou", "T": 2, "dt_limit": np.float64(1e-3),
@@ -1079,7 +1218,8 @@ def test_cli_rejects_a_w2_method_it_cannot_apply_before_any_run(
     assert main(["converge", "--config", cfg, "--out", str(tmp_path / "bad")]) == 2
     assert message in capsys.readouterr().err
     assert stepped == []
-    assert os.path.exists(out) and not os.path.exists(tmp_path / "bad")
+    # main may make the output directory before the command; nothing lands in it
+    assert os.path.exists(out) and not list((tmp_path / "bad").glob("*"))
 
 
 def test_cli_validation_exit_codes(tmp_path, capsys):
