@@ -99,18 +99,6 @@ class NoiseStream:
         self._last = (key, out)
         return out
 
-    def gaussian(self, run: int, particle: int, step: int, component: int) -> float:
-        """Scalar draw; equals block(run, step, .)[particle, component]."""
-        particle = int(particle)
-        component = int(component)
-        if particle < 0 or not (0 <= component < D_MAX):
-            raise ValidationError(
-                f"particle must be >= 0 and component in [0, {D_MAX})"
-            )
-        idx = particle * D_MAX + component
-        gen = self._generator(run, step)
-        return float(gen.standard_normal(idx + 1)[-1])
-
 
 class _Ensemble:
     """What both ensembles share: their sizes and the step to the next state."""
@@ -122,6 +110,19 @@ class _Ensemble:
     @property
     def dim(self) -> int:
         return self.positions.shape[1]
+
+    def _set_state(self, *names):
+        """Store the named fields as float arrays once they are checked: the
+        first is (N, d) with N >= 1, the rest share its shape, all are finite."""
+        x, *rest = arrays = [np.asarray(getattr(self, n), dtype=float) for n in names]
+        if x.ndim != 2 or x.shape[0] < 1:
+            raise ValidationError(f"{names[0]} must be (N, d) with N >= 1, got {x.shape}")
+        for n, a in zip(names[1:], rest):
+            if a.shape != x.shape:
+                raise ValidationError(f"{n} shape {a.shape} does not match {names[0]} {x.shape}")
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise ValidationError("ensemble state has non-finite entries")
+        self.__dict__.update(zip(names, arrays))  # the frozen fields, as _advanced sets them
 
     def _advanced(self, dt, **arrays):
         """This state one step of length dt later, holding a step's new arrays.
@@ -158,20 +159,9 @@ class UnderdampedEnsemble(_Ensemble):
     step: int = 0
 
     def __post_init__(self):
-        x = np.asarray(self.positions, dtype=float)
-        v = np.asarray(self.velocities, dtype=float)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise ValidationError(f"positions must be (N, d) with N >= 1, got {x.shape}")
-        if v.shape != x.shape:
-            raise ValidationError(
-                f"velocities shape {v.shape} does not match positions {x.shape}"
-            )
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise ValidationError("ensemble state has non-finite entries")
+        self._set_state("positions", "velocities")
         if not self.epsilon > 0:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
-        object.__setattr__(self, "positions", x)
-        object.__setattr__(self, "velocities", v)
 
     def advanced(self, positions, velocities, dt) -> "UnderdampedEnsemble":
         return self._advanced(dt, positions=positions, velocities=velocities)
@@ -186,12 +176,7 @@ class OverdampedEnsemble(_Ensemble):
     step: int = 0
 
     def __post_init__(self):
-        x = np.asarray(self.positions, dtype=float)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise ValidationError(f"positions must be (N, d) with N >= 1, got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValidationError("ensemble state has non-finite entries")
-        object.__setattr__(self, "positions", x)
+        self._set_state("positions")
 
     def advanced(self, positions, dt) -> "OverdampedEnsemble":
         return self._advanced(dt, positions=positions)

@@ -47,7 +47,6 @@ from .model import (
 from .observables import (
     W2_EXACT_MAX_N,
     EnergyReport,
-    WeakGapReport,
     _frozen_coefficients,
     bump_test_functions,
     energy_diagnostic,
@@ -537,10 +536,9 @@ _GAP_COLUMNS = (
 )
 
 
-def write_weak_gaps_csv(path, report: WeakGapReport) -> None:
-    """One row per WeakGapRow, both gaps included."""
-    rows = ([getattr(r, c) for c in _GAP_COLUMNS] for r in report.rows)
-    _write_csv(path, _GAP_COLUMNS, rows)
+def write_weak_gaps_csv(path, rows) -> None:
+    """One CSV row per WeakGapRow in rows, both gaps included."""
+    _write_csv(path, _GAP_COLUMNS, ([getattr(r, c) for c in _GAP_COLUMNS] for r in rows))
 
 
 # ----------------------------------------------------------------- sweeps
@@ -570,7 +568,7 @@ class ConvergenceReport:
 
     config: ExperimentConfig
     w2_rows: tuple  # (epsilon, t, value, method)
-    weak: WeakGapReport
+    weak: tuple  # WeakGapRow, in grid order
     holder: dict
     energy: EnergyReport
     max_moment2: dict
@@ -751,7 +749,7 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
             raise r
 
     w2_rows = tuple(row for r in results for row in r["w2"])
-    weak = WeakGapReport(rows=tuple(row for r in results for row in r["weak"]))
+    weak = tuple(row for r in results for row in r["weak"])
     holder = {r["epsilon"]: r["holder"] for r in results}
     energy = energy_diagnostic({r["epsilon"]: r["snaps"] for r in results})
     max_moment2 = {r["epsilon"]: r["moment2"] for r in results}
@@ -811,12 +809,12 @@ def slice_starts(t_star: float, T: float, delta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SliceDiagnostic:
-    """Gap reports of one underdamped run cut into delta and 2delta slices;
+    """Gap rows of one underdamped run cut into delta and 2delta slices;
     see run_slice_pair."""
 
     delta: float
-    small: WeakGapReport
-    big: WeakGapReport
+    small: tuple  # WeakGapRow of the delta slices
+    big: tuple  # WeakGapRow of the 2delta slices
     ratio: float  # mean per-slice max |Y - Yhat| of the 2delta slices over delta's
     distinct_states: int  # states whose coefficients were computed, once each
     runtimes_s: dict  # trajectory, delta_rows, 2delta_rows
@@ -914,8 +912,8 @@ def run_slice_pair(config: ExperimentConfig) -> SliceDiagnostic:
         raise ValidationError("delta-run gaps are identically zero; ratio undefined")
     return SliceDiagnostic(
         delta=delta,
-        small=WeakGapReport(rows=tuple(small)),
-        big=WeakGapReport(rows=tuple(big)),
+        small=tuple(small),
+        big=tuple(big),
         ratio=float(np.mean(big_max)) / small_mean,
         distinct_states=len(read),
         runtimes_s=runtimes,

@@ -235,13 +235,6 @@ def _paired_stderr(y, ystar) -> float:
     return float(np.std(diff, ddof=1) / np.sqrt(diff.size))
 
 
-def paired_gap_stderr(state: UnderdampedEnsemble, spec, psi) -> float:
-    """Standard error of <Y - Y*, psi> from the paired per-particle summands."""
-    return _paired_stderr(
-        momentum_summands(state, psi), ystar_summands(state.positions, spec, psi)
-    )
-
-
 def _one_minus_exp_poly(x):
     """1 - e^{-x}(1 + x) for x >= 0, without cancellation at small x."""
     out = -np.expm1(-x) - x * np.exp(-x)  # within 1.2e-15 relative from 0.25 up
@@ -425,9 +418,9 @@ class EnergyReport:
     ratio: float  # max/median over rows; 1 when all zero
 
 
-def energy_diagnostic(runs) -> EnergyReport:
+def energy_diagnostic(runs: dict) -> EnergyReport:
     """Scaled kinetic energy table over an eps grid, with max/median ratio."""
-    items = sorted(runs.items()) if isinstance(runs, dict) else list(runs)
+    items = sorted(runs.items())
     if not items:
         raise ValidationError("no runs given")
     rows = []
@@ -447,7 +440,7 @@ def energy_diagnostic(runs) -> EnergyReport:
     return EnergyReport(tuple(rows), ratio)
 
 
-# ------------------------------------------------------------- gap reports
+# ---------------------------------------------------------------- gap rows
 
 
 @dataclass(frozen=True)
@@ -514,8 +507,3 @@ def gap_row(
         Ystar=float(Ystar),
         mc_stderr=float(mc_stderr),
     )
-
-
-@dataclass(frozen=True)
-class WeakGapReport:
-    rows: tuple

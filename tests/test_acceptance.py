@@ -213,7 +213,7 @@ def test_criterion_04_w2_convergence_at_final_time(double_well_sweep):
 def test_criterion_05_weak_gap_decreases(double_well_sweep):
     cfg, report, _wall = double_well_sweep
     by_psi = {}
-    for row in report.weak.rows:
+    for row in report.weak:
         if abs(row.t - cfg.T) < 1e-9:
             by_psi.setdefault(row.psi_id, {})[row.epsilon] = (
                 abs(row.gap_Y_Ystar),
@@ -284,9 +284,9 @@ def test_criterion_08_slice_gap_scaling(tmp_path):
     pair = run_slice_pair(cfg)
     ratio = pair.ratio
     anchors_ok = True
-    for rep, width in ((pair.small, delta), (pair.big, 2 * delta)):
+    for rows, width in ((pair.small, delta), (pair.big, 2 * delta)):
         n_slices = len(slice_starts(cfg.t_star, cfg.T, width))
-        zero_rows = sum(1 for r in rep.rows if r.gap_Y_Yhat == 0.0)
+        zero_rows = sum(1 for r in rows if r.gap_Y_Yhat == 0.0)
         anchors_ok = anchors_ok and zero_rows == 3 * n_slices
     ok = 1.3 <= ratio <= 3.0 and anchors_ok
     assert _verdict(

@@ -233,13 +233,20 @@ def test_empirical_moment2():
 # ------------------------------------------------------------ noise stream
 
 
+def gaussian(stream, run, particle, step, component) -> float:
+    """The scalar oracle of block: draw idx = 8*particle + component of
+    (run, step)'s Philox sequence, read off one at a time."""
+    idx = particle * D_MAX + component
+    return float(stream._generator(run, step).standard_normal(idx + 1)[-1])
+
+
 def test_gaussian_determinism():
     s = NoiseStream(123)
-    a = s.gaussian(4, 17, 99, 3)
-    b = s.gaussian(4, 17, 99, 3)
-    assert a == b
+    a = s.block(4, 99, 18)[17, 3]
+    s.block(4, 100, 18)  # another key, so the next request draws afresh
+    assert s.block(4, 99, 18)[17, 3] == a
     # a separately constructed stream agrees
-    assert NoiseStream(123).gaussian(4, 17, 99, 3) == a
+    assert NoiseStream(123).block(4, 99, 18)[17, 3] == a
 
 
 def test_gaussian_distinct_seeds_distinct_sequences():
@@ -255,7 +262,7 @@ def test_gaussian_block_scalar_consistency():
     assert blk.shape == (6, D_MAX)
     for p in (0, 2, 5):
         for c in (0, 1, 7):
-            assert blk[p, c] == s.gaussian(3, p, 11, c)
+            assert blk[p, c] == gaussian(s, 3, p, 11, c)
 
 
 def test_block_prefix_property():
@@ -346,13 +353,8 @@ def test_gaussian_moment_checks():
 
 
 def test_gaussian_index_validation():
-    s = NoiseStream(0)
     with pytest.raises(ValidationError):
-        s.gaussian(0, -1, 0, 0)
-    with pytest.raises(ValidationError):
-        s.gaussian(0, 0, 0, D_MAX)
-    with pytest.raises(ValidationError):
-        s.block(-1, 0, 3)
+        NoiseStream(0).block(-1, 0, 3)
 
 
 def test_master_seed_outside_64_bits_is_rejected_not_masked():
@@ -393,6 +395,63 @@ def test_constructors_reject_non_finite_state(bad):
         UnderdampedEnsemble(epsilon=0.5, t=0.0, positions=clean, velocities=dirty)
     with pytest.raises(ValidationError, match="non-finite"):
         OverdampedEnsemble(t=0.0, positions=dirty)
+
+
+SHAPE = "positions must be (N, d) with N >= 1, got {}"
+NON_FINITE = "ensemble state has non-finite entries"
+X, NAN_X = np.zeros((2, 1)), np.array([[0.0], [np.nan]])
+# id -> (positions, velocities, epsilon, the UnderdampedEnsemble message, the
+# OverdampedEnsemble(positions) message or None if it takes the positions);
+# the checks run in this order: the positions' shape, the velocities' shape,
+# finiteness, epsilon
+MALFORMED = {
+    "1d-array": (np.zeros(3), np.zeros(3), 0.5, SHAPE.format((3,)), SHAPE.format((3,))),
+    "no-particles": (np.zeros((0, 2)), np.zeros((0, 2)), 0.5,
+                     SHAPE.format((0, 2)), SHAPE.format((0, 2))),
+    "velocity-shape": (X, np.zeros((3, 1)), 0.5,
+                       "velocities shape (3, 1) does not match positions (2, 1)", None),
+    "velocity-1d": (X, np.zeros(2), 0.5,
+                    "velocities shape (2,) does not match positions (2, 1)", None),
+    "zero-epsilon": (X, X, 0.0, "epsilon must be positive, got 0.0", None),
+    "negative-epsilon": (X, X, -0.5, "epsilon must be positive, got -0.5", None),
+    "1d-array-before-velocity-shape": (np.zeros(2), np.zeros((3, 1)), 0.0,
+                                       SHAPE.format((2,)), SHAPE.format((2,))),
+    "velocity-shape-before-non-finite": (
+        NAN_X, np.zeros((3, 1)), 0.0,
+        "velocities shape (3, 1) does not match positions (2, 1)", NON_FINITE,
+    ),
+    "non-finite-before-epsilon": (X, NAN_X, 0.0, NON_FINITE, None),
+}
+for name, value in [("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)]:
+    bad = np.array([[0.0], [value]])
+    MALFORMED[f"{name}-positions"] = (bad, X, 0.5, NON_FINITE, NON_FINITE)
+    MALFORMED[f"{name}-velocities"] = (X, bad, 0.5, NON_FINITE, None)
+
+
+@pytest.mark.parametrize(
+    "positions, velocities, epsilon, message, overdamped_message",
+    list(MALFORMED.values()), ids=list(MALFORMED),
+)
+def test_constructors_reject_malformed_states_with_one_message(
+    positions, velocities, epsilon, message, overdamped_message
+):
+    with pytest.raises(ValidationError) as err:
+        UnderdampedEnsemble(epsilon=epsilon, t=0.0, positions=positions, velocities=velocities)
+    assert type(err.value) is ValidationError and str(err.value) == message
+    if overdamped_message is None:
+        assert OverdampedEnsemble(t=0.0, positions=positions).positions.shape == (2, 1)
+        return
+    with pytest.raises(ValidationError) as err:
+        OverdampedEnsemble(t=0.0, positions=positions)
+    assert type(err.value) is ValidationError and str(err.value) == overdamped_message
+
+
+def test_constructors_store_the_state_as_float_arrays():
+    under = UnderdampedEnsemble(epsilon=0.5, t=0.0, positions=[[1], [2]], velocities=[[0], [3]])
+    over = OverdampedEnsemble(t=0.0, positions=[[1], [2]])
+    for a in (under.positions, under.velocities, over.positions):
+        assert isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == (2, 1)
+    assert under.velocities[1, 0] == 3.0
 
 
 def both_states():

@@ -228,7 +228,7 @@ def test_sweep_row_counts_and_files(tmp_path):
     cfg = micro_sweep_config(tmp_path)
     report = run_convergence_sweep(cfg)
     assert len(report.w2_rows) == 2 * 3  # two epsilons, three snapshots
-    assert len(report.weak.rows) == 2 * 3 * 3  # x three bump functions
+    assert len(report.weak) == 2 * 3 * 3  # x three bump functions
     for path in report.out_paths.values():
         assert os.path.exists(path)
     assert set(report.max_moment2) == {0.1, 0.05}
@@ -626,9 +626,9 @@ def gap_ratio_from_times(diag, t_star):
     any maximum.
     """
 
-    def mean_slice_max(report, width):
+    def mean_slice_max(rows, width):
         buckets = {}
-        for row in report.rows:
+        for row in rows:
             j = int(np.ceil((row.t - t_star) / width - 1e-9)) - 1
             j = max(j, 0)
             buckets[j] = max(buckets.get(j, 0.0), abs(row.gap_Y_Yhat))
@@ -647,8 +647,8 @@ def test_slice_diagnostic_long_horizon(tmp_path):
     )
     diag = run_slice_pair(cfg)
     # 14 slices x 3 evaluation times x 3 bump functions
-    assert len(diag.small.rows) == 126
-    assert all(np.isfinite(r.Yhat) for r in diag.small.rows + diag.big.rows)
+    assert len(diag.small) == 126
+    assert all(np.isfinite(r.Yhat) for r in diag.small + diag.big)
     assert diag.ratio == gap_ratio_from_times(diag, cfg.t_star)
 
 
@@ -660,23 +660,23 @@ def test_slice_starts_partition():
 
 def test_slice_diagnostic_rows(tmp_path):
     cfg = slice_config(tmp_path)
-    report = run_slice_pair(cfg).small
+    rows = run_slice_pair(cfg).small
     # 4 slices x 3 evaluation times x 3 bump functions
-    assert len(report.rows) == 36
+    assert len(rows) == 36
     starts = set(np.round(slice_starts(0.2, 0.6, 0.1), 12))
-    start_rows = [r for r in report.rows if round(r.t, 12) in starts]
+    start_rows = [r for r in rows if round(r.t, 12) in starts]
     # one zero row per (slice, psi) at the slice origin; later slices also
     # evaluate earlier anchors at these times, so only 12 rows are exact zeros
     zero_rows = [r for r in start_rows if r.gap_Y_Yhat == 0.0]
     assert len(zero_rows) == 12
-    for r in report.rows:
+    for r in rows:
         assert np.isfinite(r.Y) and np.isfinite(r.Yhat) and np.isfinite(r.Ystar)
 
 
 def test_slice_diagnostic_deterministic(tmp_path):
     a = run_slice_pair(slice_config(tmp_path))
     b = run_slice_pair(slice_config(tmp_path))
-    assert (a.small.rows, a.big.rows, a.ratio) == (b.small.rows, b.big.rows, b.ratio)
+    assert (a.small, a.big, a.ratio) == (b.small, b.big, b.ratio)
 
 
 @pytest.mark.parametrize(
@@ -707,18 +707,18 @@ def test_slice_pair_reads_both_widths_from_one_run(tmp_path, monkeypatch, overri
     n = len(slice_starts(cfg.t_star, cfg.T, cfg.delta))
     n_big = len(slice_starts(cfg.t_star, cfg.T, 2 * cfg.delta))
     assert n_big == n // 2
-    assert len(pair.small.rows) == 3 * 3 * n
-    assert len(pair.big.rows) == 3 * 3 * n_big
+    assert len(pair.small) == 3 * 3 * n
+    assert len(pair.big) == 3 * 3 * n_big
     # slice k of 2delta starts at delta slice 2k and ends where 2k+1 ends
-    small_times = sorted({r.t for r in pair.small.rows})
-    big_times = sorted({r.t for r in pair.big.rows})
+    small_times = sorted({r.t for r in pair.small})
+    big_times = sorted({r.t for r in pair.big})
     assert big_times == small_times[: 4 * n_big + 1 : 2]
     # one trajectory: a state's Y, Y* and stderr are the same at both widths
-    at = {(r.t, r.psi_id): r for r in pair.small.rows}
-    for r in pair.big.rows:
+    at = {(r.t, r.psi_id): r for r in pair.small}
+    for r in pair.big:
         s = at[(r.t, r.psi_id)]
         assert (r.Y, r.Ystar, r.mc_stderr) == (s.Y, s.Ystar, s.mc_stderr)
-    assert sum(r.gap_Y_Yhat == 0.0 for r in pair.big.rows) == 3 * n_big
+    assert sum(r.gap_Y_Yhat == 0.0 for r in pair.big) == 3 * n_big
     assert pair.distinct_states == 2 * n + 1
     assert set(pair.runtimes_s) == {"trajectory", "delta_rows", "2delta_rows"}
     # the ratio read from the run's own slices is the one read from row times
@@ -794,8 +794,8 @@ def test_streamed_slice_pass_matches_the_full_snapshot_list(tmp_path, overrides,
     assert sum(a + cfg.delta != b for a, b in zip(starts, starts[1:])) == missed
     small, big, ratio, n_times = slice_pair_reference(cfg)
     pair = run_slice_pair(cfg)
-    assert pair.small.rows == tuple(small)
-    assert pair.big.rows == tuple(big)
+    assert pair.small == tuple(small)
+    assert pair.big == tuple(big)
     assert pair.ratio == ratio
     # every start, midpoint and end, less the starts that are an earlier end
     assert pair.distinct_states == 2 * len(starts) + 1 == n_times - missed

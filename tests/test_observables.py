@@ -3,6 +3,7 @@
 import csv
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -33,14 +34,14 @@ from smallmass import observables
 from smallmass.harness import write_weak_gaps_csv
 from smallmass.observables import (
     TestFunction,
-    WeakGapReport,
     _Frozen,
     _frozen_coefficients,
+    _paired_stderr,
     bump_test_functions,
     energy_diagnostic,
     gap_row,
     holder_diagnostic,
-    paired_gap_stderr,
+    momentum_summands,
     w2_1d,
     w2_exact,
     w2_sliced,
@@ -643,6 +644,13 @@ def test_energy_diagnostic():
     assert energy_diagnostic({0.3: [s1]}).ratio == 1.0
 
 
+def paired_gap_stderr(state, spec, psi) -> float:
+    """Standard error of <Y - Y*, psi> from the paired per-particle summands."""
+    return _paired_stderr(
+        momentum_summands(state, psi), ystar_summands(state.positions, spec, psi)
+    )
+
+
 def test_paired_gap_stderr_scales():
     spec = make_quadratic_ou()
     psi = bump_test_functions()[1]
@@ -654,7 +662,7 @@ def test_paired_gap_stderr_scales():
     assert 0.0 < se_big < se_small
 
 
-# ---------------------------------------------------------------- gap report
+# ------------------------------------------------------------------ gap rows
 
 
 def test_gap_report_invariant_and_csv(tmp_path):
@@ -663,9 +671,8 @@ def test_gap_report_invariant_and_csv(tmp_path):
     assert row.gap_Y_Yhat == 0.5 - 0.45
     nan_row = gap_row(0.2, 1.0, "p2", Y=1.0, Ystar=0.25)
     assert math.isnan(nan_row.gap_Y_Yhat)
-    rep = WeakGapReport(rows=(row, nan_row))
     path = tmp_path / "gaps.csv"
-    write_weak_gaps_csv(path, rep)
+    write_weak_gaps_csv(path, (row, nan_row))
     with open(path) as f:
         rows = list(csv.DictReader(f))
     assert list(rows[0]) == [
@@ -676,3 +683,22 @@ def test_gap_report_invariant_and_csv(tmp_path):
     assert float(rows[0]["gap_Y_Ystar"]) == row.gap_Y_Ystar
     assert math.isnan(float(rows[1]["Yhat"]))
     assert rows[1]["psi_id"] == "p2"
+
+
+def test_weak_gaps_csv_of_a_row_tuple_reproduces_the_golden_bytes(tmp_path):
+    # every cell goes out with 17 significant digits, so the golden rows read
+    # back exactly; the gap columns are recomputed from Y, Ystar and Yhat
+    golden = os.path.join(os.path.dirname(__file__), "golden", "sdf1d", "slice_gaps_delta.csv")
+    with open(golden) as f:
+        rows = tuple(
+            gap_row(
+                float(r["epsilon"]), float(r["t"]), r["psi_id"], float(r["Y"]),
+                float(r["Ystar"]), float(r["Yhat"]), float(r["mc_stderr"]),
+            )
+            for r in csv.DictReader(f)
+        )
+    assert len(rows) == 36
+    path = tmp_path / "slice_gaps_delta.csv"
+    write_weak_gaps_csv(path, rows)
+    with open(golden, "rb") as f, open(path, "rb") as g:
+        assert g.read() == f.read()
