@@ -142,9 +142,16 @@ class ExperimentConfig:
         object.__setattr__(self, "init_components", comps)
         if not isinstance(self.coupled, bool):
             raise ValidationError(f"coupled must be true or false, got {self.coupled!r}")
+        for name in ("preset", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ValidationError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if not isinstance(self.model, (dict, type(None))):
+            raise ValidationError(f"model must be a mapping, got {self.model!r}")
         for key, val in (self.model or {}).items():
             if key != "kind":
                 _number(f"model.{key}", val)
+            elif not isinstance(val, str):
+                raise ValidationError(f"model.kind must be a string, got {val!r}")
 
         for name in ("n_particles", "n_projections", "fp_cells", "audit_samples", "seed"):
             val = getattr(self, name)

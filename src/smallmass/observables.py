@@ -312,13 +312,14 @@ def weak_Yhat(slice_start, t, t_k, spec: ModelSpec, psi: TestFunction) -> float:
 
 
 def w2_1d(samples_a, samples_b) -> float:
-    """Exact W2 between equal-weight empirical measures on the line."""
-    a = np.sort(np.asarray(samples_a, dtype=float).reshape(-1))
-    b = np.sort(np.asarray(samples_b, dtype=float).reshape(-1))
-    if a.size != b.size or a.size == 0:
+    """Exact W2 between equal-weight empirical measures on the line, from
+    (N,) or (N, 1) samples."""
+    a, b = _cloud(samples_a), _cloud(samples_b)
+    if a.shape[1] != 1 or a.shape != b.shape:
         raise ValidationError(
-            f"equal nonzero sample counts required, got {a.size} and {b.size}"
+            f"w2_1d needs equal (N,) or (N, 1) sample shapes, got {a.shape} and {b.shape}"
         )
+    a, b = np.sort(a[:, 0]), np.sort(b[:, 0])
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 

@@ -29,11 +29,6 @@ Two schemes:
 The covariance formula is the stationary-minus-decayed form of the
 differential Sylvester solution: d/ds [e^{-As} J e^{-A^T s}] integrates the
 noise covariance flow, so Var(v_t) = (J - E J E^T)/eps after time dt.
-
-The same one-shot exact update, pinned at a fixed x and measure, implements
-`frozen_velocity_covariance`: the pinned velocity SDE has genuinely frozen
-coefficients, so a single exponential step of length t IS its exact
-simulation.
 """
 
 from __future__ import annotations
@@ -46,8 +41,6 @@ from .ensemble import (
     NoiseStream,
     UnderdampedEnsemble,
     _check_friction_floor,
-    conv_gradK,
-    conv_phi,
     mean_field_coefficients,
 )
 from .errors import StiffnessError, ValidationError
@@ -117,9 +110,9 @@ def step_underdamped_em(
 def _velocity_transition(A, F, J, V, dt, eps, xi):
     """Exact velocity after time dt of eps dv = (-A v - F) dt + sigma dB from V.
 
-    A, F and J are frozen, per row of V and of the unit normals xi or as one
-    (1, d, d), (1, d) row broadcast against them. Closed form in 1D; in d > 1
-    one expm, and xi colored by a PSD-clipped eigenfactor of the covariance.
+    A, F and J are frozen, one row per row of V and of the unit normals xi.
+    Closed form in 1D; in d > 1 one expm per row, and xi colored by a
+    PSD-clipped eigenfactor of the covariance.
     """
     d = A.shape[-1]
     b = -F
@@ -236,44 +229,3 @@ def _run_to_end(loop):
             next(loop)
         except StopIteration as stop:
             return stop.value
-
-
-def frozen_velocity_covariance(
-    spec: ModelSpec,
-    x,
-    measure,
-    epsilon: float,
-    t: float,
-    reps: int,
-    stream: NoiseStream,
-    run_id: int = 0,
-):
-    """eps * E[v (x) v] at time t for the velocity SDE pinned at x.
-
-    The pinned process has frozen coefficients (A, F, sigma evaluated at x
-    against the fixed measure) and starts from v = 0, so its time-t law is
-    Gaussian with mean A^{-1}(I - E)b and covariance (J - E J E^T)/eps; the
-    exponential step's transition, one per replica, draws it. Returns the
-    (d, d) matrix eps * mean(v v^T) and its Monte Carlo standard-error matrix.
-    """
-    reps = int(reps)
-    if reps < 2:
-        raise ValidationError("reps must be at least 2")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = spec.dim
-    if x.shape != (d,):
-        raise ValidationError(f"x must have shape ({d},), got {x.shape}")
-    if not (epsilon > 0 and t >= 0):
-        raise ValidationError("need epsilon > 0 and t >= 0")
-
-    A = spec.gamma_at(x[None]) + conv_phi(x, measure, spec)
-    F = spec.grad_V_at(x[None]) + conv_gradK(x, measure, spec)
-    _check_friction_floor(A, x[None])
-    J = _stationary_covariance(A, spec.sigma_at(x[None]))
-
-    xi = stream.block(run_id, 1, reps)[:, :d]
-    v = _velocity_transition(A, F, J, np.zeros((reps, d)), t, epsilon, xi)
-    outer = v[:, :, None] * v[:, None, :]
-    second = epsilon * np.mean(outer, axis=0)
-    stderr = epsilon * np.std(outer, axis=0, ddof=1) / np.sqrt(reps)
-    return second, stderr

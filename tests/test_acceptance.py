@@ -45,13 +45,10 @@ from smallmass.model import (
 from smallmass.observables import w2_1d, w2_exact
 from smallmass.overdamped import simulate_limit
 from smallmass.smallmat import solve_lyapunov
-from smallmass.underdamped import (
-    UDStepperConfig,
-    frozen_velocity_covariance,
-    simulate_underdamped,
-)
+from smallmass.underdamped import UDStepperConfig, simulate_underdamped
 
 from lyapunov_oracle import lyapunov_quadrature
+from velocity_moment import scaled_second_moment
 
 
 def _verdict(criterion: int, ok: bool, detail: str) -> bool:
@@ -242,9 +239,8 @@ def test_criterion_06_velocity_covariance_slope():
     t0 = time.perf_counter()
     gaps = []
     for eps in eps_grid:
-        second, _ = frozen_velocity_covariance(
-            spec, x, x[None, :], epsilon=eps, t=5 * eps, reps=100_000,
-            stream=NoiseStream(123), run_id=5,
+        second, _ = scaled_second_moment(
+            spec, x, epsilon=eps, t=5 * eps, reps=100_000, stream=NoiseStream(123), run_id=5
         )
         gaps.append(abs(second[0, 0] - 0.25))
     wall = time.perf_counter() - t0

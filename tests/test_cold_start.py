@@ -2,7 +2,7 @@
 
 Each check runs in a fresh interpreter, since pytest itself (and the other
 test modules) import scipy.linalg, scipy.optimize and scipy.special. A 1D
-sweep, slice pass, limit run, Fokker-Planck solve and velocity sampler load
+sweep, slice pass, limit run, Fokker-Planck solve and exponential step load
 none of them, nor numpy.polynomial; a 2D exponential sweep or slice pass
 loads what it calls before its first step; each lazy site, called first in
 a fresh process, loads its submodule and returns the same bits as a direct
@@ -64,7 +64,7 @@ def loaded():
 
 def test_import_and_1d_runs_load_no_scipy_submodule(tmp_path):
     # a single-component start draws no mixture labels (scipy.special), and
-    # the 1D velocity sampler takes the closed-form transition, not expm
+    # the 1D exponential step takes the closed-form transition, not expm
     config = dict(
         preset="state-dep-friction-1d",
         n_particles=20,
@@ -86,11 +86,17 @@ print("loaded", loaded())
 for command in ("converge", "slice-diag", "limit", "fp"):
     assert smallmass.harness.main([command, "--config", "c.json"]) == 0
 print("loaded", loaded())
-from smallmass.ensemble import NoiseStream
+import numpy as np
+from smallmass.ensemble import NoiseStream, UnderdampedEnsemble
 from smallmass.model import get_preset
-from smallmass.underdamped import frozen_velocity_covariance
-spec, x = get_preset("state-dep-friction-1d"), [0.3]
-frozen_velocity_covariance(spec, x, [x], 0.1, 0.2, 50, NoiseStream(1))
+from smallmass.underdamped import UDStepperConfig, step_underdamped_exp
+state = UnderdampedEnsemble(
+    epsilon=0.1, t=0.0, positions=np.full((50, 1), 0.3), velocities=np.zeros((50, 1))
+)
+step_underdamped_exp(
+    state, get_preset("state-dep-friction-1d"), UDStepperConfig("exponential", 0.2),
+    NoiseStream(1),
+)
 print("loaded", loaded())
 """, tmp_path)
     assert [line for line in out.splitlines() if line.startswith("loaded")] == [

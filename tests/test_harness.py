@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import time
 import warnings
@@ -11,6 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smallmass import harness, observables, overdamped, underdamped
 from smallmass.ensemble import D_MAX, NoiseStream, UnderdampedEnsemble
@@ -36,7 +39,13 @@ from smallmass.harness import (
     underdamped_dt,
     _worker_count,
 )
-from smallmass.model import ConstantMatrixField, LinearVectorField, ModelSpec, ZeroVectorField
+from smallmass.model import (
+    PRESETS,
+    ConstantMatrixField,
+    LinearVectorField,
+    ModelSpec,
+    ZeroVectorField,
+)
 from smallmass.observables import bump_test_functions, weak_gap_rows
 from smallmass.underdamped import UDStepperConfig, simulate_underdamped
 
@@ -1034,18 +1043,21 @@ def test_config_rejects_non_integer_counts(name, value):
         ("epsilon_grid: [0.1, -.inf]", "epsilon_grid[1]", False),
         ("init_components: [[1.0, .nan, 0.5]]", "init_components[0][1]", False),
         ("model: {kind: quadratic-ou, sigma: .nan}", "model.sigma", False),
+        ("preset: [quadratic-ou]", "preset", False),
+        ("model: quadratic-ou", "model", False),
+        ("model: {kind: [a]}", "model.kind", False),
     ],
 )
 def test_cli_rejects_config_values_of_the_wrong_type(
     tmp_path, capsys, line, field, numeric_string
 ):
-    # these used to crash with a TypeError/ValueError traceback or run with
-    # the value coerced (coupled: "false" ran coupled, T: true ran T = 1);
-    # nan and inf ran too, or failed later with an unrelated message (a nan
-    # sigma: "Q has non-finite entries")
+    # these used to crash with a TypeError/ValueError/AttributeError traceback
+    # or run with the value coerced (coupled: "false" ran coupled, T: true ran
+    # T = 1); nan and inf ran too, or failed later with an unrelated message
+    # (a nan sigma: "Q has non-finite entries")
     out = tmp_path / "out"
     lines = [line, f"out_dir: {out}"]
-    if not line.startswith("model:"):
+    if not line.startswith(("model:", "preset:")):
         lines.append("preset: quadratic-ou")
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("\n".join(lines) + "\n")
@@ -1054,6 +1066,60 @@ def test_cli_rejects_config_values_of_the_wrong_type(
     assert f"error: {field} must be" in err
     assert ("1.0e-3" in err) == numeric_string
     assert not out.exists()
+
+
+CONFIG_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+# what YAML can hand any field: model kinds and parameter names are among
+# the keys and strings so that mappings reach the model factories
+YAML_KEYS = st.one_of(st.sampled_from(["kind", "k", "gamma", "sigma"]), st.text(max_size=6))
+YAML_LEAVES = st.one_of(
+    st.sampled_from(sorted(PRESETS)), st.text(max_size=8), st.booleans(),
+    st.just(math.nan), st.integers(), st.floats(),
+)
+YAML_VALUES = st.recursive(
+    YAML_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(YAML_KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+WRONG_TYPES = st.one_of(
+    st.lists(YAML_VALUES, max_size=3),
+    st.dictionaries(YAML_KEYS, YAML_VALUES, max_size=3),
+    st.text(max_size=8) | st.sampled_from(sorted(PRESETS)),
+    st.booleans(),
+    st.just(math.nan),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(CONFIG_FIELDS), value=WRONG_TYPES)
+@example(name="preset", value=["quadratic-ou"])
+@example(name="model", value="quadratic-ou")
+@example(name="model", value={"kind": ["quadratic-ou"]})
+@example(name="out_dir", value=["out"])
+def test_config_of_any_yaml_type_is_valid_or_a_validation_error(name, value):
+    # a list, mapping, string, bool or nan in any field either builds a model
+    # whose text fields are strings or raises ValidationError, the CLI's exit
+    # 2; a preset list or model string used to escape as a TypeError or an
+    # AttributeError. Nothing here makes a directory or runs a command
+    mapping = {} if name == "model" else {"preset": "quadratic-ou"}
+    mapping[name] = value
+    try:
+        config = ExperimentConfig.from_mapping(mapping)
+        build_spec(config)
+    except ValidationError:
+        return
+    for f in dataclasses.fields(config):
+        if f.type == "str":
+            assert isinstance(getattr(config, f.name), str), f.name
+
+
+def test_cli_rejects_an_out_dir_that_is_not_a_string(tmp_path, capsys, monkeypatch):
+    # out_dir: 5 used to crash with a TypeError traceback from os.makedirs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.yaml").write_text("preset: quadratic-ou\nout_dir: 5\n")
+    assert main(["audit", "--config", "cfg.yaml"]) == 2
+    assert "error: out_dir must be a string, got 5" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.yaml"]
 
 
 @pytest.mark.parametrize("command", ["converge", "limit", "slice-diag"])

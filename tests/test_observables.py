@@ -529,6 +529,18 @@ def test_w2_1d_values():
     assert w2_1d([1.0, 0.0], [2.0, 0.0]) == pytest.approx(np.sqrt(0.5), rel=1e-15)
     with pytest.raises(ValidationError):
         w2_1d([0.0, 1.0], [0.0])
+    assert w2_1d(a[:, None], a[:, None] + 1.0) == w2_1d(a, a + 1.0)
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b", [((5, 2), (5, 2)), ((3, 2), (2, 3)), ((), ()), ((0,), (0,))]
+)
+def test_w2_1d_rejects_samples_off_the_line(shape_a, shape_b):
+    # samples used to be flattened into one list: (5, 2) zeros against
+    # (5, 2) ones gave 1.0, (3, 2) against (2, 3) compared six numbers, and
+    # a scalar was one sample
+    with pytest.raises(ValidationError):
+        w2_1d(np.zeros(shape_a), np.ones(shape_b))
 
 
 def test_w2_exact_values_and_bruteforce():

@@ -19,11 +19,12 @@ from smallmass.smallmat import min_symmetric_eigenvalue, solve_lyapunov
 from smallmass.underdamped import (
     _STEPPERS,
     UDStepperConfig,
-    frozen_velocity_covariance,
     simulate_underdamped,
     step_underdamped_em,
     step_underdamped_exp,
 )
+
+from velocity_moment import scaled_second_moment
 
 
 def linear_spec(gamma=1.0, phi=0.5, sigma=0.0, k=0.0, dim=1):
@@ -299,13 +300,13 @@ def test_energy_and_moment_uniform_over_epsilon():
         assert max(vals) <= 2.0 * np.median(vals)
 
 
-# -------------------------------------------------- frozen velocity covariance
+# ------------------------------------------ velocity law of one step from rest
 
 
 def test_frozen_cov_zero_noise():
     spec = linear_spec(gamma=1.5, phi=0.5, sigma=0.0)
-    second, stderr = frozen_velocity_covariance(
-        spec, [0.0], np.zeros((1, 1)), epsilon=0.1, t=1.0, reps=10, stream=NoiseStream(0)
+    second, stderr = scaled_second_moment(
+        spec, [0.0], epsilon=0.1, t=1.0, reps=10, stream=NoiseStream(0)
     )
     assert np.array_equal(second, np.zeros((1, 1)))
     assert np.array_equal(stderr, np.zeros((1, 1)))
@@ -314,9 +315,8 @@ def test_frozen_cov_zero_noise():
 def test_frozen_cov_matches_lyapunov():
     # 1D A=2, sigma=1: J = 1/4; eps E[v^2] -> J within 3 stderr
     spec = linear_spec(gamma=1.5, phi=0.5, sigma=1.0)
-    second, stderr = frozen_velocity_covariance(
-        spec, [0.0], np.zeros((1, 1)), epsilon=0.01, t=1.0, reps=100_000,
-        stream=NoiseStream(99),
+    second, stderr = scaled_second_moment(
+        spec, [0.0], epsilon=0.01, t=1.0, reps=100_000, stream=NoiseStream(99)
     )
     assert abs(second[0, 0] - 0.25) <= 3.0 * stderr[0, 0]
 
@@ -327,20 +327,19 @@ def test_frozen_cov_deviation_linear_in_eps():
     x = np.array([3.0])
     gaps = []
     for eps in (0.04, 0.02, 0.01):
-        second, _ = frozen_velocity_covariance(
-            spec, x, x[None, :], epsilon=eps, t=5 * eps, reps=200_000,
-            stream=NoiseStream(123), run_id=5,
+        second, _ = scaled_second_moment(
+            spec, x, epsilon=eps, t=5 * eps, reps=200_000, stream=NoiseStream(123), run_id=5
         )
         gaps.append(abs(second[0, 0] - 0.25))
     slope = np.polyfit(np.log([0.04, 0.02, 0.01]), np.log(gaps), 1)[0]
     assert 0.5 <= slope <= 1.5
 
 
-def coupled_2d_spec(k):
-    """Constant 2D coefficients with non-diagonal friction and noise: F = k x."""
+def coupled_2d_spec():
+    """Constant 2D coefficients with non-diagonal friction and noise, F = 0."""
     return ModelSpec(
         dim=2,
-        grad_V=LinearVectorField(k) if k else ZeroVectorField(),
+        grad_V=ZeroVectorField(),
         grad_K=ZeroVectorField(),
         phi=ConstantMatrixField([[0.5, 0.1], [0.0, 0.5]]),
         gamma=ConstantMatrixField([[1.5, 0.4], [-0.2, 1.0]]),
@@ -350,42 +349,17 @@ def coupled_2d_spec(k):
     )
 
 
-def test_frozen_cov_2d_is_one_exponential_step_from_rest():
-    # the sampler draws the law of one exponential step of length t taken
-    # by reps copies of x at rest, from the same noise block
-    spec = coupled_2d_spec(k=1.0)
-    x = np.array([0.8, -0.5])
-    eps, t, reps, run_id = 0.05, 0.03, 2000, 4
-    second, _ = frozen_velocity_covariance(
-        spec, x, x[None, :], eps, t, reps, NoiseStream(31), run_id=run_id
-    )
-    st = UnderdampedEnsemble(
-        epsilon=eps, t=0.0, positions=np.tile(x, (reps, 1)), velocities=np.zeros((reps, 2))
-    )
-    out = step_underdamped_exp(
-        st, spec, UDStepperConfig("exponential", t, run_id=run_id), NoiseStream(31)
-    )
-    v = out.velocities
-    expected = eps * np.mean(v[:, :, None] * v[:, None, :], axis=0)
-    assert np.allclose(second, expected, rtol=1e-12, atol=0.0)
-
-
 def test_frozen_cov_2d_relaxes_to_the_lyapunov_covariance():
     # F = 0 and t = 10 eps / lambda_min(A): eps E[v v^T] = J - E J E^T with
     # E of norm about e^-10, so the draws estimate J itself
-    spec = coupled_2d_spec(k=0.0)
+    spec = coupled_2d_spec()
     A = np.array([[2.0, 0.5], [-0.2, 1.5]])
     sig = np.array([[1.0, 0.3], [-0.2, 0.8]])
     J = solve_lyapunov(A, sig @ sig.T).J
     eps = 0.02
     t = 10.0 * eps / min_symmetric_eigenvalue(A)
-    second, stderr = frozen_velocity_covariance(
-        spec, [0.0, 0.0], np.zeros((1, 2)), eps, t, 100_000, NoiseStream(8), run_id=1
+    second, stderr = scaled_second_moment(
+        spec, [0.0, 0.0], eps, t, 100_000, NoiseStream(8), run_id=1
     )
     assert np.all(np.abs(second - J) <= 3.0 * stderr)
 
-
-def test_frozen_cov_validates():
-    spec = linear_spec(sigma=1.0)
-    with pytest.raises(ValidationError):
-        frozen_velocity_covariance(spec, [0.0], np.zeros((1, 1)), 0.1, 1.0, 1, NoiseStream(0))
