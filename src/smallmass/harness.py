@@ -91,6 +91,21 @@ def _numbers(name, val) -> tuple:
     return tuple(_number(f"{name}[{i}]", v) for i, v in enumerate(val))
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """safe_load's loader, but a key given twice in one mapping is a ValidationError."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = []
+        for key, _ in node.value:  # as written: << merges are flattened later
+            if key.value in seen:
+                raise ValidationError(
+                    f"config {self.name} gives key {key.value!r} twice "
+                    f"(again at line {key.start_mark.line + 1})"
+                )
+            seen.append(key.value)
+        return super().construct_mapping(node, deep)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated sweep/diagnostic configuration, loadable from YAML.
@@ -232,7 +247,7 @@ class ExperimentConfig:
     def from_yaml(cls, path) -> "ExperimentConfig":
         try:
             with open(path) as f:
-                data = yaml.safe_load(f)
+                data = yaml.load(f, Loader=_ConfigLoader)
         except OSError as exc:
             raise ValidationError(f"cannot read config {path}: {exc}") from exc
         except yaml.YAMLError as exc:
@@ -587,8 +602,9 @@ def _eps_key(epsilon: float) -> str:
     return format(epsilon, ".17g")
 
 
-def _epsilon_report(spec, config, epsilon, ud_snaps, limit_snaps, base_stream):
+def _epsilon_report(spec, config, ud_snaps, limit_snaps, base_stream):
     """W2 and weak-gap rows, Holder and moment diagnostics of one epsilon run."""
+    epsilon = ud_snaps[0].epsilon
     psis = bump_test_functions(spec.dim, config.psi_centers, config.psi_radius)
     w2_rows = []
     weak_rows = []
@@ -597,7 +613,7 @@ def _epsilon_report(spec, config, epsilon, ud_snaps, limit_snaps, base_stream):
         w2_rows.append((epsilon, ud.t, value, method))
         weak_rows.extend(weak_gap_rows(ud, spec, psis))
     try:
-        holder = holder_diagnostic(ud_snaps, epsilon=epsilon)
+        holder = holder_diagnostic(ud_snaps)
     except ValidationError:
         holder = None  # snapshot grid too coarse for lags >= 10 epsilon
     moment2 = max(empirical_moment2(s) for s in ud_snaps)
@@ -737,7 +753,7 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
         try:
             if isinstance(outcome, Exception):
                 raise outcome
-            r = _epsilon_report(spec, config, grid[i], outcome, limit_snaps, base_stream)
+            r = _epsilon_report(spec, config, outcome, limit_snaps, base_stream)
         except Exception as exc:
             return _job_failure(config, grid[i], exc)
         r["runtime"] = seconds + time.perf_counter() - started
@@ -860,9 +876,9 @@ def run_slice_pair(config: ExperimentConfig) -> SliceDiagnostic:
         np.concatenate([starts, starts + 0.5 * delta, starts + delta]),
         return_inverse=True,
     )
-    ends = where[2 * n :]
     # the snapshots whose coefficients the rows read, once each: slice 0's
-    # start, then every midpoint and end (the end of slice k - 1 starts k)
+    # start, then every midpoint and end. Slice k starts at slice k - 1's
+    # end; its start time t_star + k delta can differ from it by an ulp
     read = {int(i) for i in where[n:]} | {int(where[0])}
     psis = bump_test_functions(spec.dim, config.psi_centers, config.psi_radius)
     runtimes = {"delta_rows": 0.0, "2delta_rows": 0.0}
@@ -880,32 +896,25 @@ def run_slice_pair(config: ExperimentConfig) -> SliceDiagnostic:
 
     def drive(loop):
         """Run the time loop, writing each slice's rows when its end
-        arrives; a state is held only while an open slice needs it."""
-        k, start = 0, None
-        for i, last in _arrivals(loop):
-            if i not in read:
-                continue
+        arrives. The states read arrive as slice 0's start, then each
+        slice's midpoint and end; each is held while an open slice needs it."""
+        kept = (state for i, state in _arrivals(loop) if i in read)
+        start = next(kept)
+        for k, (mid, end) in enumerate(zip(kept, kept)):
             began = time.perf_counter()
-            frozen = _frozen_coefficients(last, spec)
-            if start is None:  # slice 0's start
-                start = frozen
-            elif i != ends[k]:  # slice k's midpoint
-                mid = frozen
+            # a frozen state passes through: each is frozen once
+            start, mid, end = (_frozen_coefficients(s, spec) for s in (start, mid, end))
+            add_rows((start, mid, end), small, small_max)
+            lap = time.perf_counter()
+            runtimes["delta_rows"] += lap - began
+            # an even k's start also anchors the open 2delta slice
+            if k % 2 == 0:
+                pair_start = start
             else:
-                add_rows((start, mid, frozen), small, small_max)
-                lap = time.perf_counter()
-                runtimes["delta_rows"] += lap - began
-                # an even k's start also anchors the open 2delta slice
-                if k % 2 == 0:
-                    pair_start = start
-                else:
-                    add_rows((pair_start, start, frozen), big, big_max)
-                runtimes["2delta_rows"] += time.perf_counter() - lap
-                # the end of slice k starts slice k + 1
-                start, mid, k = frozen, None, k + 1
-                continue
-            runtimes["delta_rows"] += time.perf_counter() - began
-        return [last]
+                add_rows((pair_start, start, end), big, big_max)
+            runtimes["2delta_rows"] += time.perf_counter() - lap
+            start = end  # the end of slice k starts slice k + 1
+        return [end.state]
 
     started = time.perf_counter()
     _underdamped_run(

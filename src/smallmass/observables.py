@@ -248,13 +248,14 @@ def _one_minus_exp_poly(x):
     return out
 
 
-def weak_Yhat(slice_start, t, t_k, spec: ModelSpec, psi: TestFunction) -> float:
-    """<Yhat_t, psi> for the frozen-coefficient slice started at t_k.
+def weak_Yhat(slice_start, t, spec: ModelSpec, psi: TestFunction) -> float:
+    """<Yhat_t, psi> for the frozen-coefficient slice [t_k, t], t_k = slice_start.t.
 
-    All coefficients are frozen at the slice-start positions; the velocity
-    second moment is closed by its leading term J/eps. At t = t_k this is
-    exactly weak_momentum of the slice start. slice_start is that ensemble
-    or its frozen coefficients (weak_gap_rows computes them once per anchor).
+    slice_start is the underdamped ensemble at the slice start (whose t and
+    epsilon the slice reads) or its frozen coefficients, which weak_gap_rows
+    computes once per anchor. All coefficients are frozen at its positions;
+    the velocity second moment is closed by its leading term J/eps. At
+    t = t_k this is exactly weak_momentum of the slice start.
 
     The time integrals are exact. With M = -A^T, dM_k = -(d_k A)^T and
     c = (t - t_k)/eps, each particle contributes
@@ -270,14 +271,9 @@ def weak_Yhat(slice_start, t, t_k, spec: ModelSpec, psi: TestFunction) -> float:
     if not isinstance(state, UnderdampedEnsemble):
         raise ValidationError("slice_start must be an underdamped ensemble")
     t = float(t)
-    t_k = float(t_k)
-    if abs(state.t - t_k) > 1e-9 * max(1.0, abs(t_k)):
-        raise ValidationError(
-            f"t_k={t_k} does not match the slice-start time {state.t}"
-        )
-    tau = t - t_k
+    tau = t - state.t
     if tau < 0.0:
-        raise ValidationError(f"t={t} precedes the slice origin t_k={t_k}")
+        raise ValidationError(f"t={t} precedes the slice origin t_k={state.t}")
     if tau == 0.0:
         return weak_momentum(slice_start, psi)
     c = tau / state.epsilon
@@ -380,18 +376,16 @@ class HolderReport:
     degenerate: bool
 
 
-def holder_diagnostic(snapshots, epsilon=None) -> HolderReport:
+def holder_diagnostic(snapshots) -> HolderReport:
     """Least-squares slope of log mean-squared displacement vs log lag.
 
     Only pairs with lag >= 10 eps enter (shorter lags see the ballistic
-    velocity scale, not the limit diffusion). Zero-displacement inputs are
-    flagged degenerate instead of fitted.
+    velocity scale, not the limit diffusion); eps is the first snapshot's
+    epsilon, 0 for limit snapshots. Zero-displacement inputs are flagged
+    degenerate instead of fitted.
     """
     snaps = list(snapshots)
-    if epsilon is not None:
-        eps = float(epsilon)
-    else:
-        eps = float(getattr(snaps[0], "epsilon", 0.0)) if snaps else 0.0
+    eps = float(getattr(snaps[0], "epsilon", 0.0)) if snaps else 0.0
     lags, msds = [], []
     for i in range(len(snaps)):
         for k in range(i + 1, len(snaps)):
@@ -466,25 +460,20 @@ class WeakGapRow:
 def weak_gap_rows(state, spec: ModelSpec, psis, anchor=None):
     """One gap row per test function at the snapshot `state`.
 
-    state and anchor are ensembles or their frozen coefficients. The
-    snapshot's coefficients are computed once; each psi's Y and Y*
-    summands are computed once per frozen snapshot, and Ystar and
+    state and anchor are ensembles or their frozen coefficients, which pass
+    through; a caller that reuses a snapshot freezes it once. Each psi's Y
+    and Y* summands are computed once per frozen snapshot, and Ystar and
     mc_stderr both read them, so rows at one snapshot under several
     anchors share them. With a slice anchor (the slice-start state), Yhat
-    is weak_Yhat from the anchor's coefficients, computed once unless the
-    anchor is the snapshot itself; else NaN.
+    is weak_Yhat from the anchor's coefficients; else NaN.
     """
     frozen = _frozen_coefficients(state, spec)
     snap = frozen.state
-    if anchor is not None:
-        same = anchor is state or anchor is snap
-        start = frozen if same else _frozen_coefficients(anchor, spec)
+    start = None if anchor is None else _frozen_coefficients(anchor, spec)
     rows = []
     for psi in psis:
         Y, Ystar, stderr = frozen.once("gap", psi, lambda: _gap_terms(frozen, spec, psi))
-        yhat = float("nan")
-        if anchor is not None:
-            yhat = weak_Yhat(start, snap.t, start.state.t, spec, psi)
+        yhat = float("nan") if start is None else weak_Yhat(start, snap.t, spec, psi)
         rows.append(gap_row(snap.epsilon, snap.t, psi.name, Y, Ystar, yhat, stderr))
     return rows
 

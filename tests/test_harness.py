@@ -126,9 +126,32 @@ def test_config_yaml_roundtrip(tmp_path):
     with pytest.raises(ValidationError, match="cannot read"):
         ExperimentConfig.from_yaml(tmp_path / "missing.yaml")
     bad = tmp_path / "bad.yaml"
-    bad.write_text("::: not yaml {{{")
-    with pytest.raises(ValidationError):
-        ExperimentConfig.from_yaml(bad)
+    for text, message in (
+        ("::: not yaml {{{", "unknown config keys: ::"),  # valid YAML: {'::': 'not yaml {{{'}
+        ("T: [1, 2", "is not valid YAML"),
+        ("- preset: quadratic-ou", "config must be a mapping, got list"),
+    ):
+        bad.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig.from_yaml(bad)
+
+
+@pytest.mark.parametrize(
+    "lines, key, line",
+    [
+        (["preset: quadratic-ou", "T: 0.2", "t_star: 0.1", "T: 5.0"], "T", 4),
+        (["model:", "  kind: quadratic-ou", "  k: 1.0", "  k: 2.0"], "k", 4),
+    ],
+    ids=["top-level", "model"],
+)
+def test_cli_rejects_a_key_given_twice(tmp_path, capsys, lines, key, line):
+    # a second value must not silently replace the first (T: 0.2, then T: 5.0)
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("\n".join(lines + [f"out_dir: {out}"]) + "\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert f"gives key {key!r} twice (again at line {line})" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_build_spec_inline_model():
@@ -1286,6 +1309,41 @@ def test_cli_rejects_a_w2_method_it_cannot_apply_before_any_run(
     assert stepped == []
     # main may make the output directory before the command; nothing lands in it
     assert os.path.exists(out) and not list((tmp_path / "bad").glob("*"))
+
+
+@pytest.mark.parametrize(
+    "overrides, env, command, message",
+    [
+        ({"preset": "", "model": {"k": 1.0}}, {}, "audit",
+         "inline model definition needs a 'kind' key"),
+        ({"T": 0.0}, {}, "audit", "T must be positive, got 0.0"),
+        ({"dt_under": 0.0}, {}, "audit", "dt_under must be positive when set"),
+        ({"psi_centers": []}, {}, "audit", "need at least one psi center and psi_radius > 0"),
+        ({"psi_radius": 0.0}, {}, "audit", "need at least one psi center and psi_radius > 0"),
+        ({"init_components": [[0.0, 0.0, 0.5]]}, {}, "audit",
+         "mixture weights must be > 0 and stds >= 0"),
+        ({"init_components": [[1.0, 0.0, -0.5]]}, {}, "audit",
+         "mixture weights must be > 0 and stds >= 0"),
+        ({"audit_samples": 1}, {}, "audit", "audit_samples must be at least 2"),
+        ({}, {"SMALLMASS_THREADS": "0"}, "converge", "SMALLMASS_THREADS must be >= 1"),
+        ({"init_components": [[0.5, 0.0, 0.5], [0.5, 1.0, 0.0]]}, {}, "fp",
+         "fp initial mixture needs positive stds"),
+    ],
+    ids=[
+        "model-without-kind", "T-zero", "dt_under-zero", "no-psi-centers", "psi_radius-zero",
+        "mixture-weight-zero", "mixture-std-negative", "audit_samples-one", "threads-zero",
+        "fp-zero-std",
+    ],
+)
+def test_cli_rejects_each_invalid_value_with_its_message(
+    tmp_path, capsys, monkeypatch, overrides, env, command, message
+):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main([command, "--config", write_config(tmp_path, **overrides)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    out = tmp_path / "cli"
+    assert not (out.exists() and any(out.iterdir()))
 
 
 def test_cli_validation_exit_codes(tmp_path, capsys):

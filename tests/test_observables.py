@@ -238,7 +238,7 @@ def test_yhat_at_slice_origin_equals_momentum():
     rng = np.random.default_rng(11)
     st = ud_state(rng.normal(size=(30, 1)), rng.normal(size=(30, 1)), epsilon=0.05, t=0.7)
     psi = bump_test_functions()[1]
-    assert weak_Yhat(st, 0.7, 0.7, spec, psi) == weak_momentum(st, psi)
+    assert weak_Yhat(st, 0.7, spec, psi) == weak_momentum(st, psi)
 
 
 def test_yhat_pure_decay_1d():
@@ -251,7 +251,7 @@ def test_yhat_pure_decay_1d():
     t = 0.12
     a = 2.0 + X[:, 0]
     hand = np.mean(V[:, 0] * np.exp(-a * t / 0.1) * psi.value_at(X)[:, 0])
-    assert weak_Yhat(st, t, 0.0, spec, psi) == pytest.approx(hand, rel=1e-12)
+    assert weak_Yhat(st, t, spec, psi) == pytest.approx(hand, rel=1e-12)
 
 
 def test_yhat_pure_decay_matrix_path():
@@ -269,7 +269,7 @@ def test_yhat_pure_decay_matrix_path():
     psi = bump_test_functions(dim=2, centers=(0.0,), radius=3.0)[0]
     t = 0.3
     hand = np.exp(-2.0 * t / 0.2) * weak_momentum(st, psi)
-    assert weak_Yhat(st, t, 0.0, spec, psi) == pytest.approx(hand, rel=1e-10)
+    assert weak_Yhat(st, t, spec, psi) == pytest.approx(hand, rel=1e-10)
 
 
 def test_yhat_closed_form_time_integrals():
@@ -296,7 +296,7 @@ def test_yhat_closed_form_time_integrals():
         - np.mean(f * i0 * pv)
         + np.mean(j * (pg * i0 - pv * i1))  # a' = 1
     )
-    assert weak_Yhat(st, t, 0.0, spec, psi) == pytest.approx(hand, abs=1e-7)
+    assert weak_Yhat(st, t, spec, psi) == pytest.approx(hand, abs=1e-7)
 
 
 def test_yhat_long_slice_approaches_ystar():
@@ -306,7 +306,7 @@ def test_yhat_long_slice_approaches_ystar():
     V = rng.normal(size=(300, 1))
     st = ud_state(X, V, epsilon=0.05)
     psi = bump_test_functions()[1]
-    yhat = weak_Yhat(st, 0.5, 0.0, spec, psi)
+    yhat = weak_Yhat(st, 0.5, spec, psi)
     ystar = weak_Ystar(X, spec, psi)
     assert yhat == pytest.approx(ystar, abs=1e-6)
 
@@ -323,7 +323,7 @@ def test_yhat_2d_fd_oracle():
     psi = bump_test_functions(dim=2, centers=(0.0,), radius=2.5)[0]
     t = 0.12
     c = t / eps
-    got = weak_Yhat(st, t, 0.0, spec, psi)
+    got = weak_Yhat(st, t, spec, psi)
 
     from smallmass.smallmat import invert, solve_lyapunov
 
@@ -370,7 +370,7 @@ def test_gap_rows_yhat_from_anchor_coefficients():
     for state in (later, anchor):
         rows = weak_gap_rows(state, spec, psis, anchor=anchor)
         for row, psi in zip(rows, psis):
-            assert row.Yhat == weak_Yhat(anchor, state.t, anchor.t, spec, psi)
+            assert row.Yhat == weak_Yhat(anchor, state.t, spec, psi)
     assert rows[0].Yhat == weak_momentum(anchor, psis[0])
 
 
@@ -404,8 +404,8 @@ def test_yhat_1d_time_integrals_match_adaptive_quadrature(a, log_ac):
     A, one, zero = np.full((1, 1, 1), a), np.ones((1, 1)), np.zeros((1, 1))
     dA = np.ones((1, 1, 1, 1))
     ones = constant_psi()
-    i0 = weak_Yhat(frozen_slice(A, -one, dA, 0.0 * A, zero, zero), c, 0.0, None, ones)
-    i1 = weak_Yhat(frozen_slice(A, zero, -dA, A / a, zero, zero), c, 0.0, None, ones)
+    i0 = weak_Yhat(frozen_slice(A, -one, dA, 0.0 * A, zero, zero), c, None, ones)
+    i1 = weak_Yhat(frozen_slice(A, zero, -dA, A / a, zero, zero), c, None, ones)
     for got, f in ((i0, lambda u: np.exp(-a * u)), (i1, lambda u: u * np.exp(-a * u))):
         # quad's floor on epsrel with epsabs = 0 is 50 ulp, 1.11e-14
         want = quad(f, 0.0, c, epsrel=1.2e-14, epsabs=0.0, limit=200)[0]
@@ -433,7 +433,7 @@ def test_yhat_memory_term_matches_frechet_quadrature(d, c):
     A, dA, J, psi = random_slice_coefficients(rng, n, d)
     X = rng.normal(size=(n, d))
     zero = np.zeros((n, d))
-    got = weak_Yhat(frozen_slice(A, zero, dA, J, zero, X), c, 0.0, None, psi)
+    got = weak_Yhat(frozen_slice(A, zero, dA, J, zero, X), c, None, psi)
     P, G = psi.value_at(X), psi.gradient_at(X)
 
     def integrand(u):
@@ -467,10 +467,10 @@ def test_yhat_decay_and_force_blocks(d, c):
         E = expm(-A[i] * c)
         B = inv(A[i]) @ (np.eye(d) - E)
         coeffs = A[one], zero[one], dA[one], 0.0 * J[one], V[one], X[one]
-        decay = weak_Yhat(frozen_slice(*coeffs), c, 0.0, None, psi)
+        decay = weak_Yhat(frozen_slice(*coeffs), c, None, psi)
         assert decay == pytest.approx(V[i] @ (E.T @ P[i]), rel=1e-13, abs=1e-15)
         coeffs = A[one], F[one], dA[one], 0.0 * J[one], zero[one], X[one]
-        force = weak_Yhat(frozen_slice(*coeffs), c, 0.0, None, psi)
+        force = weak_Yhat(frozen_slice(*coeffs), c, None, psi)
         # I - E cancels at small A c: the reference is good to A^-1 times ulps of E
         scale = np.linalg.norm(F[i]) * np.linalg.norm(P[i]) * np.linalg.norm(inv(A[i]))
         assert force == pytest.approx(-F[i] @ (B.T @ P[i]), rel=1e-13, abs=1e-13 * scale)
@@ -510,12 +510,10 @@ def test_yhat_validation():
     spec = make_quadratic_ou()
     st = ud_state([[0.0]], [[1.0]], epsilon=0.1, t=1.0)
     psi = bump_test_functions()[1]
-    with pytest.raises(ValidationError):
-        weak_Yhat(st, 0.9, 1.0, spec, psi)  # t before the origin
-    with pytest.raises(ValidationError):
-        weak_Yhat(st, 1.2, 0.5, spec, psi)  # origin does not match state
-    with pytest.raises(ValidationError):
-        weak_Yhat(OverdampedEnsemble(t=1.0, positions=np.zeros((1, 1))), 1.1, 1.0, spec, psi)
+    with pytest.raises(ValidationError, match="precedes the slice origin"):
+        weak_Yhat(st, 0.9, spec, psi)
+    with pytest.raises(ValidationError, match="underdamped ensemble"):
+        weak_Yhat(OverdampedEnsemble(t=1.0, positions=np.zeros((1, 1))), 1.1, spec, psi)
 
 
 # ------------------------------------------------------------------ distances
@@ -635,14 +633,17 @@ def test_holder_frozen_degenerate():
 def test_holder_ballistic_slope():
     v = np.random.default_rng(2).normal(size=(800, 1))
     snaps = [OverdampedEnsemble(t=0.2 * k, positions=v * (0.2 * k)) for k in range(1, 8)]
-    rep = holder_diagnostic(snaps, epsilon=0.0)
+    rep = holder_diagnostic(snaps)  # limit snapshots: eps = 0, every lag enters
     assert rep.slope == pytest.approx(2.0, abs=0.05)
 
 
 def test_holder_lag_guard():
-    snaps = brownian_snapshots(np.random.default_rng(3), n=10)
-    with pytest.raises(ValidationError):
-        holder_diagnostic(snaps, epsilon=0.1)  # only lags >= 1.0 qualify
+    snaps = [
+        ud_state(s.positions, np.zeros_like(s.positions), epsilon=0.1, t=s.t)
+        for s in brownian_snapshots(np.random.default_rng(3), n=10)
+    ]
+    with pytest.raises(ValidationError, match="lag >= 10"):
+        holder_diagnostic(snaps)  # eps = 0.1 from the snapshots: only lags >= 1.0 qualify
 
 
 def test_energy_diagnostic():
