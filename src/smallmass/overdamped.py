@@ -35,6 +35,7 @@ from .errors import StabilityError, StiffnessError, ValidationError
 from .model import ModelSpec, fd_step
 from .smallmat import (
     LyapunovSolution,
+    _mT,
     invert,
     min_symmetric_eigenvalue,
     solve_lyapunov,
@@ -69,10 +70,14 @@ def noise_induced_drift(x, positions, spec: ModelSpec):
     positions, x, A = _checked_friction(x, positions, spec)
     sig = spec.sigma_at(x)
     J = solve_lyapunov(A, sig @ sig.T).J
-    Ainv = invert(A)
-    dA = _d_friction_at(x, positions, spec)
-    dAinv = -np.einsum("ip,pqk,qj->ijk", Ainv, dA, Ainv)
-    return np.einsum("ijk,jk->i", dAinv, J)
+    return _product_rule_drift(invert(A), _d_friction_at(x, positions, spec), J)
+
+
+def _product_rule_drift(Ainv, dA, J):
+    """S_i = sum_{j,k} [d_k A^-1]_{ij} J_jk with d_k A^-1 = -A^-1 (d_k A) A^-1,
+    for one point or for each point of a stack."""
+    dAinv = -np.einsum("...ip,...pqk,...qj->...ijk", Ainv, dA, Ainv)
+    return np.einsum("...ijk,...jk->...i", dAinv, J)
 
 
 def limit_coefficients(x, positions, spec: ModelSpec) -> LimitCoefficients:
@@ -103,11 +108,13 @@ def limit_diffusion(x, positions, spec: ModelSpec):
 def _limit_fields(spec: ModelSpec, positions):
     """Per-particle drift b and diffusion factor A^-1 sigma on a frozen snapshot.
 
-    Returns (b, D) of shapes (N, d) and (N, d, d). Constant A short-circuits
-    S = 0 exactly; d = 1 is fully vectorized via the scalar reduction
-    S = -sigma^2 A' / (2 A^3); higher d falls back to a per-particle loop.
+    Returns (b, D) of shapes (N, d) and (N, d, d), formed once for the whole
+    stack of particles. Constant A short-circuits S = 0 exactly; d = 1 uses
+    the scalar reduction S = -sigma^2 A' / (2 A^3); higher d runs the small-
+    matrix kernels on the (N, d, d) stacks, which return each particle's own
+    bits, so b and D equal limit_drift and limit_diffusion at every x_i.
     """
-    n, d = positions.shape
+    d = positions.shape[1]
     A0 = _constant_friction(spec)
     if A0 is not None:
         if min_symmetric_eigenvalue(A0) <= 0.0:
@@ -116,22 +123,18 @@ def _limit_fields(spec: ModelSpec, positions):
         F = spec.grad_V_at(positions) + conv_gradK(positions, positions, spec)
         D = np.einsum("ij,njk->nik", Ainv, spec.sigma_at(positions))
         return -F @ Ainv.T, D
-    if d == 1:
-        A, F = mean_field_coefficients(positions, spec)
-        _check_friction_floor(A, positions)
-        a = A[:, 0, 0]
-        s = spec.sigma_at(positions)[:, 0, 0]
-        da = _d_friction_at(positions, positions, spec)[:, 0, 0, 0]
-        S = -(s**2) * da / (2.0 * (a * a * a))
-        return (-F[:, 0] / a + S)[:, None], (s / a)[:, None, None]
-    b = np.empty((n, d))
-    D = np.empty((n, d, d))
+    A, F = mean_field_coefficients(positions, spec)
+    _check_friction_floor(A, positions)
     sig = spec.sigma_at(positions)
-    for i in range(n):
-        c = limit_coefficients(positions[i], positions, spec)
-        b[i] = -c.A_inv @ c.F + c.S
-        D[i] = c.A_inv @ sig[i]
-    return b, D
+    dA = _d_friction_at(positions, positions, spec)
+    if d == 1:
+        a, s = A[:, 0, 0], sig[:, 0, 0]
+        S = -(s**2) * dA[:, 0, 0, 0] / (2.0 * (a * a * a))
+        return (-F[:, 0] / a + S)[:, None], (s / a)[:, None, None]
+    Ainv = invert(A)
+    J = solve_lyapunov(A, sig @ _mT(sig)).J
+    S = _product_rule_drift(Ainv, dA, J)
+    return (-Ainv @ F[..., None])[..., 0] + S, Ainv @ sig
 
 
 def _drift_lipschitz_estimate(spec: ModelSpec, positions):

@@ -1,10 +1,14 @@
 """Limit-dynamics tests: S(x) oracles, drift/diffusion identities, EM runs."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smallmass import overdamped
 from smallmass.ensemble import (
     RUN_INIT_POSITIONS,
     NoiseStream,
@@ -13,7 +17,13 @@ from smallmass.ensemble import (
     conv_phi,
     mean_field_coefficients,
 )
-from smallmass.errors import BlowUpError, StabilityError, StiffnessError, ValidationError
+from smallmass.errors import (
+    BlowUpError,
+    ConditionError,
+    StabilityError,
+    StiffnessError,
+    ValidationError,
+)
 from smallmass.model import (
     ConstantMatrixField,
     LinearVectorField,
@@ -327,11 +337,160 @@ def test_1d_limit_drift_by_products_matches_pow(xs, sigma):
 
 
 def test_2d_limit_fields_equal_the_per_point_drift_and_diffusion():
-    # the step's batched sigma and per-particle loop against the public
-    # one-point functions, which evaluate every field at x_i alone
+    # the step's stacked fields against the public one-point functions,
+    # which evaluate every field at x_i alone
     spec = make_gaussian_interaction_2d()
-    X = NoiseStream(4).block(RUN_INIT_POSITIONS, 0, 12)[:, :2]
-    b, D = _limit_fields(spec, X)
+    for seed in (4, 5, 6):
+        for n in (1, 2, 12, 200):
+            X = NoiseStream(seed).block(RUN_INIT_POSITIONS, 0, n)[:, :2]
+            b, D = _limit_fields(spec, X)
+            for i, x in enumerate(X):
+                assert np.array_equal(b[i], limit_drift(x, X, spec))
+                assert np.array_equal(D[i], limit_diffusion(x, X, spec))
+
+
+def turning_friction_spec():
+    """2D friction that turns with x, and no forces, so the limit drift is S.
+
+    gamma(x) = R(theta(x)) diag(2, 0.6) R(theta(x))^T + W with
+    theta(x) = 0.8 sin x1 + 0.5 x2 and the constant antisymmetric
+    W = [[0, 0.4], [-0.4, 0]]; analytic dgamma; constant anisotropic sigma.
+    A is not normal and does not commute with sigma sigma^T.
+    """
+    g = np.array([2.0, 0.6])
+    W = np.array([[0.0, 0.4], [-0.4, 0.0]])
+
+    def turn(x):
+        x = np.asarray(x, dtype=float)
+        th = 0.8 * np.sin(x[..., 0]) + 0.5 * x[..., 1]
+        c, s = np.cos(th), np.sin(th)
+        R = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        dR = np.stack([np.stack([-s, -c], -1), np.stack([c, -s], -1)], -2)
+        dth = np.stack([0.8 * np.cos(x[..., 0]), np.full_like(th, 0.5)], -1)
+        return R, dR, dth
+
+    def gamma(x):
+        R, _, _ = turn(x)
+        return (R * g) @ np.swapaxes(R, -1, -2) + W
+
+    def d_gamma(x):
+        R, dR, dth = turn(x)
+        dG = (dR * g) @ np.swapaxes(R, -1, -2) + (R * g) @ np.swapaxes(dR, -1, -2)
+        return dG[..., None] * dth[..., None, None, :]
+
+    return ModelSpec(
+        dim=2,
+        grad_V=ZeroVectorField(),
+        grad_K=ZeroVectorField(),
+        phi=ConstantMatrixField(0.3 * np.eye(2)),
+        gamma=gamma,
+        d_gamma=d_gamma,
+        sigma=ConstantMatrixField([[0.9, 0.0], [0.5, 0.3]]),
+        lambda_gamma_hint=0.6,
+        lambda_phi_hint=0.3,
+    )
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_2d_stacked_S_on_a_turning_friction_equals_the_one_point_S(seed):
+    spec = turning_friction_spec()
+    X = 1.5 * NoiseStream(seed).block(RUN_INIT_POSITIONS, 0, 12)[:, :2]
+    A, _ = mean_field_coefficients(X, spec)
+    Q = spec.sigma_at(X) @ np.swapaxes(spec.sigma_at(X), -1, -2)
+    AT = np.swapaxes(A, -1, -2)
+    assert np.all(np.abs(A @ AT - AT @ A).max(axis=(1, 2)) > 1e-3)  # not normal
+    assert np.all(np.abs(A @ Q - Q @ A).max(axis=(1, 2)) > 1e-3)  # no common basis
+    b, D = _limit_fields(spec, X)  # V = K = 0, so b = S
     for i, x in enumerate(X):
-        assert np.array_equal(b[i], limit_drift(x, X, spec))
+        assert np.array_equal(b[i], noise_induced_drift(x, X, spec))
         assert np.array_equal(D[i], limit_diffusion(x, X, spec))
+        assert np.max(np.abs(b[i] - S_fd_inverse(x, X, spec))) <= 1e-6
+    assert np.abs(b).max() > 0.1
+    pulled = replace(spec, grad_V=LinearVectorField(1.0))  # b = -A^-1 x + S
+    b, _ = _limit_fields(pulled, X)
+    for i, x in enumerate(X):
+        assert np.array_equal(b[i], limit_drift(x, X, pulled))
+
+
+def floor_spec(gamma):
+    """2D spec with the given friction, phi = 0 and no forces."""
+    return ModelSpec(
+        dim=2, grad_V=ZeroVectorField(), grad_K=ZeroVectorField(),
+        phi=ConstantMatrixField(np.zeros((2, 2))), gamma=gamma,
+        sigma=ConstantMatrixField(np.eye(2)), classical_sk=True,
+    )
+
+
+class CountingStream(NoiseStream):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.blocks = 0
+
+    def block(self, run, step, n):
+        self.blocks += 1
+        return super().block(run, step, n)
+
+
+def test_2d_limit_step_rejects_a_friction_that_is_not_positive_definite_at_one_particle():
+    # gamma = diag(1 - x1/2, 1) loses positive definiteness at x1 >= 2
+    def gamma(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 1.0 - 0.5 * x[..., 0]
+        out[..., 1, 1] = 1.0
+        return out
+
+    spec = floor_spec(gamma)
+    X = 0.3 * NoiseStream(1).block(RUN_INIT_POSITIONS, 0, 12)[:, :2]
+    X[7] = [2.5, -0.25]
+    named = re.escape(f"friction not positive definite at {X[7]}")
+    with pytest.raises(StabilityError, match=named):
+        limit_coefficients(X[7], X, spec)
+    with pytest.raises(StabilityError, match=named):
+        _limit_fields(spec, X)
+    stream = CountingStream(0)
+    with pytest.raises(StabilityError, match=named):
+        simulate_limit(spec, OverdampedEnsemble(t=0.0, positions=X), 0.01, 0.01, stream)
+    assert stream.blocks == 0
+
+
+def test_2d_limit_step_rejects_a_friction_that_is_ill_conditioned_at_one_particle():
+    # gamma = diag(1, exp(-10 x1^2)) stays positive definite; cond ~ 2e17 at x1 = 2
+    def gamma(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 1.0
+        out[..., 1, 1] = np.exp(-10.0 * x[..., 0] ** 2)
+        return out
+
+    spec = floor_spec(gamma)
+    X = 0.3 * NoiseStream(2).block(RUN_INIT_POSITIONS, 0, 12)[:, :2]
+    X[4] = [2.0, 0.1]
+    cond = np.linalg.cond(gamma(X[4]))
+    assert cond > 1e12 and np.linalg.cond(gamma(np.delete(X, 4, axis=0))).max() < 1e3
+    with pytest.raises(ConditionError) as one:
+        limit_coefficients(X[4], X, spec)
+    with pytest.raises(ConditionError) as err:
+        _limit_fields(spec, X)
+    assert one.value.cond == err.value.cond == cond
+
+
+def test_2d_limit_run_calls_the_one_point_functions_only_from_the_lipschitz_probe(monkeypatch):
+    # the probe evaluates limit_drift at x0 +- h e_k (2d points); each call
+    # nests limit_coefficients, which calls noise_induced_drift
+    calls = {}
+    for name in ("limit_drift", "limit_coefficients", "noise_induced_drift", "limit_diffusion"):
+        f = getattr(overdamped, name)
+
+        def counted(*args, _f=f, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(overdamped, name, counted)
+    spec = make_gaussian_interaction_2d()
+    X = 0.5 * NoiseStream(3).block(RUN_INIT_POSITIONS, 0, 10)[:, :2]
+    out = simulate_limit(spec, OverdampedEnsemble(t=0.0, positions=X), 0.05, 0.01, NoiseStream(3))
+    assert out[-1].step == 5
+    d = spec.dim
+    assert calls == {"limit_drift": 2 * d, "limit_coefficients": 2 * d, "noise_induced_drift": 2 * d}
+    assert sum(calls.values()) == 3 * 2 * d == 12
