@@ -12,7 +12,10 @@ including the self term j = i; they give the friction gamma + phi*rho, the
 force grad V + gradK*rho and the friction Jacobian dgamma + dphi*rho.
 Constant and linear kernels (the preset cases) short-circuit the O(N^2)
 sum exactly; the generic path chunks the pair sum over targets to bound
-memory and keeps a fixed index-order reduction for reproducibility.
+memory. For kernels built of elementwise operations its reduction order
+over j is fixed by d alone, so a target's sum has the same bits in any
+chunk or batch: index order for d > 1, numpy's pairwise sum in 1D (see
+_pair_mean).
 
 NoiseStream is a counter-based Gaussian source: the draw at
 (run, particle, step, component) is a pure function of the master seed and
@@ -53,6 +56,8 @@ RUN_W2_PROJECTIONS = 2**32 + 2
 
 # chunk budget (floats) for the generic O(N^2) pair sums
 _PAIR_CHUNK_BUDGET = 1 << 22
+# numpy sums a contiguous run of this many floats or more pairwise
+_PAIRWISE_RUN = 8
 
 
 class NoiseStream:
@@ -194,16 +199,28 @@ def _positions_of(ens) -> np.ndarray:
 def _pair_mean(field_at, targets, positions, core):
     """(1/N) sum_j f(x - x_j) for each target x: (..., d) -> (..., *core).
 
-    Chunked over targets so one chunk holds at most _PAIR_CHUNK_BUDGET
-    floats; each target's sum runs over j in index order.
+    Chunked over targets at N (d + 2 prod(core)) floats of
+    _PAIR_CHUNK_BUDGET each: differences, output and kernel temporaries.
+    For 1 < d < 8 the (m, N, d) differences view an (N, d, m) buffer, so
+    the kernel runs on contiguous m-long planes, one per source, and each
+    sum over j adds the planes in index order, as C order does for d > 1.
+    In 1D, C order makes j contiguous and numpy sums it pairwise. At d = 8
+    numpy would sum the kernel's contiguous runs over d (|z|^2) pairwise in
+    C order but sequentially in planes, so C order stays.
     """
-    n = positions.shape[0]
+    n, d = positions.shape
     lead = targets.shape[:-1]
-    targets = targets.reshape(-1, targets.shape[-1])
+    targets = targets.reshape(-1, d)
     out = np.empty((targets.shape[0],) + core)
-    chunk = max(1, _PAIR_CHUNK_BUDGET // max(1, n * math.prod(core)))
+    chunk = max(1, _PAIR_CHUNK_BUDGET // max(1, n * (d + 2 * math.prod(core))))
     for lo in range(0, targets.shape[0], chunk):
-        diffs = targets[lo : lo + chunk, None, :] - positions[None, :, :]
+        t = targets[lo : lo + chunk]
+        if 1 < d < _PAIRWISE_RUN:
+            buf = np.empty((n, d, t.shape[0]))
+            np.subtract(t.T[None], positions[:, :, None], out=buf)
+            diffs = buf.transpose(2, 0, 1)
+        else:
+            diffs = t[:, None, :] - positions[None, :, :]
         # np.mean(..., axis=1) without its wrapper: the same sum, then / n
         out[lo : lo + chunk] = np.add.reduce(field_at(diffs), axis=1) / n
     return out.reshape(lead + core)

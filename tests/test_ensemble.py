@@ -1,14 +1,17 @@
 """Ensemble, convolution, and noise-stream tests."""
 
 import dataclasses
+import math
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smallmass import ensemble
 from smallmass.ensemble import (
     D_MAX,
     NoiseStream,
@@ -26,6 +29,7 @@ from smallmass.model import (
     LinearVectorField,
     ModelSpec,
     ZeroVectorField,
+    get_preset,
 )
 
 
@@ -222,6 +226,82 @@ def test_conv_permutation_invariance_ulp(seed, n):
     base = conv_gradK(x, pos, spec)[0]
     shuffled = conv_gradK(x, rng.permutation(pos, axis=0), spec)[0]
     assert abs(base - shuffled) <= 8 * np.finfo(float).eps * max(1.0, abs(base))
+
+
+def c_layout_pair_mean(field_at, targets, positions, core):
+    """_pair_mean as it was before the plane layout: C-ordered (m, N, d)
+    differences, here in one chunk (each target's sum is its own)."""
+    lead = targets.shape[:-1]
+    targets = targets.reshape(-1, targets.shape[-1])
+    diffs = targets[:, None, :] - positions[None, :, :]
+    out = np.add.reduce(field_at(diffs), axis=1) / positions.shape[0]
+    return out.reshape(lead + core)
+
+
+def gaussian_kernels(d):
+    """The gaussian-interaction-2d kernels phi, grad_K and d_phi in R^d."""
+
+    def phi(z):
+        c = 0.5 + 0.25 * np.exp(-np.sum(z * z, axis=-1))
+        return c[..., None, None] * np.eye(d)
+
+    def grad_K(z):
+        return 0.5 * z * np.exp(-0.5 * np.sum(z * z, axis=-1, keepdims=True))
+
+    def d_phi(z):
+        dc = -0.5 * np.exp(-np.sum(z * z, axis=-1))[..., None] * z
+        return np.eye(d)[..., :, :, None] * dc[..., None, None, :]
+
+    return phi, grad_K, d_phi
+
+
+def pair_kernels(d):
+    """name -> (field_at, core) for every kernel shape _pair_mean serves."""
+    if d == 2:  # the preset's own callbacks
+        spec = get_preset("gaussian-interaction-2d")
+        phi, grad_K, d_phi = spec.phi, spec.grad_K, spec.d_phi
+    else:
+        phi, grad_K, d_phi = gaussian_kernels(d)
+    full = np.arange(1.0, d * d + 1).reshape(d, d) / d
+    no_d_phi = spec_with(phi=phi, dim=d)
+    return {
+        "phi": (phi, (d, d)),
+        "grad_K": (grad_K, (d,)),
+        "d_phi": (d_phi, (d, d, d)),
+        # every entry differs, from the outer product of z with itself
+        "full": (lambda z: np.sin(z[..., :, None] * z[..., None, :] + full), (d, d)),
+        "constant": (lambda z: np.broadcast_to(full, z.shape[:-1] + (d, d)), (d, d)),
+        # central differences on phi (fd_matrix_jacobian): the spec has no d_phi
+        "fd_d_phi": (no_d_phi.d_phi_at, (d, d, d)),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, MAX_DIM),
+    n=st.integers(1, 12),
+    lead=st.sampled_from([(), (1,), (3,), (7,), (2, 3)]),
+    kernel=st.sampled_from(["phi", "grad_K", "d_phi", "full", "constant", "fd_d_phi"]),
+    chunk=st.sampled_from([None, 1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=MAX_DIM, n=1, lead=(3,), kernel="grad_K", chunk=None, seed=1)
+@example(d=2, n=12, lead=(), kernel="grad_K", chunk=None, seed=0)
+def test_pair_mean_is_bit_equal_to_the_c_layout_sum(d, n, lead, kernel, chunk, seed):
+    stream = NoiseStream(seed)
+    positions = stream.block(0, 0, n)[:, :d]  # a strided (n, d) view
+    targets = stream.block(1, 0, max(1, math.prod(lead)))[:, :d].reshape(lead + (d,))
+    field_at, core = pair_kernels(d)[kernel]
+    expected = c_layout_pair_mean(field_at, targets, positions, core)
+    # chunk targets per pass; None keeps the default budget
+    budget = ensemble._PAIR_CHUNK_BUDGET if chunk is None else (
+        chunk * n * (d + 2 * math.prod(core))
+    )
+    with mock.patch.object(ensemble, "_PAIR_CHUNK_BUDGET", budget):
+        got = ensemble._pair_mean(field_at, targets, positions, core)
+    assert got.shape == expected.shape == lead + core
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_empirical_moment2():

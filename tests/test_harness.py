@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import warnings
 import weakref
@@ -854,6 +856,36 @@ def test_slice_pass_holds_a_few_states_whatever_the_slice_count(tmp_path, monkey
     monkeypatch.undo()
     assert pair.distinct_states == 401
     assert peak[0] <= 8
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_2d_limit_run_at_n_1000_peaks_below_100_mb(tmp_path):
+    # the pair sums run over all targets in chunks; sized by their output
+    # alone, a chunk's kernel temporaries took this run to about 110 MB
+    cfg = write_config(
+        tmp_path, preset="gaussian-interaction-2d", n_particles=1000, T=0.005,
+        t_star=0.0025, dt_limit=0.001,
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    # a child's ru_maxrss counts its spawner's RSS up to its exec, so the
+    # run is spawned from a fresh interpreter, not from this test process
+    measure = """import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "smallmass.harness"] + sys.argv[1:])
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", measure, "limit", "--config", cfg],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    status, kib = map(int, done.stdout.split()[-2:])
+    assert status == 0, done.stderr
+    assert os.path.exists(tmp_path / "cli" / "limit_snapshots.csv")
+    mb = kib / 1024
+    assert mb < 100.0, f"peak RSS {mb:.1f} MB"
 
 
 # ---- CLI ----
