@@ -26,12 +26,16 @@ the index tuple, independent of thread count and call order. Each
 its last block, read-only, and hands the same array to the next request
 for the same (run, step, n), so coupled runs stepped in lockstep on one
 stream (a sweep's shared group) draw each step's block once.
+
+Every integrator and estimator reads a snapshot's per-particle coefficients
+from mean_field_coefficients, which forms and checks them in one place.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +47,7 @@ from .model import (
     ModelSpec,
     ZeroVectorField,
 )
-from .smallmat import _symmetric_eigenvalues
+from .smallmat import _stationary_covariance, _symmetric_eigenvalues, invert
 
 D_MAX = MAX_DIM  # noise lanes per (particle, step), one per state dimension
 _MASK64 = (1 << 64) - 1
@@ -103,6 +107,11 @@ class NoiseStream:
         out.flags.writeable = False
         self._last = (key, out)
         return out
+
+
+def _step_noise(stream: NoiseStream, run_id: int, state) -> np.ndarray:
+    """The (N, d) unit normals that drive `state`'s next step of run run_id."""
+    return stream.block(run_id, state.step + 1, state.N)[:, : state.dim]
 
 
 class _Ensemble:
@@ -286,31 +295,72 @@ def empirical_moment2(ens) -> float:
     return float(np.mean(np.sum(x * x, axis=1)))
 
 
-def mean_field_coefficients(positions, spec: ModelSpec):
-    """Per-particle effective friction and force on a frozen snapshot.
+@dataclass(eq=False)
+class _Frozen:
+    """Per-particle coefficients of one snapshot against its own measure.
 
-    Returns (A, F) with A = gamma(x_i) + phi*rho(x_i) of shape (N, d, d)
-    and F = grad V(x_i) + gradK*rho(x_i) of shape (N, d), where rho is the
-    empirical measure of the same positions (self term included).
+    state is what they were formed from (an ensemble or an (n, d) array), X
+    its positions. A = gamma + phi*rho (n, d, d), F = grad V + gradK*rho
+    (n, d) and eig (n, d), the ascending eigenvalues of each symmetric part
+    of A, are formed at once. sigma, J with A J + J A^T = sigma sigma^T,
+    A_inv and the friction Jacobian dA (n, d, d, d) are formed on first
+    read and kept: a step or estimator pays only for what it reads.
+    Per-psi results at X are computed once each (see `once`).
     """
-    positions = _positions_of(positions)
-    A = spec.gamma_at(positions) + conv_phi(positions, positions, spec)
-    F = spec.grad_V_at(positions) + conv_gradK(positions, positions, spec)
-    return A, F
+
+    state: object
+    X: np.ndarray
+    A: np.ndarray
+    F: np.ndarray
+    eig: np.ndarray
+    spec: ModelSpec
+    memo: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return self.spec.sigma_at(self.X)
+
+    @cached_property
+    def J(self) -> np.ndarray:
+        return _stationary_covariance(self.A, self.sigma)
+
+    @cached_property
+    def A_inv(self) -> np.ndarray:
+        return invert(self.A)
+
+    @cached_property
+    def dA(self) -> np.ndarray:
+        return _d_friction_at(self.X, self.X, self.spec)
+
+    def once(self, tag, psi, compute):
+        """compute() for (tag, psi), evaluated on the first request only."""
+        key = (tag, id(psi))
+        if key not in self.memo:
+            # the entry holds psi, so its id is not reused while the entry lives
+            self.memo[key] = (psi, compute())
+        return self.memo[key][1]
+
+    def psi_at(self, psi):
+        """psi's values (n, d) and gradients (n, d, d) at X."""
+        X = self.X
+        return self.once("psi", psi, lambda: (psi.value_at(X), psi.gradient_at(X)))
 
 
-def _check_friction_floor(A, points) -> np.ndarray:
-    """Raise StabilityError unless every friction in the (n, d, d) stack A
-    has a positive definite symmetric part; points[i] locates A[i].
+def mean_field_coefficients(state, spec: ModelSpec) -> _Frozen:
+    """Per-particle coefficients of a snapshot, its friction floor checked.
 
-    Returns the ascending eigenvalues (n, d) of the symmetric parts.
+    state is an ensemble or its (N, d) positions; rho is the empirical
+    measure of the same positions (self term included). Raises
+    StabilityError unless every A(x_i) has a positive definite symmetric part.
     """
+    X = _positions_of(state)
+    A = spec.gamma_at(X) + conv_phi(X, X, spec)
+    F = spec.grad_V_at(X) + conv_gradK(X, X, spec)
     eig = _symmetric_eigenvalues(A)
-    lam = eig[:, 0]
-    i = int(np.argmin(lam))
-    if lam[i] <= 0.0:
+    i = int(np.argmin(eig[:, 0]))
+    if eig[i, 0] <= 0.0:
         raise StabilityError(
-            f"friction not positive definite at {points[i]} "
-            f"(min symmetric eigenvalue {lam[i]:.6e})"
+            f"friction not positive definite at {X[i]} "
+            f"(min symmetric eigenvalue {eig[i, 0]:.6e})"
         )
-    return eig
+    return _Frozen(state, X, A, F, eig, spec)

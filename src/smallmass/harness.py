@@ -31,7 +31,6 @@ from .ensemble import (
     NoiseStream,
     OverdampedEnsemble,
     UnderdampedEnsemble,
-    _check_friction_floor,
     _no_pair_sums,
     empirical_moment2,
     mean_field_coefficients,
@@ -57,7 +56,6 @@ from .observables import (
     weak_gap_rows,
 )
 from .overdamped import simulate_limit
-from .smallmat import _stationary_covariance
 from .underdamped import SCHEMES, UDStepperConfig, simulate_underdamped
 
 _W2_METHODS = ("auto", "exact", "sliced")
@@ -340,9 +338,7 @@ def initial_velocities(
     if kind != "equilibrated":
         raise ValidationError(f"init_velocities must be one of {_VELOCITY_STARTS}")
     z = stream.block(RUN_INIT_VELOCITIES, 0, n)[:, :d]
-    A, _ = mean_field_coefficients(positions, spec)
-    _check_friction_floor(A, positions)
-    J = _stationary_covariance(A, spec.sigma_at(positions))
+    J = mean_field_coefficients(positions, spec).J
     if d == 1:
         return np.sqrt(J[:, 0] / epsilon) * z
     try:
@@ -985,12 +981,11 @@ def _cli_limit(config: ExperimentConfig) -> int:
 
 def _cli_converge(config: ExperimentConfig) -> int:
     report = run_convergence_sweep(config)
-    final_t = max(t for _, t, _, _ in report.w2_rows)
+    # each epsilon's rows are in snapshot order, T last; its clock reaches T
+    # with its own dt's rounding, so its last row is its W2(T)
+    last = {e: v for e, _, v, _ in report.w2_rows}
     for eps in config.epsilon_grid:
-        val = next(
-            v for e, t, v, _ in report.w2_rows if e == eps and t == final_t
-        )
-        print(f"[converge] epsilon={eps:g}: W2(T)={val:.6g}")
+        print(f"[converge] epsilon={eps:g}: W2(T)={last[eps]:.6g}")
     for name, path in sorted(report.out_paths.items()):
         print(f"[converge] wrote {path}")
     return 0

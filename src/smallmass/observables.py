@@ -16,12 +16,16 @@ Integration by parts replaces every density or density-gradient estimate,
 so the estimators are plain particle sums (the empirical convolutions are
 the only O(N^2) ingredient). Distances: exact order-statistics matching in
 1D, optimal assignment for small clouds, sliced random projections beyond.
+
+The estimators read a snapshot's coefficients from the one object that
+ensemble.mean_field_coefficients returns for it: a caller that reads
+several estimators at one snapshot forms it once and passes it in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,14 +33,12 @@ from .ensemble import (
     RUN_W2_PROJECTIONS,
     NoiseStream,
     UnderdampedEnsemble,
-    _check_friction_floor,
-    _d_friction_at,
-    _positions_of,
+    _Frozen,
     mean_field_coefficients,
 )
 from .errors import SmallMassError, ValidationError
 from .model import ModelSpec, _eval_field
-from .smallmat import _mT, _stationary_covariance, invert
+from .smallmat import _mT
 
 W2_EXACT_MAX_N = 1024
 
@@ -141,50 +143,11 @@ def _bump(dim, center, radius):
 # -------------------------------------------------------- weak-form machinery
 
 
-@dataclass(frozen=True)
-class _Frozen:
-    """Per-particle coefficients of one snapshot, frozen for the estimators.
-
-    A (n, d, d), F (n, d), the friction Jacobian dA (n, d, d, d) and
-    J (n, d, d) with A J + J A^T = sigma sigma^T. A_inv is kept for d > 1
-    only: the 1D formulas divide by A. state is what the coefficients were
-    computed from (an ensemble or an (n, d) array), X its positions.
-    Per-psi results at X are computed once each (see `once`).
-    """
-
-    state: object
-    X: np.ndarray
-    A: np.ndarray
-    F: np.ndarray
-    dA: np.ndarray
-    J: np.ndarray
-    A_inv: np.ndarray | None
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def once(self, tag, psi, compute):
-        """compute() for (tag, psi), evaluated on the first request only."""
-        key = (tag, id(psi))
-        if key not in self.memo:
-            # the entry holds psi, so its id is not reused while the entry lives
-            self.memo[key] = (psi, compute())
-        return self.memo[key][1]
-
-    def psi_at(self, psi):
-        """psi's values (n, d) and gradients (n, d, d) at X."""
-        X = self.X
-        return self.once("psi", psi, lambda: (psi.value_at(X), psi.gradient_at(X)))
-
-
-def _frozen_coefficients(positions, spec: ModelSpec) -> _Frozen:
-    """Coefficients of a snapshot against its own measure; a _Frozen passes as is."""
-    if isinstance(positions, _Frozen):
-        return positions
-    X = _positions_of(positions)
-    A, F = mean_field_coefficients(X, spec)
-    _check_friction_floor(A, X)
-    dA = _d_friction_at(X, X, spec)
-    J = _stationary_covariance(A, spec.sigma_at(X))
-    return _Frozen(positions, X, A, F, dA, J, invert(A) if X.shape[1] > 1 else None)
+def _frozen_coefficients(state, spec: ModelSpec) -> _Frozen:
+    """mean_field_coefficients of a snapshot; a _Frozen passes as is."""
+    if isinstance(state, _Frozen):
+        return state
+    return mean_field_coefficients(state, spec)
 
 
 def momentum_summands(state, psi: TestFunction):

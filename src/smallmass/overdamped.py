@@ -23,23 +23,17 @@ import numpy as np
 from .ensemble import (
     NoiseStream,
     OverdampedEnsemble,
-    _check_friction_floor,
     _constant_friction,
     _d_friction_at,
     _positions_of,
+    _step_noise,
     conv_gradK,
     conv_phi,
     mean_field_coefficients,
 )
 from .errors import StabilityError, StiffnessError, ValidationError
 from .model import ModelSpec, fd_step
-from .smallmat import (
-    LyapunovSolution,
-    _mT,
-    invert,
-    min_symmetric_eigenvalue,
-    solve_lyapunov,
-)
+from .smallmat import LyapunovSolution, invert, min_symmetric_eigenvalue, solve_lyapunov
 from .underdamped import _advance, _run_to_end
 
 
@@ -109,12 +103,13 @@ def _limit_fields(spec: ModelSpec, positions):
     """Per-particle drift b and diffusion factor A^-1 sigma on a frozen snapshot.
 
     Returns (b, D) of shapes (N, d) and (N, d, d), formed once for the whole
-    stack of particles. Constant A short-circuits S = 0 exactly; d = 1 uses
-    the scalar reduction S = -sigma^2 A' / (2 A^3); higher d runs the small-
-    matrix kernels on the (N, d, d) stacks, which return each particle's own
-    bits, so b and D equal limit_drift and limit_diffusion at every x_i.
+    stack of particles. Constant A short-circuits S = 0 exactly. Otherwise
+    the snapshot's coefficients come from mean_field_coefficients: d = 1
+    uses the scalar reduction S = -sigma^2 A' / (2 A^3); higher d reads the
+    stacked A^-1, J and dA, whose small-matrix kernels return each
+    particle's own bits, so b and D equal limit_drift and limit_diffusion
+    at every x_i.
     """
-    d = positions.shape[1]
     A0 = _constant_friction(spec)
     if A0 is not None:
         if min_symmetric_eigenvalue(A0) <= 0.0:
@@ -123,18 +118,14 @@ def _limit_fields(spec: ModelSpec, positions):
         F = spec.grad_V_at(positions) + conv_gradK(positions, positions, spec)
         D = np.einsum("ij,njk->nik", Ainv, spec.sigma_at(positions))
         return -F @ Ainv.T, D
-    A, F = mean_field_coefficients(positions, spec)
-    _check_friction_floor(A, positions)
-    sig = spec.sigma_at(positions)
-    dA = _d_friction_at(positions, positions, spec)
-    if d == 1:
-        a, s = A[:, 0, 0], sig[:, 0, 0]
-        S = -(s**2) * dA[:, 0, 0, 0] / (2.0 * (a * a * a))
-        return (-F[:, 0] / a + S)[:, None], (s / a)[:, None, None]
-    Ainv = invert(A)
-    J = solve_lyapunov(A, sig @ _mT(sig)).J
-    S = _product_rule_drift(Ainv, dA, J)
-    return (-Ainv @ F[..., None])[..., 0] + S, Ainv @ sig
+    c = mean_field_coefficients(positions, spec)
+    if positions.shape[1] == 1:
+        a, s, da = c.A[:, 0, 0], c.sigma[:, 0, 0], c.dA[:, 0, 0, 0]
+        S = -(s**2) * da / (2.0 * (a * a * a))
+        return (-c.F[:, 0] / a + S)[:, None], (s / a)[:, None, None]
+    Ainv = c.A_inv
+    S = _product_rule_drift(Ainv, c.dA, c.J)
+    return (-Ainv @ c.F[..., None])[..., 0] + S, Ainv @ c.sigma
 
 
 def _drift_lipschitz_estimate(spec: ModelSpec, positions):
@@ -186,7 +177,7 @@ def simulate_limit(
     def step(state, dt_sub):
         X = state.positions
         b, D = _limit_fields(spec, X)
-        xi = stream.block(run_id, state.step + 1, state.N)[:, :d]
+        xi = _step_noise(stream, run_id, state)
         if d == 1:
             x_new = X + dt_sub * b + np.sqrt(dt_sub) * D[:, :, 0] * xi
         else:

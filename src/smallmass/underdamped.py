@@ -40,12 +40,12 @@ import numpy as np
 from .ensemble import (
     NoiseStream,
     UnderdampedEnsemble,
-    _check_friction_floor,
+    _step_noise,
     mean_field_coefficients,
 )
 from .errors import StiffnessError, ValidationError
 from .model import ModelSpec
-from .smallmat import _mT, _stationary_covariance, expm, invert
+from .smallmat import _mT, expm
 
 SCHEMES = ("euler_maruyama", "exponential")
 # EM rejects a step with dt * lambda_max(sym A) / eps above this
@@ -86,10 +86,9 @@ def step_underdamped_em(
     dt = cfg.dt if dt is None else dt
     eps = state.epsilon
     X, V = state.positions, state.velocities
-    d = state.dim
-    A, F = mean_field_coefficients(X, spec)
+    c = mean_field_coefficients(X, spec)
 
-    lam_max = float(_check_friction_floor(A, X)[:, -1].max())
+    lam_max = float(c.eig[:, -1].max())
     if dt * lam_max / eps > SUBSTEP_GUARD:
         admissible = SUBSTEP_GUARD * eps / lam_max
         raise StiffnessError(
@@ -99,23 +98,23 @@ def step_underdamped_em(
             admissible_dt=admissible,
         )
 
-    xi = stream.block(cfg.run_id, state.step + 1, state.N)[:, :d]
-    drift = -np.einsum("nij,nj->ni", A, V) - F
-    noise = np.einsum("nij,nj->ni", spec.sigma_at(X), xi)
+    xi = _step_noise(stream, cfg.run_id, state)
+    drift = -np.einsum("nij,nj->ni", c.A, V) - c.F
+    noise = np.einsum("nij,nj->ni", c.sigma, xi)
     v_new = V + (dt / eps) * drift + (np.sqrt(dt) / eps) * noise
     x_new = X + dt * v_new
     return state.advanced(x_new, v_new, dt)
 
 
-def _velocity_transition(A, F, J, V, dt, eps, xi):
+def _velocity_transition(c, V, dt, eps, xi):
     """Exact velocity after time dt of eps dv = (-A v - F) dt + sigma dB from V.
 
-    A, F and J are frozen, one row per row of V and of the unit normals xi.
-    Closed form in 1D; in d > 1 one expm per row, and xi colored by a
-    PSD-clipped eigenfactor of the covariance.
+    c holds the frozen coefficients, one row per row of V and of the unit
+    normals xi. Closed form in 1D; in d > 1 one expm per row, and xi colored
+    by a PSD-clipped eigenfactor of the covariance.
     """
+    A, J, b = c.A, c.J, -c.F
     d = A.shape[-1]
-    b = -F
     if d == 1:
         a = A[:, 0, 0]
         E = np.exp(-a * dt / eps)
@@ -124,7 +123,7 @@ def _velocity_transition(A, F, J, V, dt, eps, xi):
         return v_det + std[:, None] * xi
     E = expm(-A * (dt / eps))
     cov = (J - E @ J @ _mT(E)) / eps
-    v_det = E @ V[:, :, None] + invert(A) @ ((np.eye(d) - E) @ b[:, :, None])
+    v_det = E @ V[:, :, None] + c.A_inv @ ((np.eye(d) - E) @ b[:, :, None])
     w, U = np.linalg.eigh(0.5 * (cov + _mT(cov)))
     L = U * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     return v_det[:, :, 0] + (xi[:, None, :] @ _mT(L))[:, 0]
@@ -141,12 +140,9 @@ def step_underdamped_exp(
     dt = cfg.dt if dt is None else dt
     eps = state.epsilon
     X, V = state.positions, state.velocities
-    d = state.dim
-    A, F = mean_field_coefficients(X, spec)
-    _check_friction_floor(A, X)
-    xi = stream.block(cfg.run_id, state.step + 1, state.N)[:, :d]
-    J = _stationary_covariance(A, spec.sigma_at(X))
-    v_new = _velocity_transition(A, F, J, V, dt, eps, xi)
+    c = mean_field_coefficients(X, spec)
+    xi = _step_noise(stream, cfg.run_id, state)
+    v_new = _velocity_transition(c, V, dt, eps, xi)
     x_new = X + 0.5 * dt * (V + v_new)
     return state.advanced(x_new, v_new, dt)
 

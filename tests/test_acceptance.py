@@ -168,7 +168,8 @@ def test_criterion_03_noise_induced_drift():
     limit = simulate_limit(spec, OverdampedEnsemble(0.0, x0), T, 1e-3, stream, run_id=1)[-1]
     X = x0.copy()
     for step in range(int(round(T / dt))):
-        A, F = mean_field_coefficients(X, spec)
+        coeffs = mean_field_coefficients(X, spec)
+        A, F = coeffs.A, coeffs.F
         a = A[:, 0, 0]
         s = spec.sigma_at(X)[:, 0, 0]
         xi = stream.block(0, step + 1, n)[:, :1]

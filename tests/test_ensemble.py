@@ -11,15 +11,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smallmass import ensemble
+from smallmass import ensemble, observables, overdamped, smallmat, underdamped
 from smallmass.ensemble import (
     D_MAX,
     NoiseStream,
     OverdampedEnsemble,
     UnderdampedEnsemble,
+    _d_friction_at,
     conv_gradK,
     conv_phi,
     empirical_moment2,
+    mean_field_coefficients,
 )
 from smallmass.errors import BlowUpError, ValidationError
 from smallmass.harness import write_snapshots_csv
@@ -31,6 +33,8 @@ from smallmass.model import (
     ZeroVectorField,
     get_preset,
 )
+from smallmass.smallmat import _stationary_covariance, invert
+from smallmass.underdamped import UDStepperConfig
 
 
 def spec_with(phi=None, grad_K=None, dim=1):
@@ -308,6 +312,83 @@ def test_empirical_moment2():
     assert empirical_moment2(np.zeros((5, 2))) == 0.0
     assert empirical_moment2(np.array([[3.0, 4.0]])) == pytest.approx(25.0)
     assert empirical_moment2(np.array([[1.0], [-2.0]])) == pytest.approx(2.5)
+
+
+# ---------------------------------------------------- snapshot coefficients
+
+KERNELS = ("solve_lyapunov", "invert", "expm")
+
+
+def count_kernel_calls(monkeypatch):
+    """Count the small-matrix kernels at every module's binding, and the
+    spec's d_phi evaluations."""
+    calls = dict.fromkeys(KERNELS + ("d_phi_at",), 0)
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    originals = {name: getattr(smallmat, name) for name in KERNELS}
+    for mod in (smallmat, ensemble, observables, underdamped, overdamped):
+        for name, f in originals.items():
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, f))
+    monkeypatch.setattr(ModelSpec, "d_phi_at", counted("d_phi_at", ModelSpec.d_phi_at))
+    return calls
+
+
+@pytest.mark.parametrize("preset", ["state-dep-friction-1d", "gaussian-interaction-2d"])
+def test_snapshot_coefficients_equal_their_direct_forms(preset):
+    spec = get_preset(preset)
+    X = 0.8 * NoiseStream(11).block(0, 0, 40)[:, : spec.dim]
+    c = mean_field_coefficients(X, spec)
+    A = spec.gamma_at(X) + conv_phi(X, X, spec)
+    assert np.array_equal(c.A, A)
+    assert np.array_equal(c.F, spec.grad_V_at(X) + conv_gradK(X, X, spec))
+    assert np.array_equal(c.eig, np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, 1, 2))))
+    assert np.array_equal(c.J, _stationary_covariance(A, spec.sigma_at(X)))
+    assert np.array_equal(c.A_inv, invert(A))
+    assert np.array_equal(c.dA, _d_friction_at(X, X, spec))
+    assert c.J is c.J and c.A_inv is c.A_inv and c.dA is c.dA  # formed once
+
+
+def test_an_em_step_forms_no_covariance_inverse_exponential_or_friction_jacobian(
+    monkeypatch,
+):
+    spec = get_preset("gaussian-interaction-2d")
+    X = NoiseStream(12).block(0, 0, 30)[:, :2]
+    state = UnderdampedEnsemble(0.1, 0.0, X, np.zeros_like(X))
+    calls = count_kernel_calls(monkeypatch)
+    stream = NoiseStream(1)
+    em = UDStepperConfig(scheme="euler_maruyama", dt=1e-4)
+    assert underdamped.step_underdamped_em(state, spec, em, stream).step == 1
+    assert calls == {"solve_lyapunov": 0, "invert": 0, "expm": 0, "d_phi_at": 0}
+    # the same counters see the exponential step form J, A^-1 and expm once,
+    # and the limit step J, A^-1 and dA
+    exp = UDStepperConfig(scheme="exponential", dt=1e-4)
+    underdamped.step_underdamped_exp(state, spec, exp, stream)
+    assert calls == {"solve_lyapunov": 1, "invert": 1, "expm": 1, "d_phi_at": 0}
+    overdamped._limit_fields(spec, X)
+    assert calls == {"solve_lyapunov": 2, "invert": 2, "expm": 1, "d_phi_at": 1}
+
+
+def test_a_1d_snapshot_never_inverts(monkeypatch):
+    spec = get_preset("state-dep-friction-1d")
+    X = NoiseStream(13).block(0, 0, 30)[:, :1]
+    state = UnderdampedEnsemble(0.1, 0.0, X, 0.3 * X)
+    calls = count_kernel_calls(monkeypatch)
+    psis = observables.bump_test_functions(1)
+    frozen = observables._frozen_coefficients(state, spec)
+    rows = observables.weak_gap_rows(frozen, spec, psis, anchor=frozen)
+    stream = NoiseStream(1)
+    cfg = UDStepperConfig(scheme="exponential", dt=1e-3)
+    underdamped.step_underdamped_exp(state, spec, cfg, stream)
+    overdamped._limit_fields(spec, X)
+    assert len(rows) == len(psis)
+    assert calls["invert"] == calls["solve_lyapunov"] == calls["expm"] == 0
 
 
 # ------------------------------------------------------------ noise stream

@@ -1,5 +1,6 @@
 """Config, sweep, slice-diagnostic, and CLI tests."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -923,6 +924,24 @@ def test_cli_converge_and_overrides(tmp_path, capsys):
     manifest = json.load(open(os.path.join(outdir, "manifest.json")))
     assert manifest["config"]["seed"] == 5
     assert "W2(T)" in capsys.readouterr().out
+
+
+def test_cli_converge_prints_w2_at_T_for_epsilon_runs_on_different_dt(tmp_path, capsys):
+    # each epsilon steps with its own default dt, so the runs reach T with
+    # different rounding: each prints its own last W2 row
+    cfg = write_config(
+        tmp_path, preset="double-well-1d", n_particles=500,
+        epsilon_grid=[0.02, 0.005], T=1.0, scheme="euler_maruyama", seed=3,
+    )
+    assert main(["converge", "--config", cfg]) == 0
+    printed = [l for l in capsys.readouterr().out.splitlines() if "W2(T)" in l]
+    with open(tmp_path / "cli" / "w2.csv") as f:
+        last = {row["epsilon"]: row for row in csv.DictReader(f)}
+    assert len({row["t"] for row in last.values()}) == 2
+    assert printed == [
+        f"[converge] epsilon={float(e):g}: W2(T)={float(row['w2']):.6g}"
+        for e, row in last.items()
+    ]
 
 
 def test_cli_converge_with_sliced_w2_writes_the_same_bytes_at_any_thread_count(

@@ -17,6 +17,7 @@ from smallmass.ensemble import (
     OverdampedEnsemble,
     UnderdampedEnsemble,
     _d_friction_at,
+    _Frozen,
     conv_phi,
     mean_field_coefficients,
 )
@@ -34,7 +35,6 @@ from smallmass import observables
 from smallmass.harness import write_weak_gaps_csv
 from smallmass.observables import (
     TestFunction,
-    _Frozen,
     _frozen_coefficients,
     _paired_stderr,
     bump_test_functions,
@@ -204,7 +204,8 @@ def test_ystar_2d_runs_and_matches_1d_embedding():
 
 def ystar_summands_loop(X, spec, psi):
     """One-particle-at-a-time reference for the d > 1 Y* summands."""
-    A, F = mean_field_coefficients(X, spec)
+    coeffs = mean_field_coefficients(X, spec)
+    A, F = coeffs.A, coeffs.F
     sig = spec.sigma_at(X)
     dA = _d_friction_at(X, X, spec)
     P, G = psi.value_at(X), psi.gradient_at(X)
@@ -327,7 +328,8 @@ def test_yhat_2d_fd_oracle():
 
     from smallmass.smallmat import invert, solve_lyapunov
 
-    A, F = mean_field_coefficients(X, spec)
+    coeffs = mean_field_coefficients(X, spec)
+    A, F = coeffs.A, coeffs.F
     sig = spec.sigma_at(X)
 
     def a_at(x):
@@ -378,7 +380,9 @@ def frozen_slice(A, F, dA, J, V, X):
     """Frozen coefficients of a slice start at t = 0 with eps = 1, so that
     weak_Yhat at time c integrates over [0, c]."""
     state = UnderdampedEnsemble(1.0, 0.0, X, V)
-    return _Frozen(state, X, A, F, dA, J, None)
+    frozen = _Frozen(state, X, A, F, eig=None, spec=None)
+    frozen.dA, frozen.J = dA, J  # synthetic, kept as if formed on first read
+    return frozen
 
 
 def linear_psi(W, b):

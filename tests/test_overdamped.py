@@ -328,7 +328,7 @@ def test_1d_limit_drift_by_products_matches_pow(xs, sigma):
     X = np.array(xs)[:, None]
     with np.errstate(over="ignore"):  # gamma' at |x| ~ 1e100 squares 1e200
         b, _ = _limit_fields(spec, X)
-        A, _ = mean_field_coefficients(X, spec)
+        A = mean_field_coefficients(X, spec).A
         a = A[:, 0, 0]
         s = spec.sigma_at(X)[:, 0, 0]
         da = spec.d_gamma_at(X)[:, 0, 0, 0] + _conv_dphi(X, X, spec)[:, 0, 0, 0]
@@ -395,7 +395,7 @@ def turning_friction_spec():
 def test_2d_stacked_S_on_a_turning_friction_equals_the_one_point_S(seed):
     spec = turning_friction_spec()
     X = 1.5 * NoiseStream(seed).block(RUN_INIT_POSITIONS, 0, 12)[:, :2]
-    A, _ = mean_field_coefficients(X, spec)
+    A = mean_field_coefficients(X, spec).A
     Q = spec.sigma_at(X) @ np.swapaxes(spec.sigma_at(X), -1, -2)
     AT = np.swapaxes(A, -1, -2)
     assert np.all(np.abs(A @ AT - AT @ A).max(axis=(1, 2)) > 1e-3)  # not normal
