@@ -216,6 +216,11 @@ def _pair_mean(field_at, targets, positions, core):
     In 1D, C order makes j contiguous and numpy sums it pairwise. At d = 8
     numpy would sum the kernel's contiguous runs over d (|z|^2) pairwise in
     C order but sequentially in planes, so C order stays.
+
+    Each sum over j is numpy's on the kernel's output in C order. An output
+    laid out as its input (gaussian-interaction-2d's phi) can make j the
+    contiguous axis, as at a one-target chunk; numpy would then sum j
+    pairwise, which C order does only in 1D, so it is copied to C order.
     """
     n, d = positions.shape
     lead = targets.shape[:-1]
@@ -230,8 +235,11 @@ def _pair_mean(field_at, targets, positions, core):
             diffs = buf.transpose(2, 0, 1)
         else:
             diffs = t[:, None, :] - positions[None, :, :]
+        vals = field_at(diffs)
+        if vals.strides[1] == vals.itemsize:
+            vals = np.ascontiguousarray(vals)
         # np.mean(..., axis=1) without its wrapper: the same sum, then / n
-        out[lo : lo + chunk] = np.add.reduce(field_at(diffs), axis=1) / n
+        out[lo : lo + chunk] = np.add.reduce(vals, axis=1) / n
     return out.reshape(lead + core)
 
 

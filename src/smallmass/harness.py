@@ -715,10 +715,10 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
             "coupled by step index only, not by time",
             file=sys.stderr,
         )
-    # the scipy submodules the sweep calls load now, not at a run's first
-    # exponential step or exact W2, where the import would stall the other
-    # runs on the import lock and land in that run's runtime; a 1D sweep
-    # needs none
+    # the scipy submodules the sweep may call (scipy.linalg: the exponential
+    # step of a non-diagonal friction; scipy.optimize: exact W2) load now,
+    # not at a run's first call, where the import would stall the other runs
+    # on the import lock and land in that run's runtime; a 1D sweep needs none
     if spec.dim > 1 and config.scheme == "exponential":
         import scipy.linalg
     if method == "exact":

@@ -425,15 +425,17 @@ def make_gaussian_interaction_2d() -> ModelSpec:
         out[..., 1, 1, 1] = -0.3 * np.sin(x[..., 1])
         return out
 
+    # the products of c[..., None, None] * I, written as an outer product
+    # laid out as c is, so a pair sum's kernel runs on source-major planes
     def phi(z):
         z = np.asarray(z, dtype=float)
         c = 0.5 + 0.25 * np.exp(-np.sum(z * z, axis=-1))
-        return c[..., None, None] * np.eye(2)
+        return np.moveaxis(np.multiply.outer(np.eye(2), c), (0, 1), (-2, -1))
 
     def d_phi(z):
         z = np.asarray(z, dtype=float)
         dc = -0.5 * np.exp(-np.sum(z * z, axis=-1))[..., None] * z  # (..., 2)
-        return np.eye(2)[..., :, :, None] * dc[..., None, None, :]
+        return np.moveaxis(np.multiply.outer(np.eye(2), dc), (0, 1), (-3, -2))
 
     def sigma(x):
         x = np.asarray(x, dtype=float)

@@ -21,10 +21,12 @@ are sqrt(sum(x*x)) reduced as np.linalg.norm reduces them, and cond is
 s_max/s_min from the singular values, as np.linalg.cond takes it. The
 LAPACK calls themselves (solve, eigvalsh, inv, svd) are numpy's.
 
-`expm` is this module's only scipy route: it imports scipy.linalg at its
-first call, so a run that forms no exponential never loads it. It is not
-the package's only one: observables.weak_Yhat imports scipy.linalg itself
-for its Van Loan block, which is 3d x 3d and so past MAX_DIM for d >= 3.
+`expm` is this module's only scipy route: it imports scipy.linalg only for
+a stack with a nonzero off the diagonal (a diagonal stack takes scipy's own
+diagonal branch, exp of the diagonal, in one pass), so a run that forms no
+such exponential never loads it. It is not the package's only one:
+observables.weak_Yhat imports scipy.linalg itself for its Van Loan block,
+which is 3d x 3d and so past MAX_DIM for d >= 3.
 """
 
 from __future__ import annotations
@@ -131,10 +133,19 @@ def expm(M) -> np.ndarray:
 
     Scaling-and-squaring with a Pade core (scipy); relative error below
     1e-12 for ||M|| <= 50, which covers every exponent this package forms.
+    A stack whose off-diagonal entries are all zero (-0.0 included) gets
+    scipy's result for a diagonal matrix, zeros with exp of the diagonal,
+    formed at once without loading scipy; any other goes to scipy whole.
     """
+    M = _as_square(M, "expm argument")
+    diag = np.diagonal(M, axis1=-2, axis2=-1)
+    if np.count_nonzero(M) == np.count_nonzero(diag):
+        E = np.zeros(M.shape)
+        np.einsum("...ii->...i", E)[...] = np.exp(diag)
+        return E
     import scipy.linalg
 
-    return scipy.linalg.expm(_as_square(M, "expm argument"))
+    return scipy.linalg.expm(M)
 
 
 def min_symmetric_eigenvalue(A) -> float:

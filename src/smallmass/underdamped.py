@@ -110,8 +110,9 @@ def _velocity_transition(c, V, dt, eps, xi):
     """Exact velocity after time dt of eps dv = (-A v - F) dt + sigma dB from V.
 
     c holds the frozen coefficients, one row per row of V and of the unit
-    normals xi. Closed form in 1D; in d > 1 one expm per row, and xi colored
-    by a PSD-clipped eigenfactor of the covariance.
+    normals xi. Closed form in 1D; in d > 1 one expm of the stack (no scipy
+    for a diagonal friction), and xi colored by a PSD-clipped eigenfactor of
+    the covariance.
     """
     A, J, b = c.A, c.J, -c.F
     d = A.shape[-1]

@@ -233,17 +233,23 @@ def test_conv_permutation_invariance_ulp(seed, n):
 
 
 def c_layout_pair_mean(field_at, targets, positions, core):
-    """_pair_mean as it was before the plane layout: C-ordered (m, N, d)
-    differences, here in one chunk (each target's sum is its own)."""
+    """The sum _pair_mean must match: C-ordered (m, N, d) differences, here
+    in one chunk (each target's sum is its own), and the kernel's output
+    summed over j in C order."""
     lead = targets.shape[:-1]
     targets = targets.reshape(-1, targets.shape[-1])
     diffs = targets[:, None, :] - positions[None, :, :]
-    out = np.add.reduce(field_at(diffs), axis=1) / positions.shape[0]
+    vals = np.ascontiguousarray(field_at(diffs))
+    out = np.add.reduce(vals, axis=1) / positions.shape[0]
     return out.reshape(lead + core)
 
 
 def gaussian_kernels(d):
-    """The gaussian-interaction-2d kernels phi, grad_K and d_phi in R^d."""
+    """The gaussian-interaction-2d kernels phi, grad_K and d_phi in R^d.
+
+    phi and d_phi are written as I c broadcast, so their outputs are C
+    ordered: at d = 2 they are the oracles of the preset's source-major ones.
+    """
 
     def phi(z):
         c = 0.5 + 0.25 * np.exp(-np.sum(z * z, axis=-1))
@@ -277,6 +283,14 @@ def pair_kernels(d):
         "constant": (lambda z: np.broadcast_to(full, z.shape[:-1] + (d, d)), (d, d)),
         # central differences on phi (fd_matrix_jacobian): the spec has no d_phi
         "fd_d_phi": (no_d_phi.d_phi_at, (d, d, d)),
+        # laid out as its (m, N) factor, so j is the contiguous axis at one
+        # target of the planes (and at every m of the C layout)
+        "source_major": (
+            lambda z: np.moveaxis(
+                np.multiply.outer(full, np.exp(-np.sum(z * z, axis=-1))), (0, 1), (-2, -1)
+            ),
+            (d, d),
+        ),
     }
 
 
@@ -285,12 +299,17 @@ def pair_kernels(d):
     d=st.integers(1, MAX_DIM),
     n=st.integers(1, 12),
     lead=st.sampled_from([(), (1,), (3,), (7,), (2, 3)]),
-    kernel=st.sampled_from(["phi", "grad_K", "d_phi", "full", "constant", "fd_d_phi"]),
+    kernel=st.sampled_from(
+        ["phi", "grad_K", "d_phi", "full", "constant", "fd_d_phi", "source_major"]
+    ),
     chunk=st.sampled_from([None, 1, 2]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(d=MAX_DIM, n=1, lead=(3,), kernel="grad_K", chunk=None, seed=1)
 @example(d=2, n=12, lead=(), kernel="grad_K", chunk=None, seed=0)
+@example(d=2, n=12, lead=(), kernel="phi", chunk=None, seed=0)
+@example(d=3, n=12, lead=(7,), kernel="source_major", chunk=1, seed=0)
+@example(d=MAX_DIM, n=12, lead=(7,), kernel="source_major", chunk=None, seed=0)
 def test_pair_mean_is_bit_equal_to_the_c_layout_sum(d, n, lead, kernel, chunk, seed):
     stream = NoiseStream(seed)
     positions = stream.block(0, 0, n)[:, :d]  # a strided (n, d) view
@@ -304,6 +323,34 @@ def test_pair_mean_is_bit_equal_to_the_c_layout_sum(d, n, lead, kernel, chunk, s
     with mock.patch.object(ensemble, "_PAIR_CHUNK_BUDGET", budget):
         got = ensemble._pair_mean(field_at, targets, positions, core)
     assert got.shape == expected.shape == lead + core
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def plane_view(m, n, d, seed):
+    """(m, n, d) differences laid out as _pair_mean's (n, d, m) planes."""
+    return np.random.default_rng(seed).standard_normal((n, d, m)).transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("kernel", ["phi", "d_phi"])
+@pytest.mark.parametrize(
+    "z",
+    [
+        np.array([0.3, -1.2]),
+        np.array([-0.0, 0.0]),
+        NoiseStream(7).block(0, 0, 5)[:, :2],
+        np.random.default_rng(8).standard_normal((3, 4, 2)),
+        plane_view(1, 9, 2, 9),
+        plane_view(6, 9, 2, 10),
+    ],
+    ids=["point", "signed-zeros", "rows", "nested", "planes-m1", "planes-m6"],
+)
+def test_preset_kernels_are_bit_equal_to_their_c_layout_forms(kernel, z):
+    spec = get_preset("gaussian-interaction-2d")
+    phi, _, d_phi = gaussian_kernels(2)
+    got = getattr(spec, kernel)(z)
+    expected = {"phi": phi, "d_phi": d_phi}[kernel](z)
+    assert got.shape == expected.shape
     assert np.array_equal(got, expected)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
 

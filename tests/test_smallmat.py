@@ -11,6 +11,7 @@ numpy routine it stands in for.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -92,6 +93,65 @@ def test_expm_taylor_oracle():
 def test_expm_rejects_nonfinite():
     with pytest.raises(ValidationError):
         expm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def diagonal_stack(rng, lead, d):
+    """Diagonal (*lead, d, d) matrices: -0.0 at random off-diagonal places,
+    diagonals spanning exp's underflow, -0.0, 0.0 and moderate values."""
+    M = np.where(rng.random(lead + (d, d)) < 0.5, -0.0, 0.0)
+    pool = np.array([-800.0, -30.0, -1.5, -0.0, 0.0, 1e-300, 0.7, 3.0])
+    diag = np.where(
+        rng.random(lead + (d,)) < 0.3,
+        rng.choice(pool, lead + (d,)),
+        rng.uniform(-5.0, 5.0, lead + (d,)),
+    )
+    np.einsum("...ii->...i", M)[...] = diag
+    return M
+
+
+def count_scipy_expm(monkeypatch):
+    """Counter of scipy.linalg.expm calls, which still run."""
+    calls = []
+    direct = scipy.linalg.expm
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", range(1, MAX_DIM + 1))
+@pytest.mark.parametrize("lead", [(), (1,), (7,), (2, 3), (2, 1, 4)])
+def test_expm_of_a_diagonal_stack_is_scipys_bits_without_scipy(d, lead, monkeypatch):
+    M = diagonal_stack(np.random.default_rng(10 * d + len(lead)), lead, d)
+    expected = scipy.linalg.expm(M)
+    calls = count_scipy_expm(monkeypatch)
+    got = expm(M)
+    assert calls == []
+    assert got.shape == expected.shape == M.shape
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_expm_sends_a_mixed_stack_to_scipy_whole(monkeypatch):
+    rng = np.random.default_rng(12)
+    M = diagonal_stack(rng, (6,), 3)
+    M[1, 0, 2] = 0.4  # upper triangular
+    M[3, 2, 1] = -1.1  # lower triangular
+    M[4] = rng.standard_normal((3, 3))  # full
+    # one nonzero off the diagonal anywhere sends the whole stack
+    N = diagonal_stack(rng, (4, 5), 2)
+    N[3, 4, 1, 0] = 1e-300
+    for stack in (M, N):
+        expected = scipy.linalg.expm(stack)
+        calls = count_scipy_expm(monkeypatch)
+        got = expm(stack)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 @settings(max_examples=40, deadline=None)
