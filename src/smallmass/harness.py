@@ -46,6 +46,7 @@ from .model import (
 from .observables import (
     W2_EXACT_MAX_N,
     EnergyReport,
+    _assignment_solver,
     _frozen_coefficients,
     bump_test_functions,
     energy_diagnostic,
@@ -715,14 +716,12 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
             "coupled by step index only, not by time",
             file=sys.stderr,
         )
-    # the scipy submodules the sweep may call (scipy.linalg: the exponential
-    # step of a non-diagonal friction; scipy.optimize: exact W2) load now,
-    # not at a run's first call, where the import would stall the other runs
-    # on the import lock and land in that run's runtime; a 1D sweep needs none
-    if spec.dim > 1 and config.scheme == "exponential":
-        import scipy.linalg
+    # exact W2's solver loads now, not at a report's first call, where the
+    # load would land in that job's runtime. It is scipy's compiled extension
+    # alone, not scipy.optimize. The exponential step of a non-diagonal
+    # friction loads scipy.linalg at its first call; no preset has one
     if method == "exact":
-        import scipy.optimize
+        _assignment_solver()
     # the directory exists before any run, so that an unusable path fails
     # at once and a failing job can write its record
     _make_out_dir(config.out_dir)

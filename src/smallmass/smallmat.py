@@ -21,12 +21,12 @@ are sqrt(sum(x*x)) reduced as np.linalg.norm reduces them, and cond is
 s_max/s_min from the singular values, as np.linalg.cond takes it. The
 LAPACK calls themselves (solve, eigvalsh, inv, svd) are numpy's.
 
-`expm` is this module's only scipy route: it imports scipy.linalg only for
-a stack with a nonzero off the diagonal (a diagonal stack takes scipy's own
-diagonal branch, exp of the diagonal, in one pass), so a run that forms no
-such exponential never loads it. It is not the package's only one:
-observables.weak_Yhat imports scipy.linalg itself for its Van Loan block,
-which is 3d x 3d and so past MAX_DIM for d >= 3.
+`expm` is this module's only scipy route: it imports scipy.linalg at its
+first stack with a nonzero off the diagonal (a diagonal stack takes scipy's
+own diagonal branch, exp of the diagonal, in one pass), so a run that forms
+no such exponential never loads it, and no sweep loads it ahead. It is not
+the package's only one: observables.weak_Yhat imports scipy.linalg itself
+for its Van Loan block, which is 3d x 3d and so past MAX_DIM for d >= 3.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@
 Each check runs in a fresh interpreter, since pytest itself (and the other
 test modules) import scipy.linalg, scipy.optimize and scipy.special. A 1D
 sweep, slice pass, limit run, Fokker-Planck solve and exponential step load
-none of them, nor numpy.polynomial; a 2D exponential sweep or slice pass
-loads what it calls before its first step; each lazy site, called first in
-a fresh process, loads its submodule and returns the same bits as a direct
-scipy call made here.
+none of them, nor numpy.polynomial or numpy.ma; a 2D exact-W2 sweep with a
+diagonal friction loads none of the scipy ones either; a 2D slice pass loads
+what it calls before its first step; each lazy site, called first in a fresh
+process, loads what it needs and returns the same bits as a direct scipy
+call made here. Exact W2 runs scipy's compiled assignment solver without
+loading scipy.optimize.
 """
 
 import dataclasses
@@ -25,8 +27,10 @@ import smallmass
 from smallmass.ensemble import D_MAX, RUN_INIT_POSITIONS, NoiseStream
 from smallmass.model import audit_assumptions, get_preset
 
-# numpy.polynomial only serves the tests' quadrature oracles
-SUBMODULES = ("scipy.linalg", "scipy.optimize", "scipy.special", "numpy.polynomial")
+SCIPY = ("scipy.linalg", "scipy.optimize", "scipy.special")
+# numpy.polynomial only serves the tests' quadrature oracles; numpy.ma loads
+# at np.median's first call. numpy 1.x loads both at `import numpy`
+SUBMODULES = SCIPY + ("numpy.polynomial", "numpy.ma")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(smallmass.__file__)))
 
 MIXTURE = ((0.5, -1.0, 0.3), (0.5, 1.0, 0.3))
@@ -125,37 +129,45 @@ TWO_D = dict(
 @pytest.mark.parametrize(
     "command, entry, loads",
     [
-        ("converge", "simulate_limit", ["scipy.linalg", "scipy.optimize"]),
-        ("slice-diag", "simulate_underdamped", ["scipy.linalg"]),
+        # exact W2 (auto in 2D) runs scipy's compiled solver alone, and the
+        # diagonal friction's expm takes exp of its diagonal
+        ("converge", "simulate_limit", dict.fromkeys(SCIPY, False)),
+        ("slice-diag", "simulate_underdamped", {"scipy.linalg": True}),
     ],
 )
 def test_2d_runs_load_their_submodules_before_the_first_step(command, entry, loads, tmp_path):
+    # loads: whether each submodule is loaded at the first step and at exit
     with open(tmp_path / "c.json", "w") as f:
         json.dump(TWO_D, f)
     out = fresh_python(LOADED + f"""
 import smallmass.harness as h
 run = h.{entry}
+def check():
+    print(all((m in sys.modules) == v for m, v in {loads!r}.items()), loaded())
 def first_call(*args, **kwargs):
-    print(set({loads!r}) <= set(loaded()), loaded())
+    check()
     h.{entry} = run
     return run(*args, **kwargs)
 h.{entry} = first_call
 assert h.main([{command!r}, "--config", "c.json"]) == 0
+check()
 """, tmp_path)
-    assert out.splitlines()[0].startswith("True"), out
+    lines = out.splitlines()
+    assert lines[0].startswith("True") and lines[-1].startswith("True"), out
 
 
+# site: (submodule, whether the site loads it, code that sets result)
 SITES = {
-    "expm": ("scipy.linalg", """
+    "expm": ("scipy.linalg", True, """
 from smallmass.smallmat import expm
 result = expm(np.load("inputs.npz")["stack"])
 """),
-    "w2_exact": ("scipy.optimize", """
+    "w2_exact": ("scipy.optimize", False, """
 from smallmass.observables import w2_exact
 data = np.load("inputs.npz")
 result = np.array(w2_exact(data["cloud_a"], data["cloud_b"]))
 """),
-    "audit_assumptions": ("scipy.special", f"""
+    "audit_assumptions": ("scipy.special", True, f"""
 import dataclasses
 from smallmass.ensemble import NoiseStream
 from smallmass.model import audit_assumptions, get_preset
@@ -163,7 +175,7 @@ a = {AUDIT!r}
 report = audit_assumptions(get_preset(a["preset"]), a["box"], a["n"], NoiseStream(a["seed"]))
 result = np.array(dataclasses.astuple(report), dtype=float)
 """),
-    "initial_positions": ("scipy.special", f"""
+    "initial_positions": ("scipy.special", True, f"""
 from smallmass.ensemble import NoiseStream
 from smallmass.harness import initial_positions
 result = initial_positions(NoiseStream(3), 40, 1, {MIXTURE!r})
@@ -193,7 +205,7 @@ def reference(site, data):
 
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_lazy_site_matches_direct_scipy_call(site, tmp_path):
-    module, body = SITES[site]
+    module, loads, body = SITES[site]
     data = inputs()
     np.savez(tmp_path / "inputs.npz", **data)
     fresh_python(LOADED + f"""
@@ -201,7 +213,7 @@ import numpy as np
 import smallmass.harness
 assert {module!r} not in loaded(), loaded()
 {body}
-assert {module!r} in loaded(), loaded()
+assert ({module!r} in loaded()) == {loads!r}, loaded()
 np.save("result.npy", result)
 """, tmp_path)
     got = np.load(tmp_path / "result.npy")

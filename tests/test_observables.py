@@ -1,12 +1,14 @@
 """Observable tests: weak-form oracles, transport distances, diagnostics."""
 
 import csv
+import importlib.machinery
 import itertools
 import math
 import os
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, quad_vec
@@ -34,6 +36,7 @@ from smallmass.model import (
 from smallmass import observables
 from smallmass.harness import write_weak_gaps_csv
 from smallmass.observables import (
+    W2_EXACT_MAX_N,
     TestFunction,
     _frozen_coefficients,
     _paired_stderr,
@@ -574,6 +577,70 @@ def test_w2_exact_metric_properties():
     assert w2_exact(a, a + 0.1) > 0.05
 
 
+def w2_by_scipy_optimize(a, b):
+    """w2_exact's formula with the solver scipy.optimize exports: the oracle."""
+    cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return float(np.sqrt(cost[rows, cols].mean())), cols
+
+
+def tied_clouds():
+    # a holds 8 points four times each, b holds each of them twice and 4 new
+    # points four times each: many optimal assignments, so the solver's
+    # tie-breaking picks the one returned
+    rng = np.random.default_rng(28)
+    a = np.repeat(rng.normal(size=(8, 2)), 4, axis=0)
+    b = np.concatenate([a[::2], np.repeat(rng.normal(size=(4, 2)), 4, axis=0)])
+    return a, b[rng.permutation(32)]
+
+
+def w2_inputs():
+    a, b = tied_clouds()
+    rng = np.random.default_rng(29)
+    return [(a, b), tuple(rng.normal(size=(2, W2_EXACT_MAX_N, 2)))]
+
+
+@pytest.mark.parametrize("a, b", w2_inputs(), ids=["ties", "max-n"])
+def test_w2_exact_has_the_bits_of_scipy_optimize(a, b):
+    want, want_cols = w2_by_scipy_optimize(a, b)
+    cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    rows, cols = observables._assignment_solver()(cost)
+    assert np.array_equal(rows, np.arange(len(a)))
+    assert np.array_equal(cols, want_cols)
+    assert w2_exact(a, b) == want
+
+
+class _NoFunctionLoader:
+    """Loads _lsap as an empty module: an extension without the solver."""
+
+    def create_module(self, spec):
+        return None
+
+    def exec_module(self, module):
+        pass
+
+
+@pytest.mark.parametrize("found", [None, "module without the solver"])
+def test_w2_exact_falls_back_to_scipy_optimize(found, monkeypatch):
+    class Finder:
+        def __init__(self, path, *details):
+            pass
+
+        def find_spec(self, name):
+            if found is None:
+                return None
+            return importlib.machinery.ModuleSpec(name, _NoFunctionLoader())
+
+    monkeypatch.setattr(observables, "FileFinder", Finder)
+    observables._assignment_solver.cache_clear()
+    try:
+        assert observables._assignment_solver() is scipy.optimize.linear_sum_assignment
+        a, b = tied_clouds()
+        assert w2_exact(a, b) == w2_by_scipy_optimize(a, b)[0]
+    finally:
+        observables._assignment_solver.cache_clear()
+
+
 def test_w2_1d_equals_exact_on_line():
     rng = np.random.default_rng(14)
     for _ in range(4):
@@ -659,6 +726,16 @@ def test_energy_diagnostic():
     rep = energy_diagnostic({0.1: [s1], 0.2: [s2]})
     assert rep.ratio == pytest.approx(0.2 / 0.15)
     assert energy_diagnostic({0.3: [s1]}).ratio == 1.0
+    # the ratio's median has np.median's bits, for odd and even row counts
+    rng = np.random.default_rng(28)
+    for n in range(1, 8):
+        snaps = [
+            ud_state(np.zeros((4, 2)), rng.normal(size=(4, 2)) * 10.0 ** rng.uniform(-5, 5))
+            for _ in range(n)
+        ]
+        rep = energy_diagnostic({0.1: snaps})
+        energies = [r[2] for r in rep.rows]
+        assert rep.ratio == max(energies) / float(np.median(energies))
 
 
 def paired_gap_stderr(state, spec, psi) -> float:
