@@ -17,9 +17,11 @@ so the estimators are plain particle sums (the empirical convolutions are
 the only O(N^2) ingredient). Distances: exact order-statistics matching in
 1D, optimal assignment for small clouds, sliced random projections beyond.
 
-The estimators read a snapshot's coefficients from the one object that
-ensemble.mean_field_coefficients returns for it: a caller that reads
-several estimators at one snapshot forms it once and passes it in.
+Each estimator's one input is a snapshot's coefficient object, the one
+that ensemble.mean_field_coefficients(state, spec) returns: a caller forms
+it once per snapshot, and every estimator read at that snapshot shares it.
+Y and Yhat also read the velocities, t and epsilon of the underdamped
+ensemble it was formed from.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from .ensemble import (
     NoiseStream,
     UnderdampedEnsemble,
     _Frozen,
-    mean_field_coefficients,
+    mean_field_coefficients,  # unused here; bench/tests check the tracer wraps it
 )
 from .errors import SmallMassError, ValidationError
-from .model import ModelSpec, _eval_field
+from .model import _eval_field
 from .smallmat import _mT
 
 W2_EXACT_MAX_N = 1024
@@ -148,34 +150,29 @@ def _bump(dim, center, radius):
 # -------------------------------------------------------- weak-form machinery
 
 
-def _frozen_coefficients(state, spec: ModelSpec) -> _Frozen:
-    """mean_field_coefficients of a snapshot; a _Frozen passes as is."""
-    if isinstance(state, _Frozen):
-        return state
-    return mean_field_coefficients(state, spec)
+def _underdamped(c: _Frozen) -> UnderdampedEnsemble:
+    """The ensemble c was formed from: Y and Yhat read its v, t and epsilon."""
+    if not isinstance(c.state, UnderdampedEnsemble):
+        raise ValidationError(
+            "Y and Yhat need the coefficients of an underdamped ensemble, "
+            f"not of {type(c.state).__name__}"
+        )
+    return c.state
 
 
-def momentum_summands(state, psi: TestFunction):
-    """Per-particle v_i . psi(x_i) of an ensemble or of its frozen coefficients."""
-    if isinstance(state, _Frozen):
-        V, P = state.state.velocities, state.psi_at(psi)[0]
-    else:
-        V, P = state.velocities, psi.value_at(state.positions)
-    return np.einsum("nd,nd->n", V, P)
+def momentum_summands(c: _Frozen, psi: TestFunction):
+    """Per-particle v_i . psi(x_i) at a snapshot's coefficients c."""
+    return np.einsum("nd,nd->n", _underdamped(c).velocities, c.psi_at(psi)[0])
 
 
-def weak_momentum(state, psi: TestFunction) -> float:
+def weak_momentum(c: _Frozen, psi: TestFunction) -> float:
     """Particle estimator (1/N) sum_i v_i . psi(x_i)."""
-    return float(np.mean(momentum_summands(state, psi)))
+    return float(np.mean(momentum_summands(c, psi)))
 
 
-def ystar_summands(positions, spec: ModelSpec, psi: TestFunction):
-    """Per-particle summands of <Y*, psi>; weak_Ystar is their mean.
-
-    positions is an ensemble, an (N, d) array, or the frozen coefficients
-    of a snapshot (as weak_gap_rows passes them, computed once for all psi).
-    """
-    c = _frozen_coefficients(positions, spec)
+def ystar_summands(c: _Frozen, psi: TestFunction):
+    """Per-particle summands of <Y*, psi> at a snapshot's coefficients c;
+    weak_Ystar is their mean. c may be formed from bare positions."""
     P, G = c.psi_at(psi)
     if c.X.shape[1] == 1:
         a = c.A[:, 0, 0]
@@ -191,9 +188,9 @@ def ystar_summands(positions, spec: ModelSpec, psi: TestFunction):
     return drift[:, 0, 0] + np.einsum("imk,imk->i", c.J, Gg)
 
 
-def weak_Ystar(positions, spec: ModelSpec, psi: TestFunction) -> float:
+def weak_Ystar(c: _Frozen, psi: TestFunction) -> float:
     """<Y*, psi> via integration by parts; no density estimation."""
-    return float(np.mean(ystar_summands(positions, spec, psi)))
+    return float(np.mean(ystar_summands(c, psi)))
 
 
 def _paired_stderr(y, ystar) -> float:
@@ -216,14 +213,13 @@ def _one_minus_exp_poly(x):
     return out
 
 
-def weak_Yhat(slice_start, t, spec: ModelSpec, psi: TestFunction) -> float:
-    """<Yhat_t, psi> for the frozen-coefficient slice [t_k, t], t_k = slice_start.t.
+def weak_Yhat(start: _Frozen, t, psi: TestFunction) -> float:
+    """<Yhat_t, psi> for the frozen-coefficient slice [t_k, t].
 
-    slice_start is the underdamped ensemble at the slice start (whose t and
-    epsilon the slice reads) or its frozen coefficients, which weak_gap_rows
-    computes once per anchor. All coefficients are frozen at its positions;
-    the velocity second moment is closed by its leading term J/eps. At
-    t = t_k this is exactly weak_momentum of the slice start.
+    start is the coefficient object of the underdamped ensemble at the slice
+    start, whose t (= t_k) and epsilon the slice reads. All coefficients are
+    frozen at its positions; the velocity second moment is closed by its
+    leading term J/eps. At t = t_k this is exactly weak_momentum(start, psi).
 
     The time integrals are exact. With M = -A^T, dM_k = -(d_k A)^T and
     c = (t - t_k)/eps, each particle contributes
@@ -235,23 +231,20 @@ def weak_Yhat(slice_start, t, spec: ModelSpec, psi: TestFunction) -> float:
     (1,1), (2,3) and (1,3) of expm(c [[M, dM_k, 0], [0, M, I], [0, 0, 0]])
     (Van Loan, IEEE Trans. Automat. Control 23, 1978).
     """
-    state = slice_start.state if isinstance(slice_start, _Frozen) else slice_start
-    if not isinstance(state, UnderdampedEnsemble):
-        raise ValidationError("slice_start must be an underdamped ensemble")
+    state = _underdamped(start)
     t = float(t)
     tau = t - state.t
     if tau < 0.0:
         raise ValidationError(f"t={t} precedes the slice origin t_k={state.t}")
     if tau == 0.0:
-        return weak_momentum(slice_start, psi)
+        return weak_momentum(start, psi)
     c = tau / state.epsilon
     V = state.velocities
     n, d = V.shape
-    frozen = _frozen_coefficients(slice_start, spec)
-    A, F, J = frozen.A, frozen.F, frozen.J
-    P, G = frozen.psi_at(psi)
+    A, F, J = start.A, start.F, start.J
+    P, G = start.psi_at(psi)
     if d == 1:
-        a, p, g, da = A[:, 0, 0], P[:, 0], G[:, 0, 0], frozen.dA[:, 0, 0, 0]
+        a, p, g, da = A[:, 0, 0], P[:, 0], G[:, 0, 0], start.dA[:, 0, 0, 0]
         x = a * c
         i0 = -np.expm1(-x) / a  # B
         i1 = _one_minus_exp_poly(x) / (a * a)  # L = -da i1
@@ -262,7 +255,7 @@ def weak_Yhat(slice_start, t, spec: ModelSpec, psi: TestFunction) -> float:
     # one exponential per (particle, k)
     block = np.zeros((n, d, 3 * d, 3 * d))
     block[..., :d, :d] = block[..., d : 2 * d, d : 2 * d] = -_mT(A)[:, None]
-    block[..., :d, d : 2 * d] = -_mT(np.moveaxis(frozen.dA, -1, 1))
+    block[..., :d, d : 2 * d] = -_mT(np.moveaxis(start.dA, -1, 1))
     block[..., d : 2 * d, 2 * d :] = np.eye(d)
     expo = scipy.linalg.expm(c * block)
     Et, B = expo[:, 0, :d, :d], expo[:, 0, d : 2 * d, 2 * d :]
@@ -455,31 +448,28 @@ class WeakGapRow:
         return self.Y - self.Yhat
 
 
-def weak_gap_rows(state, spec: ModelSpec, psis, anchor=None):
-    """One gap row per test function at the snapshot `state`.
+def weak_gap_rows(c: _Frozen, psis, anchor=None):
+    """One gap row per test function at the snapshot whose coefficients are c.
 
-    state and anchor are ensembles or their frozen coefficients, which pass
-    through; a caller that reuses a snapshot freezes it once. Each psi's Y
-    and Y* summands are computed once per frozen snapshot, and Ystar and
-    mc_stderr both read them, so rows at one snapshot under several
-    anchors share them. With a slice anchor (the slice-start state), Yhat
-    is weak_Yhat from the anchor's coefficients; else NaN.
+    c and anchor are coefficient objects of underdamped ensembles. Each
+    psi's Y and Y* summands are computed once per object, and Ystar and
+    mc_stderr both read them, so rows at one snapshot under several anchors
+    share them when they share c. With a slice anchor (the slice start's
+    coefficients), Yhat is weak_Yhat(anchor, t, psi); else NaN.
     """
-    frozen = _frozen_coefficients(state, spec)
-    snap = frozen.state
-    start = None if anchor is None else _frozen_coefficients(anchor, spec)
+    snap = _underdamped(c)
     rows = []
     for psi in psis:
-        Y, Ystar, stderr = frozen.once("gap", psi, lambda: _gap_terms(frozen, spec, psi))
-        yhat = float("nan") if start is None else weak_Yhat(start, snap.t, spec, psi)
+        Y, Ystar, stderr = c.once("gap", psi, lambda: _gap_terms(c, psi))
+        yhat = float("nan") if anchor is None else weak_Yhat(anchor, snap.t, psi)
         rows.append(gap_row(snap.epsilon, snap.t, psi.name, Y, Ystar, yhat, stderr))
     return rows
 
 
-def _gap_terms(frozen: _Frozen, spec: ModelSpec, psi: TestFunction):
-    """(Y, Y*, mc_stderr) of psi at a frozen snapshot."""
-    y = momentum_summands(frozen, psi)
-    ystar = ystar_summands(frozen, spec, psi)
+def _gap_terms(c: _Frozen, psi: TestFunction):
+    """(Y, Y*, mc_stderr) of psi at a snapshot's coefficients c."""
+    y = momentum_summands(c, psi)
+    ystar = ystar_summands(c, psi)
     return np.mean(y), np.mean(ystar), _paired_stderr(y, ystar)
 
 

@@ -1,9 +1,11 @@
 """Cold start: scipy's submodules load where they are used, not at import.
 
 Each check runs in a fresh interpreter, since pytest itself (and the other
-test modules) import scipy.linalg, scipy.optimize and scipy.special. A 1D
-sweep, slice pass, limit run, Fokker-Planck solve and exponential step load
-none of them, nor numpy.polynomial or numpy.ma; a 2D exact-W2 sweep with a
+test modules) import scipy.linalg, scipy.optimize and scipy.special. A
+check counts only what smallmass adds to `import numpy, scipy`, which loads
+none of the checked submodules on numpy >= 2. A 1D sweep, slice pass,
+limit run, Fokker-Planck solve and exponential step load none of the scipy
+ones, nor numpy.polynomial or numpy.ma; a 2D exact-W2 sweep with a
 diagonal friction loads none of the scipy ones either; a 2D slice pass loads
 what it calls before its first step; each lazy site, called first in a fresh
 process, loads what it needs and returns the same bits as a direct scipy
@@ -29,7 +31,8 @@ from smallmass.model import audit_assumptions, get_preset
 
 SCIPY = ("scipy.linalg", "scipy.optimize", "scipy.special")
 # numpy.polynomial only serves the tests' quadrature oracles; numpy.ma loads
-# at np.median's first call. numpy 1.x loads both at `import numpy`
+# at np.median's first call. numpy 1.x loads both at `import numpy`, so a
+# fresh interpreter's baseline is what `import numpy, scipy` has loaded
 SUBMODULES = SCIPY + ("numpy.polynomial", "numpy.ma")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(smallmass.__file__)))
 
@@ -61,8 +64,10 @@ def inputs():
 
 LOADED = f"""
 import sys
+import numpy, scipy
+BASELINE = {{m for m in {SUBMODULES!r} if m in sys.modules}}
 def loaded():
-    return sorted(m for m in {SUBMODULES!r} if m in sys.modules)
+    return sorted(m for m in {SUBMODULES!r} if m in sys.modules and m not in BASELINE)
 """
 
 
@@ -85,6 +90,7 @@ def test_import_and_1d_runs_load_no_scipy_submodule(tmp_path):
     with open(tmp_path / "c.json", "w") as f:
         json.dump(config, f)  # JSON is YAML
     out = fresh_python(LOADED + """
+print("baseline", sorted(BASELINE))
 import smallmass, smallmass.harness
 print("loaded", loaded())
 for command in ("converge", "slice-diag", "limit", "fp"):
@@ -106,6 +112,9 @@ print("loaded", loaded())
     assert [line for line in out.splitlines() if line.startswith("loaded")] == [
         "loaded []"
     ] * 3
+    # on numpy >= 2 the baseline is empty, so no submodule is let through
+    if int(np.__version__.split(".")[0]) >= 2:
+        assert "baseline []" in out.splitlines()
     assert {"w2.csv", "slice_summary.json", "limit_snapshots.csv", "density.csv"} <= set(
         os.listdir(tmp_path / "out")
     )

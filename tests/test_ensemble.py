@@ -428,8 +428,8 @@ def test_a_1d_snapshot_never_inverts(monkeypatch):
     state = UnderdampedEnsemble(0.1, 0.0, X, 0.3 * X)
     calls = count_kernel_calls(monkeypatch)
     psis = observables.bump_test_functions(1)
-    frozen = observables._frozen_coefficients(state, spec)
-    rows = observables.weak_gap_rows(frozen, spec, psis, anchor=frozen)
+    c = mean_field_coefficients(state, spec)
+    rows = observables.weak_gap_rows(c, psis, anchor=c)
     stream = NoiseStream(1)
     cfg = UDStepperConfig(scheme="exponential", dt=1e-3)
     underdamped.step_underdamped_exp(state, spec, cfg, stream)

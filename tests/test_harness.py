@@ -19,7 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smallmass import harness, observables, overdamped, underdamped
-from smallmass.ensemble import D_MAX, NoiseStream, UnderdampedEnsemble
+from smallmass.ensemble import (
+    D_MAX,
+    NoiseStream,
+    UnderdampedEnsemble,
+    mean_field_coefficients,
+)
 from smallmass.errors import (
     BlowUpError,
     SmallMassError,
@@ -273,6 +278,33 @@ def test_sweep_row_counts_and_files(tmp_path):
         micro_sweep_config(tmp_path, epsilon_grid=(0.1,), out_dir=str(tmp_path / "s"))
     )
     assert {r[0] for r in solo.w2_rows} == {0.1}
+
+
+def count_coefficient_forms(monkeypatch):
+    """The states whose coefficient objects harness forms, in call order."""
+    formed = []
+    form = harness.mean_field_coefficients
+
+    def counting(state, spec):
+        formed.append(state)
+        return form(state, spec)
+
+    monkeypatch.setattr(harness, "mean_field_coefficients", counting)
+    return formed
+
+
+def test_a_sweep_forms_one_coefficient_object_per_epsilon_and_snapshot(
+    tmp_path, monkeypatch
+):
+    cfg = micro_sweep_config(tmp_path)
+    formed = count_coefficient_forms(monkeypatch)
+    run_convergence_sweep(cfg)
+    snaps = [(s.epsilon, s.t) for s in formed if isinstance(s, UnderdampedEnsemble)]
+    assert len(snaps) == len(set(snaps)) == len(cfg.epsilon_grid) * len(cfg.snapshot_times)
+    assert sorted({e for e, _ in snaps}) == sorted(cfg.epsilon_grid)
+    # the other calls draw each epsilon run's equilibrated start velocities
+    starts = [s for s in formed if isinstance(s, np.ndarray)]
+    assert len(starts) == len(cfg.epsilon_grid) == len(formed) - len(snaps)
 
 
 def test_sweep_deterministic_outputs(tmp_path):
@@ -729,16 +761,21 @@ def test_slice_pair_reads_both_widths_from_one_run(tmp_path, monkeypatch, overri
     calls = []
     counted = observables.ystar_summands
 
-    def counting(frozen, spec, psi):
+    def counting(c, psi):
         # keyed by step, not id: the pass drops states, and ids get reused
-        calls.append((frozen.state.step, psi.name))
-        return counted(frozen, spec, psi)
+        calls.append((c.state.step, psi.name))
+        return counted(c, psi)
 
     monkeypatch.setattr(observables, "ystar_summands", counting)
+    formed = count_coefficient_forms(monkeypatch)
     pair = run_slice_pair(cfg)
     monkeypatch.undo()
     # Y* summands once per distinct (state, psi), for the rows of both widths
     assert len(calls) == len(set(calls)) == 3 * pair.distinct_states
+    # one coefficient object per state read; the one other call draws the
+    # equilibrated start velocities from the initial positions
+    steps = [s.step for s in formed if isinstance(s, UnderdampedEnsemble)]
+    assert len(steps) == len(set(steps)) == pair.distinct_states == len(formed) - 1
     n = len(slice_starts(cfg.t_star, cfg.T, cfg.delta))
     n_big = len(slice_starts(cfg.t_star, cfg.T, 2 * cfg.delta))
     assert n_big == n // 2
@@ -797,7 +834,8 @@ def slice_pair_reference(cfg):
     small, big, small_max, big_max = [], [], [], []
 
     def add(states, rows, maxima):
-        new = [r for s in states for r in weak_gap_rows(s, spec, psis, anchor=states[0])]
+        cs = [mean_field_coefficients(s, spec) for s in states]
+        new = [r for c in cs for r in weak_gap_rows(c, psis, anchor=cs[0])]
         rows.extend(new)
         maxima.append(max(abs(r.gap_Y_Yhat) for r in new))
 

@@ -38,7 +38,6 @@ from smallmass.harness import write_weak_gaps_csv
 from smallmass.observables import (
     W2_EXACT_MAX_N,
     TestFunction,
-    _frozen_coefficients,
     _paired_stderr,
     bump_test_functions,
     energy_diagnostic,
@@ -105,11 +104,12 @@ def ud_state(x, v, epsilon=0.1, t=0.0):
 
 def test_weak_momentum_values():
     psi = identity_psi()
-    st = ud_state([[0.0], [1.0]], [[0.0], [0.0]])
-    assert weak_momentum(st, psi) == 0.0
-    st = ud_state([[0.0], [1.0]], [[1.0], [-2.0]])
-    assert weak_momentum(st, psi) == pytest.approx(-1.0, abs=1e-16)
-    assert weak_momentum(st, constant_psi()) == pytest.approx(-0.5, abs=1e-16)
+    spec = make_quadratic_ou()
+    c = mean_field_coefficients(ud_state([[0.0], [1.0]], [[0.0], [0.0]]), spec)
+    assert weak_momentum(c, psi) == 0.0
+    c = mean_field_coefficients(ud_state([[0.0], [1.0]], [[1.0], [-2.0]]), spec)
+    assert weak_momentum(c, psi) == pytest.approx(-1.0, abs=1e-16)
+    assert weak_momentum(c, constant_psi()) == pytest.approx(-0.5, abs=1e-16)
 
 
 def test_gradient_consistency_enforced():
@@ -145,14 +145,15 @@ def test_bump_family():
 def test_ystar_zero_without_force_and_noise():
     spec = affine_gamma_spec(sigma=0.0)
     pos = np.array([[0.2], [-0.3], [1.0]])
-    assert weak_Ystar(pos, spec, bump_test_functions()[1]) == 0.0
+    assert weak_Ystar(mean_field_coefficients(pos, spec), bump_test_functions()[1]) == 0.0
 
 
 def test_ystar_linear_psi_hand_value():
     # constant A=2, sigma=1, psi(x)=x: J=1/4, term = J * (1/a) = 1/8
     spec = make_quadratic_ou(k=0.0)
     pos = np.array([[0.4], [-1.2], [0.0], [2.0], [0.7]])
-    assert weak_Ystar(pos, spec, identity_psi()) == pytest.approx(0.125, rel=1e-15)
+    c = mean_field_coefficients(pos, spec)
+    assert weak_Ystar(c, identity_psi()) == pytest.approx(0.125, rel=1e-15)
 
 
 def test_ystar_gaussian_grid_quadrature_oracle():
@@ -160,7 +161,7 @@ def test_ystar_gaussian_grid_quadrature_oracle():
     psi = bump_test_functions(dim=1, centers=(0.0,), radius=1.5)[0]
     stream = NoiseStream(77)
     pos = stream.block(9, 0, 20_000)[:, :1]
-    particle = weak_Ystar(pos, spec, psi)
+    particle = weak_Ystar(mean_field_coefficients(pos, spec), psi)
 
     x = np.linspace(-8.0, 8.0, 2000)
     pdf = np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)
@@ -200,8 +201,8 @@ def test_ystar_2d_runs_and_matches_1d_embedding():
     rng = np.random.default_rng(5)
     pos2 = rng.normal(size=(60, 2))
     spec1 = make_quadratic_ou()
-    got = weak_Ystar(pos2, spec2, psi2)
-    want = weak_Ystar(pos2[:, :1], spec1, identity_psi())
+    got = weak_Ystar(mean_field_coefficients(pos2, spec2), psi2)
+    want = weak_Ystar(mean_field_coefficients(pos2[:, :1], spec1), identity_psi())
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -230,7 +231,7 @@ def test_ystar_summands_equal_per_particle_loop():
     spec = make_gaussian_interaction_2d()
     X = np.random.default_rng(8).normal(size=(40, 2))
     for psi in bump_test_functions(dim=2, radius=1.5):
-        got = ystar_summands(X, spec, psi)
+        got = ystar_summands(mean_field_coefficients(X, spec), psi)
         assert np.array_equal(got, ystar_summands_loop(X, spec, psi))
 
 
@@ -242,7 +243,8 @@ def test_yhat_at_slice_origin_equals_momentum():
     rng = np.random.default_rng(11)
     st = ud_state(rng.normal(size=(30, 1)), rng.normal(size=(30, 1)), epsilon=0.05, t=0.7)
     psi = bump_test_functions()[1]
-    assert weak_Yhat(st, 0.7, spec, psi) == weak_momentum(st, psi)
+    c = mean_field_coefficients(st, spec)
+    assert weak_Yhat(c, 0.7, psi) == weak_momentum(c, psi)
 
 
 def test_yhat_pure_decay_1d():
@@ -255,7 +257,8 @@ def test_yhat_pure_decay_1d():
     t = 0.12
     a = 2.0 + X[:, 0]
     hand = np.mean(V[:, 0] * np.exp(-a * t / 0.1) * psi.value_at(X)[:, 0])
-    assert weak_Yhat(st, t, spec, psi) == pytest.approx(hand, rel=1e-12)
+    got = weak_Yhat(mean_field_coefficients(st, spec), t, psi)
+    assert got == pytest.approx(hand, rel=1e-12)
 
 
 def test_yhat_pure_decay_matrix_path():
@@ -272,8 +275,9 @@ def test_yhat_pure_decay_matrix_path():
     st = ud_state(rng.normal(size=(10, 2)), rng.normal(size=(10, 2)), epsilon=0.2)
     psi = bump_test_functions(dim=2, centers=(0.0,), radius=3.0)[0]
     t = 0.3
-    hand = np.exp(-2.0 * t / 0.2) * weak_momentum(st, psi)
-    assert weak_Yhat(st, t, spec, psi) == pytest.approx(hand, rel=1e-10)
+    c = mean_field_coefficients(st, spec)
+    hand = np.exp(-2.0 * t / 0.2) * weak_momentum(c, psi)
+    assert weak_Yhat(c, t, psi) == pytest.approx(hand, rel=1e-10)
 
 
 def test_yhat_closed_form_time_integrals():
@@ -300,7 +304,8 @@ def test_yhat_closed_form_time_integrals():
         - np.mean(f * i0 * pv)
         + np.mean(j * (pg * i0 - pv * i1))  # a' = 1
     )
-    assert weak_Yhat(st, t, spec, psi) == pytest.approx(hand, abs=1e-7)
+    got = weak_Yhat(mean_field_coefficients(st, spec), t, psi)
+    assert got == pytest.approx(hand, abs=1e-7)
 
 
 def test_yhat_long_slice_approaches_ystar():
@@ -310,8 +315,8 @@ def test_yhat_long_slice_approaches_ystar():
     V = rng.normal(size=(300, 1))
     st = ud_state(X, V, epsilon=0.05)
     psi = bump_test_functions()[1]
-    yhat = weak_Yhat(st, 0.5, spec, psi)
-    ystar = weak_Ystar(X, spec, psi)
+    yhat = weak_Yhat(mean_field_coefficients(st, spec), 0.5, psi)
+    ystar = weak_Ystar(mean_field_coefficients(X, spec), psi)
     assert yhat == pytest.approx(ystar, abs=1e-6)
 
 
@@ -327,7 +332,7 @@ def test_yhat_2d_fd_oracle():
     psi = bump_test_functions(dim=2, centers=(0.0,), radius=2.5)[0]
     t = 0.12
     c = t / eps
-    got = weak_Yhat(st, t, spec, psi)
+    got = weak_Yhat(mean_field_coefficients(st, spec), t, psi)
 
     from smallmass.smallmat import invert, solve_lyapunov
 
@@ -365,18 +370,20 @@ def test_yhat_2d_fd_oracle():
 
 
 def test_gap_rows_yhat_from_anchor_coefficients():
-    # weak_gap_rows freezes the anchor once per row; Yhat keeps its bits
+    # rows read Yhat from the anchor's shared coefficient object; a fresh
+    # object per read gives the same bits
     spec = make_gaussian_interaction_2d()
     rng = np.random.default_rng(9)
     x, v = rng.normal(size=(2, 2, 30, 2))
     anchor = UnderdampedEnsemble(0.1, 0.5, x[0], v[0])
     later = UnderdampedEnsemble(0.1, 0.52, x[1], v[1])
     psis = bump_test_functions(dim=2, radius=1.5)
+    shared = mean_field_coefficients(anchor, spec)
     for state in (later, anchor):
-        rows = weak_gap_rows(state, spec, psis, anchor=anchor)
+        rows = weak_gap_rows(mean_field_coefficients(state, spec), psis, anchor=shared)
         for row, psi in zip(rows, psis):
-            assert row.Yhat == weak_Yhat(anchor, state.t, spec, psi)
-    assert rows[0].Yhat == weak_momentum(anchor, psis[0])
+            assert row.Yhat == weak_Yhat(mean_field_coefficients(anchor, spec), state.t, psi)
+    assert rows[0].Yhat == weak_momentum(mean_field_coefficients(anchor, spec), psis[0])
 
 
 def frozen_slice(A, F, dA, J, V, X):
@@ -411,8 +418,8 @@ def test_yhat_1d_time_integrals_match_adaptive_quadrature(a, log_ac):
     A, one, zero = np.full((1, 1, 1), a), np.ones((1, 1)), np.zeros((1, 1))
     dA = np.ones((1, 1, 1, 1))
     ones = constant_psi()
-    i0 = weak_Yhat(frozen_slice(A, -one, dA, 0.0 * A, zero, zero), c, None, ones)
-    i1 = weak_Yhat(frozen_slice(A, zero, -dA, A / a, zero, zero), c, None, ones)
+    i0 = weak_Yhat(frozen_slice(A, -one, dA, 0.0 * A, zero, zero), c, ones)
+    i1 = weak_Yhat(frozen_slice(A, zero, -dA, A / a, zero, zero), c, ones)
     for got, f in ((i0, lambda u: np.exp(-a * u)), (i1, lambda u: u * np.exp(-a * u))):
         # quad's floor on epsrel with epsabs = 0 is 50 ulp, 1.11e-14
         want = quad(f, 0.0, c, epsrel=1.2e-14, epsabs=0.0, limit=200)[0]
@@ -440,7 +447,7 @@ def test_yhat_memory_term_matches_frechet_quadrature(d, c):
     A, dA, J, psi = random_slice_coefficients(rng, n, d)
     X = rng.normal(size=(n, d))
     zero = np.zeros((n, d))
-    got = weak_Yhat(frozen_slice(A, zero, dA, J, zero, X), c, None, psi)
+    got = weak_Yhat(frozen_slice(A, zero, dA, J, zero, X), c, psi)
     P, G = psi.value_at(X), psi.gradient_at(X)
 
     def integrand(u):
@@ -474,10 +481,10 @@ def test_yhat_decay_and_force_blocks(d, c):
         E = expm(-A[i] * c)
         B = inv(A[i]) @ (np.eye(d) - E)
         coeffs = A[one], zero[one], dA[one], 0.0 * J[one], V[one], X[one]
-        decay = weak_Yhat(frozen_slice(*coeffs), c, None, psi)
+        decay = weak_Yhat(frozen_slice(*coeffs), c, psi)
         assert decay == pytest.approx(V[i] @ (E.T @ P[i]), rel=1e-13, abs=1e-15)
         coeffs = A[one], F[one], dA[one], 0.0 * J[one], zero[one], X[one]
-        force = weak_Yhat(frozen_slice(*coeffs), c, None, psi)
+        force = weak_Yhat(frozen_slice(*coeffs), c, psi)
         # I - E cancels at small A c: the reference is good to A^-1 times ulps of E
         scale = np.linalg.norm(F[i]) * np.linalg.norm(P[i]) * np.linalg.norm(inv(A[i]))
         assert force == pytest.approx(-F[i] @ (B.T @ P[i]), rel=1e-13, abs=1e-13 * scale)
@@ -493,23 +500,26 @@ def test_ystar_summands_once_per_snapshot_and_psi(monkeypatch):
     calls = []
     counted = observables.ystar_summands
 
-    def counting(frozen, spec, psi):
-        calls.append((id(frozen), psi.name))
-        return counted(frozen, spec, psi)
+    def counting(c, psi):
+        calls.append((id(c), psi.name))
+        return counted(c, psi)
+
+    def fresh(state):
+        return mean_field_coefficients(state, spec)
 
     monkeypatch.setattr(observables, "ystar_summands", counting)
-    fa, fl = _frozen_coefficients(anchor, spec), _frozen_coefficients(later, spec)
-    first = weak_gap_rows(fl, spec, psis, anchor=fa)
-    again = weak_gap_rows(fl, spec, psis, anchor=fl)  # same snapshot, other anchor
-    start = weak_gap_rows(fa, spec, psis, anchor=fa)
+    fa, fl = fresh(anchor), fresh(later)
+    first = weak_gap_rows(fl, psis, anchor=fa)
+    again = weak_gap_rows(fl, psis, anchor=fl)  # same snapshot, other anchor
+    start = weak_gap_rows(fa, psis, anchor=fa)
     assert sorted(calls) == sorted({(id(f), p.name) for f in (fa, fl) for p in psis})
     for a, b in zip(first, again):
         assert (a.Y, a.Ystar, a.mc_stderr) == (b.Y, b.Ystar, b.mc_stderr)
     monkeypatch.undo()
     # the shared terms and the anchor's cached psi values keep the bits of
-    # rows built from the ensembles themselves
-    assert first == weak_gap_rows(later, spec, psis, anchor=anchor)
-    assert start == weak_gap_rows(anchor, spec, psis, anchor=anchor)
+    # rows built from fresh objects, one per argument
+    assert first == weak_gap_rows(fresh(later), psis, anchor=fresh(anchor))
+    assert start == weak_gap_rows(fresh(anchor), psis, anchor=fresh(anchor))
     assert all(r.gap_Y_Yhat == 0.0 for r in start)
 
 
@@ -518,9 +528,31 @@ def test_yhat_validation():
     st = ud_state([[0.0]], [[1.0]], epsilon=0.1, t=1.0)
     psi = bump_test_functions()[1]
     with pytest.raises(ValidationError, match="precedes the slice origin"):
-        weak_Yhat(st, 0.9, spec, psi)
-    with pytest.raises(ValidationError, match="underdamped ensemble"):
-        weak_Yhat(OverdampedEnsemble(t=1.0, positions=np.zeros((1, 1))), 1.1, spec, psi)
+        weak_Yhat(mean_field_coefficients(st, spec), 0.9, psi)
+
+
+@pytest.mark.parametrize("source", ["overdamped", "positions"])
+def test_velocity_estimators_reject_coefficients_without_velocities(source):
+    # Y and Yhat read velocities, t and epsilon: the coefficients of an
+    # overdamped ensemble or of bare positions are refused by name, while
+    # Y*, which reads positions alone, takes them
+    spec = make_quadratic_ou()
+    X = np.array([[0.1], [-0.4], [0.7]])
+    c = mean_field_coefficients(
+        OverdampedEnsemble(t=1.0, positions=X) if source == "overdamped" else X, spec
+    )
+    psi = bump_test_functions()[1]
+    moving = mean_field_coefficients(ud_state(X, np.ones_like(X), t=1.0), spec)
+    for read in (
+        lambda: momentum_summands(c, psi),
+        lambda: weak_momentum(c, psi),
+        lambda: weak_gap_rows(c, [psi]),
+        lambda: weak_gap_rows(moving, [psi], anchor=c),
+        lambda: weak_Yhat(c, 1.1, psi),
+    ):
+        with pytest.raises(ValidationError, match="underdamped ensemble"):
+            read()
+    assert weak_Ystar(c, psi) == weak_Ystar(moving, psi)
 
 
 # ------------------------------------------------------------------ distances
@@ -740,9 +772,8 @@ def test_energy_diagnostic():
 
 def paired_gap_stderr(state, spec, psi) -> float:
     """Standard error of <Y - Y*, psi> from the paired per-particle summands."""
-    return _paired_stderr(
-        momentum_summands(state, psi), ystar_summands(state.positions, spec, psi)
-    )
+    c = mean_field_coefficients(state, spec)
+    return _paired_stderr(momentum_summands(c, psi), ystar_summands(c, psi))
 
 
 def test_paired_gap_stderr_scales():
