@@ -19,13 +19,14 @@ _pair_mean).
 
 NoiseStream is a counter-based Gaussian source: the draw at
 (run, particle, step, component) is a pure function of the master seed and
-the index tuple, independent of thread count and call order. Each
-(run, step) pair keys one Philox block; a block holds 8 lanes per particle
-(the max state dimension), so the scalar draw sits at flat index
-8*particle + component inside the block regardless of d. A stream keeps
-its last block, read-only, and hands the same array to the next request
-for the same (run, step, n), so coupled runs stepped in lockstep on one
-stream (a sweep's shared group) draw each step's block once.
+the index tuple, independent of thread count, call order, block size and
+lane count. Lane c of the (run, step) block is its own Philox sequence,
+with c in a counter word, and particle i reads that sequence's draw i; a
+block holds the lanes its caller reads (d for a step), so a 1D step draws
+one normal per particle. A stream keeps its last block, read-only, and
+hands the same array to the next request for the same (run, step, n,
+lanes), so coupled runs stepped in lockstep on one stream (a sweep's
+shared group) draw each step's block once.
 
 Every integrator and estimator reads a snapshot's per-particle coefficients
 from mean_field_coefficients, which forms and checks them in one place.
@@ -41,7 +42,6 @@ import numpy as np
 
 from .errors import BlowUpError, StabilityError, ValidationError
 from .model import (
-    MAX_DIM,
     ConstantMatrixField,
     LinearVectorField,
     ModelSpec,
@@ -49,7 +49,6 @@ from .model import (
 )
 from .smallmat import _stationary_covariance, _symmetric_eigenvalues, invert
 
-D_MAX = MAX_DIM  # noise lanes per (particle, step), one per state dimension
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # key filler word
 
@@ -67,43 +66,44 @@ _PAIRWISE_RUN = 8
 class NoiseStream:
     """Deterministic counter-based standard-normal source.
 
-    One Philox4x64 block per (run, step): key = (master_seed, golden), the
-    256-bit counter carries step and run in its two high words, leaving the
-    low 128 bits for in-block advancement. Blocks never split across
-    threads; the block draw is a single vectorized call.
+    One Philox4x64 sequence per (run, step, lane): key = (master_seed,
+    golden), the 256-bit counter carries run, step and lane in its three
+    high words, leaving the low 64 bits for in-block advancement. Blocks
+    never split across threads; each lane is a single vectorized call.
     """
 
     def __init__(self, master_seed: int):
         self.master_seed = int(master_seed)
         if not 0 <= self.master_seed <= _MASK64:
             raise ValidationError(f"master seed must lie in [0, 2**64), got {master_seed}")
-        # ((run, step, n), block) of the last draw; one tuple, so a thread
-        # reads a key and its block together
+        # ((run, step, n, lanes), block) of the last draw; one tuple, so a
+        # thread reads a key and its block together
         self._last = None
 
-    def _generator(self, run: int, step: int) -> np.random.Generator:
-        run = int(run)
-        step = int(step)
-        if not (0 <= run <= _MASK64 and 0 <= step <= _MASK64):
-            raise ValidationError("run and step must fit in 64 bits")
+    def _generator(self, run: int, step: int, lane: int) -> np.random.Generator:
         bg = np.random.Philox(
-            counter=[0, 0, step, run], key=[self.master_seed, _GOLDEN]
+            counter=[0, lane, step, run], key=[self.master_seed, _GOLDEN]
         )
         return np.random.Generator(bg)
 
-    def block(self, run: int, step: int, n: int) -> np.ndarray:
-        """(n, 8) standard normals for particles 0..n-1 at (run, step).
+    def block(self, run: int, step: int, n: int, lanes: int) -> np.ndarray:
+        """(n, lanes) standard normals for particles 0..n-1 at (run, step):
+        column c holds the first n draws of lane c's sequence.
 
-        Read-only: a repeat of the last request returns the same array.
+        C-contiguous and read-only: a repeat of the last request returns the
+        same array.
         """
-        n = int(n)
-        if n < 0:
-            raise ValidationError("block size must be nonnegative")
-        key = (int(run), int(step), n)
+        key = run, step, n, lanes = int(run), int(step), int(n), int(lanes)
+        if not (0 <= run <= _MASK64 and 0 <= step <= _MASK64):
+            raise ValidationError("run and step must fit in 64 bits")
+        if n < 0 or lanes < 0:
+            raise ValidationError("block size and lane count must be nonnegative")
         last = self._last
         if last is not None and last[0] == key:
             return last[1]
-        out = self._generator(run, step).standard_normal(n * D_MAX).reshape(n, D_MAX)
+        out = np.empty((n, lanes))
+        for c in range(lanes):
+            out[:, c] = self._generator(run, step, c).standard_normal(n)
         out.flags.writeable = False
         self._last = (key, out)
         return out
@@ -111,7 +111,7 @@ class NoiseStream:
 
 def _step_noise(stream: NoiseStream, run_id: int, state) -> np.ndarray:
     """The (N, d) unit normals that drive `state`'s next step of run run_id."""
-    return stream.block(run_id, state.step + 1, state.N)[:, : state.dim]
+    return stream.block(run_id, state.step + 1, state.N, state.dim)
 
 
 class _Ensemble:

@@ -245,26 +245,3 @@ def fp_solve(spec: ModelSpec, grid0: Grid1D, T, dt, snapshot_times=None) -> list
         return grid
 
     return _run_to_end(_advance(grid0, T, dt, snapshot_times, step))
-
-
-def stationary_residual(grid: Grid1D, spec: ModelSpec) -> float:
-    """Max absolute interior face flux; zero exactly at a discrete steady state."""
-    F, _, _, _ = _face_fluxes(grid, _build_cache(grid, spec))
-    return float(np.max(np.abs(F))) if F.size else 0.0
-
-
-def histogram_density(grid: Grid1D, positions) -> np.ndarray:
-    """Cell-averaged density of 1D particle positions on this grid."""
-    x = np.asarray(positions, dtype=float).reshape(-1)
-    counts, _ = np.histogram(x, bins=grid.M, range=(-grid.L, grid.L))
-    return counts / (x.size * grid.h)
-
-
-def l1_density_distance(grid: Grid1D, other) -> float:
-    """h * sum |rho - other| for a density sampled on the same grid."""
-    other = np.asarray(other, dtype=float)
-    if other.shape != grid.density.shape:
-        raise ValidationError(
-            f"density shapes differ: {other.shape} vs {grid.density.shape}"
-        )
-    return float(grid.h * np.sum(np.abs(grid.density - other)))

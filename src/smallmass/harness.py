@@ -25,7 +25,6 @@ import yaml
 
 from . import __version__
 from .ensemble import (
-    D_MAX,
     RUN_INIT_POSITIONS,
     RUN_INIT_VELOCITIES,
     NoiseStream,
@@ -307,22 +306,19 @@ def default_snapshots(t_star: float, T: float) -> tuple:
 def initial_positions(stream: NoiseStream, n, dim, components) -> np.ndarray:
     """Gaussian-mixture draw from the reserved position-init block.
 
-    The offsets use the first dim noise lanes and the component choice the
-    last lane, so a mixture needs dim < D_MAX to keep the two apart.
+    The offsets use the first dim noise lanes and a mixture's component
+    choice lane dim.
     """
-    if len(components) > 1 and dim >= D_MAX:
-        raise ValidationError(
-            f"a mixture initial law needs dim < {D_MAX}, got dim={dim}"
-        )
-    z = stream.block(RUN_INIT_POSITIONS, 0, n)
+    mixture = len(components) > 1
+    z = stream.block(RUN_INIT_POSITIONS, 0, n, dim + mixture)
     w = np.array([c[0] for c in components], dtype=float)
     mu = np.array([c[1] for c in components], dtype=float)
     sd = np.array([c[2] for c in components], dtype=float)
-    if len(components) == 1:
-        return mu[0] + sd[0] * z[:, :dim]
+    if not mixture:
+        return mu[0] + sd[0] * z
     from scipy.special import ndtr
 
-    u = ndtr(z[:, D_MAX - 1])
+    u = ndtr(z[:, dim])
     idx = np.searchsorted(np.cumsum(w / w.sum()), u, side="right")
     idx = np.clip(idx, 0, len(components) - 1)
     return mu[idx, None] + sd[idx, None] * z[:, :dim]
@@ -338,7 +334,7 @@ def initial_velocities(
         return np.zeros((n, d))
     if kind != "equilibrated":
         raise ValidationError(f"init_velocities must be one of {_VELOCITY_STARTS}")
-    z = stream.block(RUN_INIT_VELOCITIES, 0, n)[:, :d]
+    z = stream.block(RUN_INIT_VELOCITIES, 0, n, d)
     J = mean_field_coefficients(positions, spec).J
     if d == 1:
         return np.sqrt(J[:, 0] / epsilon) * z
@@ -599,16 +595,21 @@ def _eps_key(epsilon: float) -> str:
     return format(epsilon, ".17g")
 
 
-def _epsilon_report(spec, config, ud_snaps, limit_snaps, base_stream):
-    """W2 and weak-gap rows, Holder and moment diagnostics of one epsilon run."""
+def _epsilon_report(spec, config, times, ud_snaps, limit_snaps, base_stream):
+    """W2 and weak-gap rows, Holder and moment diagnostics of one epsilon run.
+
+    The rows carry the requested snapshot times, not the runs' clocks, which
+    reach them with their own dt's rounding.
+    """
     epsilon = ud_snaps[0].epsilon
     psis = bump_test_functions(spec.dim, config.psi_centers, config.psi_radius)
     w2_rows = []
     weak_rows = []
-    for ud, od in zip(ud_snaps, limit_snaps):
+    for t, ud, od in zip(times, ud_snaps, limit_snaps):
         value, method = _w2_dispatch(ud.positions, od.positions, config, base_stream)
-        w2_rows.append((epsilon, ud.t, value, method))
-        weak_rows.extend(weak_gap_rows(mean_field_coefficients(ud, spec), psis))
+        w2_rows.append((epsilon, t, value, method))
+        rows = weak_gap_rows(mean_field_coefficients(ud, spec), psis)
+        weak_rows.extend(dataclasses.replace(row, t=t) for row in rows)
     try:
         holder = holder_diagnostic(ud_snaps)
     except ValidationError:
@@ -748,7 +749,7 @@ def run_convergence_sweep(config: ExperimentConfig) -> ConvergenceReport:
         try:
             if isinstance(outcome, Exception):
                 raise outcome
-            r = _epsilon_report(spec, config, outcome, limit_snaps, base_stream)
+            r = _epsilon_report(spec, config, snaps, outcome, limit_snaps, base_stream)
         except Exception as exc:
             return _job_failure(config, grid[i], exc)
         r["runtime"] = seconds + time.perf_counter() - started
@@ -981,8 +982,7 @@ def _cli_limit(config: ExperimentConfig) -> int:
 
 def _cli_converge(config: ExperimentConfig) -> int:
     report = run_convergence_sweep(config)
-    # each epsilon's rows are in snapshot order, T last; its clock reaches T
-    # with its own dt's rounding, so its last row is its W2(T)
+    # each epsilon's rows are in snapshot order, T last
     last = {e: v for e, _, v, _ in report.w2_rows}
     for eps in config.epsilon_grid:
         print(f"[converge] epsilon={eps:g}: W2(T)={last[eps]:.6g}")

@@ -255,7 +255,7 @@ def audit_assumptions(spec: ModelSpec, box, n_samples: int, rng) -> AuditReport:
 
     from scipy.special import ndtr
 
-    z = rng.block(AUDIT_RUN, 0, n_samples)[:, : spec.dim]
+    z = rng.block(AUDIT_RUN, 0, n_samples, spec.dim)
     u = ndtr(z)
     points = low + (high - low) * u
 

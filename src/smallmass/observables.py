@@ -343,7 +343,7 @@ def w2_sliced(samples_a, samples_b, n_projections, stream: NoiseStream) -> float
     d = a.shape[1]
     total = 0.0
     for p in range(1, n_projections + 1):
-        g = stream.block(RUN_W2_PROJECTIONS, p, 1)[0, :d]
+        g = stream.block(RUN_W2_PROJECTIONS, p, 1, d)[0]
         norm = np.linalg.norm(g)
         if norm == 0.0:
             raise SmallMassError(f"degenerate projection draw at index {p}")

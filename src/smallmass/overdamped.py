@@ -178,10 +178,7 @@ def simulate_limit(
         X = state.positions
         b, D = _limit_fields(spec, X)
         xi = _step_noise(stream, run_id, state)
-        if d == 1:
-            x_new = X + dt_sub * b + np.sqrt(dt_sub) * D[:, :, 0] * xi
-        else:
-            x_new = X + dt_sub * b + np.sqrt(dt_sub) * np.einsum("nij,nj->ni", D, xi)
+        x_new = X + dt_sub * b + np.sqrt(dt_sub) * np.einsum("nij,nj->ni", D, xi)
         return state.advanced(x_new, dt_sub)
 
     return (drive or _run_to_end)(_advance(init, T, dt, snapshot_times, step))

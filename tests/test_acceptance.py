@@ -23,9 +23,6 @@ from smallmass.fpsolve1d import (
     Grid1D,
     cell_centers,
     fp_solve,
-    histogram_density,
-    l1_density_distance,
-    stationary_residual,
 )
 from smallmass.harness import (
     ExperimentConfig,
@@ -47,6 +44,7 @@ from smallmass.overdamped import simulate_limit
 from smallmass.smallmat import solve_lyapunov
 from smallmass.underdamped import UDStepperConfig, simulate_underdamped
 
+from fp_oracle import histogram_density, l1_density_distance, stationary_residual
 from lyapunov_oracle import lyapunov_quadrature
 from velocity_moment import scaled_second_moment
 
@@ -172,7 +170,7 @@ def test_criterion_03_noise_induced_drift():
         A, F = coeffs.A, coeffs.F
         a = A[:, 0, 0]
         s = spec.sigma_at(X)[:, 0, 0]
-        xi = stream.block(0, step + 1, n)[:, :1]
+        xi = stream.block(0, step + 1, n, 1)
         X = X + dt * (-F[:, 0] / a)[:, None] + np.sqrt(dt) * (s / a)[:, None] * xi
     wall = time.perf_counter() - t0
 
@@ -319,7 +317,7 @@ def test_criterion_09_fokker_planck_cross_validation():
     g0 = Grid1D.from_values(3.5, 35, np.exp(-(xc**2) / 0.5))
     fp_end = fp_solve(spec, g0, 1.0, 2e-3)[-1]
     stream = NoiseStream(2026)
-    x0 = 0.5 * stream.block(2**32, 0, 10_000)[:, :1]
+    x0 = 0.5 * stream.block(2**32, 0, 10_000, 1)
     limit = simulate_limit(spec, OverdampedEnsemble(0.0, x0), 1.0, 1e-3, stream)[-1]
     l1 = l1_density_distance(fp_end, histogram_density(fp_end, limit.positions))
 

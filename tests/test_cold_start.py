@@ -26,7 +26,7 @@ import scipy.optimize
 import scipy.special
 
 import smallmass
-from smallmass.ensemble import D_MAX, RUN_INIT_POSITIONS, NoiseStream
+from smallmass.ensemble import RUN_INIT_POSITIONS, NoiseStream
 from smallmass.model import audit_assumptions, get_preset
 
 SCIPY = ("scipy.linalg", "scipy.optimize", "scipy.special")
@@ -205,9 +205,9 @@ def reference(site, data):
             get_preset(AUDIT["preset"]), AUDIT["box"], AUDIT["n"], NoiseStream(AUDIT["seed"])
         )
         return np.array(dataclasses.astuple(report), dtype=float)
-    z = NoiseStream(3).block(RUN_INIT_POSITIONS, 0, 40)
+    z = NoiseStream(3).block(RUN_INIT_POSITIONS, 0, 40, 2)  # offset lane, component lane
     w, mu, sd = np.array(MIXTURE).T
-    u = scipy.special.ndtr(z[:, D_MAX - 1])
+    u = scipy.special.ndtr(z[:, 1])
     idx = np.searchsorted(np.cumsum(w / w.sum()), u, side="right")
     return mu[idx, None] + sd[idx, None] * z[:, :1]
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from smallmass import ensemble, observables, overdamped, smallmat, underdamped
 from smallmass.ensemble import (
-    D_MAX,
     NoiseStream,
     OverdampedEnsemble,
     UnderdampedEnsemble,
@@ -312,8 +311,8 @@ def pair_kernels(d):
 @example(d=MAX_DIM, n=12, lead=(7,), kernel="source_major", chunk=None, seed=0)
 def test_pair_mean_is_bit_equal_to_the_c_layout_sum(d, n, lead, kernel, chunk, seed):
     stream = NoiseStream(seed)
-    positions = stream.block(0, 0, n)[:, :d]  # a strided (n, d) view
-    targets = stream.block(1, 0, max(1, math.prod(lead)))[:, :d].reshape(lead + (d,))
+    positions = stream.block(0, 0, n, MAX_DIM)[:, :d]  # a strided (n, d) view
+    targets = stream.block(1, 0, max(1, math.prod(lead)), d).reshape(lead + (d,))
     field_at, core = pair_kernels(d)[kernel]
     expected = c_layout_pair_mean(field_at, targets, positions, core)
     # chunk targets per pass; None keeps the default budget
@@ -338,7 +337,7 @@ def plane_view(m, n, d, seed):
     [
         np.array([0.3, -1.2]),
         np.array([-0.0, 0.0]),
-        NoiseStream(7).block(0, 0, 5)[:, :2],
+        NoiseStream(7).block(0, 0, 5, 2),
         np.random.default_rng(8).standard_normal((3, 4, 2)),
         plane_view(1, 9, 2, 9),
         plane_view(6, 9, 2, 10),
@@ -390,7 +389,7 @@ def count_kernel_calls(monkeypatch):
 @pytest.mark.parametrize("preset", ["state-dep-friction-1d", "gaussian-interaction-2d"])
 def test_snapshot_coefficients_equal_their_direct_forms(preset):
     spec = get_preset(preset)
-    X = 0.8 * NoiseStream(11).block(0, 0, 40)[:, : spec.dim]
+    X = 0.8 * NoiseStream(11).block(0, 0, 40, spec.dim)
     c = mean_field_coefficients(X, spec)
     A = spec.gamma_at(X) + conv_phi(X, X, spec)
     assert np.array_equal(c.A, A)
@@ -406,7 +405,7 @@ def test_an_em_step_forms_no_covariance_inverse_exponential_or_friction_jacobian
     monkeypatch,
 ):
     spec = get_preset("gaussian-interaction-2d")
-    X = NoiseStream(12).block(0, 0, 30)[:, :2]
+    X = NoiseStream(12).block(0, 0, 30, 2)
     state = UnderdampedEnsemble(0.1, 0.0, X, np.zeros_like(X))
     calls = count_kernel_calls(monkeypatch)
     stream = NoiseStream(1)
@@ -424,7 +423,7 @@ def test_an_em_step_forms_no_covariance_inverse_exponential_or_friction_jacobian
 
 def test_a_1d_snapshot_never_inverts(monkeypatch):
     spec = get_preset("state-dep-friction-1d")
-    X = NoiseStream(13).block(0, 0, 30)[:, :1]
+    X = NoiseStream(13).block(0, 0, 30, 1)
     state = UnderdampedEnsemble(0.1, 0.0, X, 0.3 * X)
     calls = count_kernel_calls(monkeypatch)
     psis = observables.bump_test_functions(1)
@@ -442,60 +441,96 @@ def test_a_1d_snapshot_never_inverts(monkeypatch):
 
 
 def gaussian(stream, run, particle, step, component) -> float:
-    """The scalar oracle of block: draw idx = 8*particle + component of
-    (run, step)'s Philox sequence, read off one at a time."""
-    idx = particle * D_MAX + component
-    return float(stream._generator(run, step).standard_normal(idx + 1)[-1])
+    """The scalar oracle of block: draw `particle` of lane `component`'s own
+    Philox sequence, counter (0, component, step, run) under the key
+    (master seed, golden word), read off one at a time."""
+    bg = np.random.Philox(
+        counter=[0, component, step, run], key=[stream.master_seed, ensemble._GOLDEN]
+    )
+    return float(np.random.Generator(bg).standard_normal(particle + 1)[-1])
 
 
 def test_gaussian_determinism():
     s = NoiseStream(123)
-    a = s.block(4, 99, 18)[17, 3]
-    s.block(4, 100, 18)  # another key, so the next request draws afresh
-    assert s.block(4, 99, 18)[17, 3] == a
+    a = s.block(4, 99, 18, 4)[17, 3]
+    s.block(4, 100, 18, 4)  # another key, so the next request draws afresh
+    assert s.block(4, 99, 18, 4)[17, 3] == a
     # a separately constructed stream agrees
-    assert NoiseStream(123).block(4, 99, 18)[17, 3] == a
+    assert NoiseStream(123).block(4, 99, 18, 4)[17, 3] == a
 
 
 def test_gaussian_distinct_seeds_distinct_sequences():
     s1, s2 = NoiseStream(1), NoiseStream(2)
-    draws1 = s1.block(0, 0, 1250).ravel()  # 10^4 values
-    draws2 = s2.block(0, 0, 1250).ravel()
+    draws1 = s1.block(0, 0, 1250, MAX_DIM).ravel()  # 10^4 values
+    draws2 = s2.block(0, 0, 1250, MAX_DIM).ravel()
     assert not np.any(draws1 == draws2)
 
 
 def test_gaussian_block_scalar_consistency():
     s = NoiseStream(987)
-    blk = s.block(run=3, step=11, n=6)
-    assert blk.shape == (6, D_MAX)
+    blk = s.block(run=3, step=11, n=6, lanes=MAX_DIM)
+    assert blk.shape == (6, MAX_DIM)
+    assert blk.flags.c_contiguous
     for p in (0, 2, 5):
         for c in (0, 1, 7):
             assert blk[p, c] == gaussian(s, 3, p, 11, c)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    run=st.integers(0, 2**64 - 1),
+    step=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 30),
+    lanes=st.integers(1, MAX_DIM),
+    more_n=st.integers(0, 9),
+    more_lanes=st.integers(0, MAX_DIM),
+)
+@example(seed=0, run=0, step=1, n=1, lanes=1, more_n=0, more_lanes=1)
+@example(seed=2**64 - 1, run=2**64 - 1, step=2**64 - 1, n=30, lanes=MAX_DIM, more_n=9,
+         more_lanes=1)
+def test_block_entries_are_the_oracle_draws_at_any_block_size(
+    seed, run, step, n, lanes, more_n, more_lanes
+):
+    # the draw at (seed, run, step, particle, component) does not depend on
+    # n or on the lane count: a longer or wider block extends a smaller one
+    s = NoiseStream(seed)
+    blk = s.block(run, step, n, lanes)
+    assert blk.shape == (n, lanes) and blk.flags.c_contiguous
+    for i in {0, n // 2, n - 1}:
+        for c in {0, lanes - 1}:
+            assert blk[i, c] == gaussian(s, run, i, step, c)
+    wider = NoiseStream(seed).block(run, step, n + more_n, lanes + more_lanes)
+    assert np.array_equal(wider[:n, :lanes], blk)
+
+
 def test_block_prefix_property():
-    # the first m particles of a larger block equal the smaller block
+    # the first m particles and k lanes of a larger block equal the smaller
+    # block: lane 0 of a 1D block is lane 0 of a 2D block
     s = NoiseStream(55)
-    small = s.block(1, 2, 5)
-    large = s.block(1, 2, 9)
-    assert np.array_equal(large[:5], small)
+    one = s.block(1, 2, 5, 1)
+    two = s.block(1, 2, 9, 2)
+    assert one.shape == (5, 1)
+    assert np.array_equal(two[:5, :1], one)
+    assert not np.array_equal(two[:, 0], two[:, 1])
 
 
 def test_blocks_differ_across_runs_and_steps():
     s = NoiseStream(9)
-    b = s.block(0, 0, 4)
-    assert not np.array_equal(b, s.block(0, 1, 4))
-    assert not np.array_equal(b, s.block(1, 0, 4))
+    b = s.block(0, 0, 4, 2)
+    assert not np.array_equal(b, s.block(0, 1, 4, 2))
+    assert not np.array_equal(b, s.block(1, 0, 4, 2))
 
 
 def _count_draws(monkeypatch):
-    """Count the Philox blocks NoiseStream really draws, by (seed, run, step)."""
+    """Count the Philox sequences NoiseStream really draws, by (seed, run,
+    step, lane); a block draws one per lane."""
     drawn = []
     original = NoiseStream._generator
 
-    def counting(self, run, step):
-        drawn.append((self.master_seed, run, step))
-        return original(self, run, step)
+    def counting(self, run, step, lane):
+        drawn.append((self.master_seed, run, step, lane))
+        return original(self, run, step, lane)
 
     monkeypatch.setattr(NoiseStream, "_generator", counting)
     return drawn
@@ -504,11 +539,11 @@ def _count_draws(monkeypatch):
 def test_repeated_block_key_returns_the_kept_block(monkeypatch):
     drawn = _count_draws(monkeypatch)
     s = NoiseStream(31)
-    first = s.block(2, 5, 7)
-    again = s.block(2, 5, 7)
+    first = s.block(2, 5, 7, 2)
+    again = s.block(2, 5, 7, 2)
     assert again is first
-    assert drawn == [(31, 2, 5)]
-    assert np.array_equal(first, NoiseStream(31).block(2, 5, 7))
+    assert drawn == [(31, 2, 5, 0), (31, 2, 5, 1)]
+    assert np.array_equal(first, NoiseStream(31).block(2, 5, 7, 2))
     with pytest.raises(ValueError):
         first[0, 0] = 0.0
     with pytest.raises(ValueError):
@@ -516,19 +551,26 @@ def test_repeated_block_key_returns_the_kept_block(monkeypatch):
 
 
 def test_mixed_block_keys_never_return_a_stale_block(monkeypatch):
-    keys = [(0, 1, 4), (0, 1, 4), (0, 2, 4), (0, 1, 4), (1, 1, 4), (0, 1, 5), (0, 1, 4)]
+    keys = [
+        (0, 1, 4, 1), (0, 1, 4, 1), (0, 2, 4, 1), (0, 1, 4, 1), (1, 1, 4, 1),
+        (0, 1, 5, 1), (0, 1, 4, 2), (0, 1, 4, 2), (0, 1, 4, 1),
+    ]
     fresh = {key: NoiseStream(8).block(*key) for key in keys}
     drawn = _count_draws(monkeypatch)
     s = NoiseStream(8)
     for key in keys:
         assert np.array_equal(s.block(*key), fresh[key]), key
-    # one draw per change of key
-    assert len(drawn) == 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+    # one block, a sequence per lane, per change of key
+    redrawn = [keys[0]] + [b for a, b in zip(keys, keys[1:]) if a != b]
+    assert len(drawn) == sum(lanes for *_, lanes in redrawn)
 
 
 def test_a_stream_shared_by_threads_never_returns_another_keys_block():
     # a sweep's workers all read W2 projection blocks from one stream
-    keys = [(run, step, n) for run in (0, 1) for step in (1, 2, 3) for n in (2, 3)]
+    keys = [
+        (run, step, n, lanes)
+        for run in (0, 1) for step in (1, 2, 3) for n in (2, 3) for lanes in (1, 2)
+    ]
     fresh = {key: NoiseStream(17).block(*key) for key in keys}
     shared = NoiseStream(17)
     wrong = []
@@ -555,14 +597,16 @@ def test_a_stream_shared_by_threads_never_returns_another_keys_block():
 
 def test_gaussian_moment_checks():
     n = 1_000_000
-    draws = NoiseStream(2026).block(7, 0, n // D_MAX).ravel()
+    draws = NoiseStream(2026).block(7, 0, n // MAX_DIM, MAX_DIM).ravel()
     assert abs(np.mean(draws)) <= 4.0 / np.sqrt(n)
     assert abs(np.var(draws) - 1.0) <= 4.0 * np.sqrt(2.0 / n)
 
 
 def test_gaussian_index_validation():
     with pytest.raises(ValidationError):
-        NoiseStream(0).block(-1, 0, 3)
+        NoiseStream(0).block(-1, 0, 3, 1)
+    with pytest.raises(ValidationError):
+        NoiseStream(0).block(0, 0, 3, -1)
 
 
 def test_master_seed_outside_64_bits_is_rejected_not_masked():
@@ -571,7 +615,7 @@ def test_master_seed_outside_64_bits_is_rejected_not_masked():
         with pytest.raises(ValidationError, match="master seed must lie in"):
             NoiseStream(seed)
     top = NoiseStream(2**64 - 1)
-    assert not np.array_equal(top.block(0, 1, 4), NoiseStream(5).block(0, 1, 4))
+    assert not np.array_equal(top.block(0, 1, 4, 2), NoiseStream(5).block(0, 1, 4, 2))
 
 
 # -------------------------------------------------------------- containers

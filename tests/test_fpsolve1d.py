@@ -14,9 +14,6 @@ from smallmass.fpsolve1d import (
     cell_centers,
     fp_solve,
     fp_step,
-    histogram_density,
-    l1_density_distance,
-    stationary_residual,
 )
 from smallmass.harness import write_density_csv
 from smallmass.model import (
@@ -29,6 +26,8 @@ from smallmass.model import (
     make_state_dep_friction_1d,
 )
 from smallmass.overdamped import simulate_limit
+
+from fp_oracle import histogram_density, l1_density_distance, stationary_residual
 
 
 def const_spec(gamma=1.0, sigma=1.0, grad_V=None, grad_K=None, phi=0.0):
@@ -288,7 +287,7 @@ def test_density_matches_limit_particles_double_well():
 
     stream = NoiseStream(2026)
     n = 10_000
-    x0 = np.sqrt(var0) * stream.block(2**32, 0, n)[:, :1]
+    x0 = np.sqrt(var0) * stream.block(2**32, 0, n, 1)
     init = OverdampedEnsemble(t=0.0, positions=x0)
     (end,) = simulate_limit(spec, init, T=1.0, dt=1e-3, stream=stream)
     hist = histogram_density(gT, end.positions)

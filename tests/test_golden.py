@@ -66,6 +66,24 @@ CASES = {
             seed=5,
         ),
     ),
+    # 2D sweep with sliced W2: the projection draws of the report jobs
+    "converge-g2d-sliced": (
+        ("converge",),
+        dict(
+            preset="gaussian-interaction-2d",
+            n_particles=8,
+            epsilon_grid=[0.1],
+            T=0.004,
+            t_star=0.002,
+            snapshot_times=[0.002, 0.004],
+            scheme="euler_maruyama",
+            dt_under=0.001,
+            dt_limit=0.001,
+            w2_method="sliced",
+            n_projections=4,
+            seed=8,
+        ),
+    ),
     # state-dependent friction: slice diagnostic, limit run, Fokker-Planck
     "sdf1d": (
         ("slice-diag", "limit", "fp"),

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from smallmass import harness, observables, overdamped, underdamped
 from smallmass.ensemble import (
-    D_MAX,
+    RUN_INIT_POSITIONS,
     NoiseStream,
     UnderdampedEnsemble,
     mean_field_coefficients,
@@ -48,6 +48,7 @@ from smallmass.harness import (
     _worker_count,
 )
 from smallmass.model import (
+    MAX_DIM,
     PRESETS,
     ConstantMatrixField,
     LinearVectorField,
@@ -213,15 +214,21 @@ def test_initial_positions_mixture():
     assert np.array_equal(x, initial_positions(NoiseStream(3), 2000, 1, comps))
 
 
-def test_initial_positions_mixture_needs_a_free_noise_lane():
-    # the component draw uses lane D_MAX - 1, which at dim == D_MAX is also
-    # the offset lane of the last coordinate
+def test_a_mixture_start_picks_its_component_from_lane_dim():
+    # the offsets are lanes 0..dim-1 of the position-init block and the
+    # component draw is lane dim, so a mixture fits at every dim, MAX_DIM too
+    import scipy.special
+
     comps = ((0.5, -1.0, 0.1), (0.5, 1.0, 0.1))
-    with pytest.raises(ValidationError, match="mixture"):
-        initial_positions(NoiseStream(3), 10, D_MAX, comps)
-    assert initial_positions(NoiseStream(3), 10, D_MAX, comps[:1]).shape == (10, D_MAX)
-    x = initial_positions(NoiseStream(3), 10, D_MAX - 1, comps)
-    assert x.shape == (10, D_MAX - 1)
+    for dim in (1, 3, MAX_DIM):
+        x = initial_positions(NoiseStream(3), 10, dim, comps)
+        z = NoiseStream(3).block(RUN_INIT_POSITIONS, 0, 10, dim + 1)
+        left = scipy.special.ndtr(z[:, dim]) < 0.5
+        assert 0 < left.sum() < 10
+        assert np.array_equal(x, np.where(left[:, None], -1.0, 1.0) + 0.1 * z[:, :dim])
+        # one component: the same offsets, no component lane
+        one = initial_positions(NoiseStream(3), 10, dim, comps[:1])
+        assert np.array_equal(one, -1.0 + 0.1 * z[:, :dim])
 
 
 def test_initial_velocities_cold_and_equilibrated():
@@ -350,9 +357,10 @@ def test_a_lockstep_group_draws_each_coupled_step_block_once(
     drawn = []
     original = NoiseStream._generator
 
-    def counting(self, run, step):
-        drawn.append((self.master_seed, run, step))
-        return original(self, run, step)
+    def counting(self, run, step, lane):
+        if lane == 0:  # every block draws lane 0 once
+            drawn.append((self.master_seed, run, step))
+        return original(self, run, step, lane)
 
     monkeypatch.setattr(NoiseStream, "_generator", counting)
     grid = (0.2, 0.1, 0.05)
@@ -390,9 +398,10 @@ def test_a_coupled_sweep_with_pair_sums_steps_each_run_as_its_own_job(
     drawn = []
     original = NoiseStream._generator
 
-    def counting(self, run, step):
-        drawn.append((self.master_seed, run, step))
-        return original(self, run, step)
+    def counting(self, run, step, lane):
+        if lane == 0:  # every block draws lane 0 once
+            drawn.append((self.master_seed, run, step))
+        return original(self, run, step, lane)
 
     monkeypatch.setattr(NoiseStream, "_generator", counting)
     written = {}
@@ -966,7 +975,8 @@ def test_cli_converge_and_overrides(tmp_path, capsys):
 
 def test_cli_converge_prints_w2_at_T_for_epsilon_runs_on_different_dt(tmp_path, capsys):
     # each epsilon steps with its own default dt, so the runs reach T with
-    # different rounding: each prints its own last W2 row
+    # different rounding: each prints its own last W2 row, and every row
+    # carries the requested time, not a run's clock
     cfg = write_config(
         tmp_path, preset="double-well-1d", n_particles=500,
         epsilon_grid=[0.02, 0.005], T=1.0, scheme="euler_maruyama", seed=3,
@@ -975,7 +985,13 @@ def test_cli_converge_prints_w2_at_T_for_epsilon_runs_on_different_dt(tmp_path, 
     printed = [l for l in capsys.readouterr().out.splitlines() if "W2(T)" in l]
     with open(tmp_path / "cli" / "w2.csv") as f:
         last = {row["epsilon"]: row for row in csv.DictReader(f)}
-    assert len({row["t"] for row in last.values()}) == 2
+    assert len(last) == 2
+    assert {row["t"] for row in last.values()} == {"1"}
+    with open(tmp_path / "cli" / "manifest.json") as f:
+        requested = {f"{t:.17g}" for t in json.load(f)["snapshot_times"]}
+    for name in ("w2.csv", "weak_gaps.csv"):
+        with open(tmp_path / "cli" / name) as f:
+            assert {row["t"] for row in csv.DictReader(f)} == requested, name
     assert printed == [
         f"[converge] epsilon={float(e):g}: W2(T)={float(row['w2']):.6g}"
         for e, row in last.items()

@@ -76,7 +76,7 @@ def test_audit_sine_friction_sampled_floor():
     # oracle: regenerate the documented sample points and minimize directly
     import scipy.special
 
-    z = stream.block(AUDIT_RUN, 0, 10_000)[:, :1]
+    z = stream.block(AUDIT_RUN, 0, 10_000, 1)
     pts = -10.0 + 20.0 * scipy.special.ndtr(z)
     oracle = np.min(2.0 + np.sin(pts[:, 0]))
     assert rep.lambda_gamma_min == pytest.approx(oracle, abs=1e-13)

@@ -160,7 +160,7 @@ def test_ystar_gaussian_grid_quadrature_oracle():
     spec = make_state_dep_friction_1d()
     psi = bump_test_functions(dim=1, centers=(0.0,), radius=1.5)[0]
     stream = NoiseStream(77)
-    pos = stream.block(9, 0, 20_000)[:, :1]
+    pos = stream.block(9, 0, 20_000, 1)
     particle = weak_Ystar(mean_field_coefficients(pos, spec), psi)
 
     x = np.linspace(-8.0, 8.0, 2000)

@@ -268,7 +268,7 @@ def test_simulate_ou_stationary_variance():
     spec = make_quadratic_ou()
     n = 2000
     stream = NoiseStream(2024)
-    x0 = 0.5 * stream.block(RUN_INIT_POSITIONS, 0, n)[:, :1]
+    x0 = 0.5 * stream.block(RUN_INIT_POSITIONS, 0, n, 1)
     init = OverdampedEnsemble(t=0.0, positions=x0)
     out = simulate_limit(spec, init, 12.0, 1e-3, stream)
     var = np.var(out[-1].positions[:, 0])
@@ -342,7 +342,7 @@ def test_2d_limit_fields_equal_the_per_point_drift_and_diffusion():
     spec = make_gaussian_interaction_2d()
     for seed in (4, 5, 6):
         for n in (1, 2, 12, 200):
-            X = NoiseStream(seed).block(RUN_INIT_POSITIONS, 0, n)[:, :2]
+            X = NoiseStream(seed).block(RUN_INIT_POSITIONS, 0, n, 2)
             b, D = _limit_fields(spec, X)
             for i, x in enumerate(X):
                 assert np.array_equal(b[i], limit_drift(x, X, spec))
@@ -394,7 +394,7 @@ def turning_friction_spec():
 @pytest.mark.parametrize("seed", [4, 5, 6])
 def test_2d_stacked_S_on_a_turning_friction_equals_the_one_point_S(seed):
     spec = turning_friction_spec()
-    X = 1.5 * NoiseStream(seed).block(RUN_INIT_POSITIONS, 0, 12)[:, :2]
+    X = 1.5 * NoiseStream(seed).block(RUN_INIT_POSITIONS, 0, 12, 2)
     A = mean_field_coefficients(X, spec).A
     Q = spec.sigma_at(X) @ np.swapaxes(spec.sigma_at(X), -1, -2)
     AT = np.swapaxes(A, -1, -2)
@@ -426,9 +426,9 @@ class CountingStream(NoiseStream):
         super().__init__(seed)
         self.blocks = 0
 
-    def block(self, run, step, n):
+    def block(self, run, step, n, lanes):
         self.blocks += 1
-        return super().block(run, step, n)
+        return super().block(run, step, n, lanes)
 
 
 def test_2d_limit_step_rejects_a_friction_that_is_not_positive_definite_at_one_particle():
@@ -441,7 +441,7 @@ def test_2d_limit_step_rejects_a_friction_that_is_not_positive_definite_at_one_p
         return out
 
     spec = floor_spec(gamma)
-    X = 0.3 * NoiseStream(1).block(RUN_INIT_POSITIONS, 0, 12)[:, :2]
+    X = 0.3 * NoiseStream(1).block(RUN_INIT_POSITIONS, 0, 12, 2)
     X[7] = [2.5, -0.25]
     named = re.escape(f"friction not positive definite at {X[7]}")
     with pytest.raises(StabilityError, match=named):
@@ -464,7 +464,7 @@ def test_2d_limit_step_rejects_a_friction_that_is_ill_conditioned_at_one_particl
         return out
 
     spec = floor_spec(gamma)
-    X = 0.3 * NoiseStream(2).block(RUN_INIT_POSITIONS, 0, 12)[:, :2]
+    X = 0.3 * NoiseStream(2).block(RUN_INIT_POSITIONS, 0, 12, 2)
     X[4] = [2.0, 0.1]
     cond = np.linalg.cond(gamma(X[4]))
     assert cond > 1e12 and np.linalg.cond(gamma(np.delete(X, 4, axis=0))).max() < 1e3
@@ -488,7 +488,7 @@ def test_2d_limit_run_calls_the_one_point_functions_only_from_the_lipschitz_prob
 
         monkeypatch.setattr(overdamped, name, counted)
     spec = make_gaussian_interaction_2d()
-    X = 0.5 * NoiseStream(3).block(RUN_INIT_POSITIONS, 0, 10)[:, :2]
+    X = 0.5 * NoiseStream(3).block(RUN_INIT_POSITIONS, 0, 10, 2)
     out = simulate_limit(spec, OverdampedEnsemble(t=0.0, positions=X), 0.05, 0.01, NoiseStream(3))
     assert out[-1].step == 5
     d = spec.dim

@@ -90,7 +90,7 @@ def test_em_ou_hand_step():
     out1 = step_underdamped_em(
         state_1d(1.0, 0.0), spec1, UDStepperConfig("euler_maruyama", dt, run_id=0), stream
     )
-    xi = stream.block(0, 1, 1)[0, 0]
+    xi = stream.block(0, 1, 1, 1)[0, 0]
     assert out1.velocities[0, 0] == pytest.approx(-dt + np.sqrt(dt) * xi, rel=1e-14)
     assert out1.positions[0, 0] == pytest.approx(1.0 + dt * out1.velocities[0, 0], rel=1e-14)
 
@@ -222,7 +222,7 @@ def test_simulate_ou_stationary_variance():
     spec = make_quadratic_ou()
     n, eps = 800, 0.01
     stream = NoiseStream(314)
-    x0 = stream.block(2**32, 0, n)[:, :1]
+    x0 = stream.block(2**32, 0, n, 1)
     init = UnderdampedEnsemble(epsilon=eps, t=0.0, positions=0.5 * x0,
                                velocities=np.zeros((n, 1)))
     out = simulate_underdamped(spec, init, 8.0, UDStepperConfig("exponential", 0.005), stream)
