@@ -13,7 +13,7 @@ from .errors import (
     ValidationError,
 )
 from .model import ModelSpec, audit_assumptions, get_preset
-from .overdamped import limit_coefficients, noise_induced_drift, simulate_limit
+from .overdamped import limit_coefficients, simulate_limit
 from .smallmat import solve_lyapunov
 from .underdamped import UDStepperConfig, simulate_underdamped
 
@@ -32,7 +32,6 @@ __all__ = [
     "audit_assumptions",
     "get_preset",
     "limit_coefficients",
-    "noise_induced_drift",
     "simulate_limit",
     "solve_lyapunov",
     "UDStepperConfig",

@@ -305,15 +305,15 @@ def empirical_moment2(ens) -> float:
 
 @dataclass(eq=False)
 class _Frozen:
-    """Per-particle coefficients of one snapshot against its own measure.
+    """Coefficients at n targets X against the measure of one snapshot, state.
 
-    state is what they were formed from (an ensemble or an (n, d) array), X
-    its positions. A = gamma + phi*rho (n, d, d), F = grad V + gradK*rho
-    (n, d) and eig (n, d), the ascending eigenvalues of each symmetric part
-    of A, are formed at once. sigma, J with A J + J A^T = sigma sigma^T,
-    A_inv and the friction Jacobian dA (n, d, d, d) are formed on first
-    read and kept: a step or estimator pays only for what it reads.
-    Per-psi results at X are computed once each (see `once`).
+    law holds the measure's positions, None when they are X. A = gamma +
+    phi*rho (n, d, d), F = grad V + gradK*rho (n, d) and eig (n, d), the
+    ascending eigenvalues of each symmetric part of A, are formed at once.
+    sigma, J with A J + J A^T = sigma sigma^T, A_inv and the friction
+    Jacobian dA (n, d, d, d) are formed on first read and kept: a step or
+    estimator pays only for what it reads. Per-psi results at X are
+    computed once each (see `once`).
     """
 
     state: object
@@ -323,6 +323,7 @@ class _Frozen:
     eig: np.ndarray
     spec: ModelSpec
     memo: dict = field(default_factory=dict, repr=False)
+    law: np.ndarray | None = field(default=None, kw_only=True, repr=False)
 
     @cached_property
     def sigma(self) -> np.ndarray:
@@ -338,7 +339,7 @@ class _Frozen:
 
     @cached_property
     def dA(self) -> np.ndarray:
-        return _d_friction_at(self.X, self.X, self.spec)
+        return _d_friction_at(self.X, self.X if self.law is None else self.law, self.spec)
 
     def once(self, tag, psi, compute):
         """compute() for (tag, psi), evaluated on the first request only."""
@@ -354,16 +355,18 @@ class _Frozen:
         return self.once("psi", psi, lambda: (psi.value_at(X), psi.gradient_at(X)))
 
 
-def mean_field_coefficients(state, spec: ModelSpec) -> _Frozen:
-    """Per-particle coefficients of a snapshot, its friction floor checked.
+def mean_field_coefficients(state, spec: ModelSpec, at=None) -> _Frozen:
+    """Coefficients at the targets `at` (m, d), their friction floor checked.
 
-    state is an ensemble or its (N, d) positions; rho is the empirical
-    measure of the same positions (self term included). Raises
-    StabilityError unless every A(x_i) has a positive definite symmetric part.
+    state is an ensemble or its (N, d) positions, and rho is the empirical
+    measure of those positions (self term included); the targets default to
+    the same positions. Raises StabilityError unless every target's A has a
+    positive definite symmetric part.
     """
-    X = _positions_of(state)
-    A = spec.gamma_at(X) + conv_phi(X, X, spec)
-    F = spec.grad_V_at(X) + conv_gradK(X, X, spec)
+    law = _positions_of(state)
+    X = law if at is None else np.asarray(at, dtype=float)
+    A = spec.gamma_at(X) + conv_phi(X, law, spec)
+    F = spec.grad_V_at(X) + conv_gradK(X, law, spec)
     eig = _symmetric_eigenvalues(A)
     i = int(np.argmin(eig[:, 0]))
     if eig[i, 0] <= 0.0:
@@ -371,4 +374,4 @@ def mean_field_coefficients(state, spec: ModelSpec) -> _Frozen:
             f"friction not positive definite at {X[i]} "
             f"(min symmetric eigenvalue {eig[i, 0]:.6e})"
         )
-    return _Frozen(state, X, A, F, eig, spec)
+    return _Frozen(state, X, A, F, eig, spec, law=None if at is None else law)

@@ -645,7 +645,7 @@ def _worker_count(n_jobs: int) -> int:
 def _noise_bound(spec) -> bool:
     """Whether noise draws are a large share of a sweep step: in 1D with no
     pair sums, where a step is a few vector operations over the particles.
-    Elsewhere pair sums or per-particle small-matrix kernels dominate, and
+    Elsewhere pair sums or the stacked small-matrix kernels dominate, and
     a coupled sweep's runs go faster as parallel jobs than as one group."""
     return spec.dim == 1 and _no_pair_sums(spec)
 

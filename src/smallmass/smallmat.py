@@ -11,15 +11,18 @@ stack (one matrix per particle; one (d, d) matrix is the special case),
 run each matrix through the same scipy/LAPACK routine as alone, so they
 return the bits of per-matrix calls, and guard against the worst matrix.
 
-The kernels run once per particle in the limit run, so their cost per
-call is mostly numpy's Python-level wrappers, not LAPACK. They skip the
-wrappers and form the same floating-point operations directly, returning
-the bits the wrappers would: the Kronecker system A kron I + I kron A is
-assembled by broadcasting the products np.kron forms, the symmetry test
-is the inequality np.isclose evaluates on finite input, Frobenius norms
-are sqrt(sum(x*x)) reduced as np.linalg.norm reduces them, and cond is
-s_max/s_min from the singular values, as np.linalg.cond takes it. The
-LAPACK calls themselves (solve, eigvalsh, inv, svd) are numpy's.
+The kernels run once per stack, and on a step's stack numpy's
+Python-level wrappers are still a share of a call: a Lyapunov solve on a
+(200, 2, 2) stack takes about 230 us, against about 280 us through
+np.kron, np.isclose and np.linalg.norm (timeit, best of 7, 2-core Intel
+Xeon). They skip the wrappers and form the same floating-point
+operations directly, returning the bits the wrappers would: the
+Kronecker system A kron I + I kron A is assembled by broadcasting the
+products np.kron forms, the symmetry test is the inequality np.isclose
+evaluates on finite input, Frobenius norms are sqrt(sum(x*x)) reduced as
+np.linalg.norm reduces them, and cond is s_max/s_min from the singular
+values, as np.linalg.cond takes it. The LAPACK calls themselves (solve,
+eigvalsh, inv, svd) are numpy's.
 
 `expm` is this module's only scipy route: it imports scipy.linalg at its
 first stack with a nonzero off the diagonal (a diagonal stack takes scipy's

@@ -365,10 +365,10 @@ def test_empirical_moment2():
 KERNELS = ("solve_lyapunov", "invert", "expm")
 
 
-def count_kernel_calls(monkeypatch):
+def count_kernel_calls(monkeypatch, kernels=KERNELS):
     """Count the small-matrix kernels at every module's binding, and the
     spec's d_phi evaluations."""
-    calls = dict.fromkeys(KERNELS + ("d_phi_at",), 0)
+    calls = dict.fromkeys(kernels + ("d_phi_at",), 0)
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
@@ -377,7 +377,7 @@ def count_kernel_calls(monkeypatch):
 
         return wrapper
 
-    originals = {name: getattr(smallmat, name) for name in KERNELS}
+    originals = {name: getattr(smallmat, name) for name in kernels}
     for mod in (smallmat, ensemble, observables, underdamped, overdamped):
         for name, f in originals.items():
             if hasattr(mod, name):
@@ -417,7 +417,7 @@ def test_an_em_step_forms_no_covariance_inverse_exponential_or_friction_jacobian
     exp = UDStepperConfig(scheme="exponential", dt=1e-4)
     underdamped.step_underdamped_exp(state, spec, exp, stream)
     assert calls == {"solve_lyapunov": 1, "invert": 1, "expm": 1, "d_phi_at": 0}
-    overdamped._limit_fields(spec, X)
+    overdamped.limit_coefficients(X, spec)
     assert calls == {"solve_lyapunov": 2, "invert": 2, "expm": 1, "d_phi_at": 1}
 
 
@@ -432,9 +432,32 @@ def test_a_1d_snapshot_never_inverts(monkeypatch):
     stream = NoiseStream(1)
     cfg = UDStepperConfig(scheme="exponential", dt=1e-3)
     underdamped.step_underdamped_exp(state, spec, cfg, stream)
-    overdamped._limit_fields(spec, X)
+    overdamped.limit_coefficients(X, spec)
     assert len(rows) == len(psis)
     assert calls["invert"] == calls["solve_lyapunov"] == calls["expm"] == 0
+
+
+@pytest.mark.parametrize(
+    "preset, per_step", [("state-dep-friction-1d", 0), ("double-well-1d", 1)]
+)
+def test_a_1d_limit_run_reaches_smallmat_only_for_a_constant_friction(
+    monkeypatch, preset, per_step
+):
+    # a state-dependent friction takes the scalar 1D path; a constant one
+    # inverts A and checks its floor once per step and once for the probe
+    spec = get_preset(preset)
+    calls = count_kernel_calls(monkeypatch, KERNELS + ("min_symmetric_eigenvalue",))
+    steps, dt = 4, 1e-3
+    for n in (3, 60):
+        calls.update(dict.fromkeys(calls, 0))
+        init = OverdampedEnsemble(t=0.0, positions=NoiseStream(n).block(0, 0, n, 1))
+        out = overdamped.simulate_limit(spec, init, steps * dt, dt, NoiseStream(1))
+        assert out[-1].step == steps
+        once = per_step * (steps + 1)
+        assert calls == {
+            "solve_lyapunov": 0, "invert": once, "expm": 0,
+            "min_symmetric_eigenvalue": once, "d_phi_at": 0,
+        }
 
 
 # ------------------------------------------------------------ noise stream

@@ -24,6 +24,8 @@ import sys
 import pytest
 import yaml
 
+from limit_oracle import drift_lipschitz
+from smallmass import overdamped
 from smallmass.errors import StiffnessError
 from smallmass.harness import ExperimentConfig, main, run_convergence_sweep
 
@@ -210,6 +212,26 @@ def test_outputs_match_golden_files(name, tmp_path):
         with open(os.path.join(expected_dir, fname), "rb") as f:
             want = f.read()
         assert got == want, f"{name}/{fname} differs from the golden copy"
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if "dt_limit" in CASES[n][1]))
+def test_no_golden_limit_run_crosses_the_stiffness_guard(name, tmp_path, monkeypatch):
+    # the guard raises at dt_limit * L > 1; every limit run of a case stays
+    # below it, and its stacked probe agrees with the one-point oracle's
+    probe = overdamped._drift_lipschitz_estimate
+    seen = []
+
+    def recording(spec, positions):
+        L = probe(spec, positions)
+        seen.append((L, drift_lipschitz(spec, positions)))
+        return L
+
+    monkeypatch.setattr(overdamped, "_drift_lipschitz_estimate", recording)
+    run_case(name, tmp_path)
+    assert seen
+    for L, L_oracle in seen:
+        assert CASES[name][1]["dt_limit"] * L < 1.0
+        assert L == pytest.approx(L_oracle, rel=1e-6)
 
 
 def test_failed_sweep_job_carries_the_admissible_dt(tmp_path, capsys):

@@ -569,18 +569,20 @@ def test_a_limit_run_failure_in_a_coupled_group_raises_its_own_error(
 ):
     # the limit run steps in one group with both epsilons and fails at
     # step 3; its error is raised as it is, the epsilon runs stop there,
-    # and no epsilon writes a record
-    fields = overdamped._limit_fields
+    # and no epsilon writes a record; the Lipschitz probe's call (at its
+    # stencil targets) is not a step
+    fields = overdamped.limit_coefficients
     injected = BlowUpError("injected limit failure at step 3", t=0.003)
     calls = []
 
-    def failing_at_step_3(spec, positions):
-        calls.append(1)
-        if len(calls) == 3:
-            raise injected
-        return fields(spec, positions)
+    def failing_at_step_3(positions, spec, at=None):
+        if at is None:
+            calls.append(1)
+            if len(calls) == 3:
+                raise injected
+        return fields(positions, spec, at=at)
 
-    monkeypatch.setattr(overdamped, "_limit_fields", failing_at_step_3)
+    monkeypatch.setattr(overdamped, "limit_coefficients", failing_at_step_3)
     em = underdamped._STEPPERS["euler_maruyama"]
     steps = {}
 
@@ -1387,18 +1389,19 @@ def test_cli_rejects_a_w2_method_it_cannot_apply_before_any_run(
     # in 2D it sorted the x and y columns apart), and exact W2 would fail
     # each epsilon only after every run had gone to T
     stepped = []
-    fields = overdamped._limit_fields
+    fields = overdamped.limit_coefficients
     exp = underdamped._STEPPERS["exponential"]
 
-    def limit_fields(spec, positions):
-        stepped.append("limit")
-        return fields(spec, positions)
+    def limit_fields(positions, spec, at=None):
+        if at is None:
+            stepped.append("limit")
+        return fields(positions, spec, at=at)
 
     def exp_step(state, spec, cfg, stream, dt=None):
         stepped.append(state.epsilon)
         return exp(state, spec, cfg, stream, dt=dt)
 
-    monkeypatch.setattr(overdamped, "_limit_fields", limit_fields)
+    monkeypatch.setattr(overdamped, "limit_coefficients", limit_fields)
     monkeypatch.setitem(underdamped._STEPPERS, "exponential", exp_step)
     base = dict(
         preset="gaussian-interaction-2d", n_particles=20, scheme="exponential",

@@ -1,4 +1,5 @@
-"""Limit-dynamics tests: S(x) oracles, drift/diffusion identities, EM runs."""
+"""Limit-dynamics tests: the stacked limit fields against the one-point
+oracle and S's closed forms, the Lipschitz probe, EM runs."""
 
 import re
 from dataclasses import replace
@@ -8,6 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from limit_oracle import (
+    drift_lipschitz,
+    limit_diffusion,
+    limit_drift,
+    noise_induced_drift,
+    point_coefficients,
+)
 from smallmass import overdamped
 from smallmass.ensemble import (
     RUN_INIT_POSITIONS,
@@ -25,25 +33,20 @@ from smallmass.errors import (
     ValidationError,
 )
 from smallmass.model import (
+    PRESETS,
     ConstantMatrixField,
     LinearVectorField,
     ModelSpec,
     ZeroVectorField,
     fd_step,
+    get_preset,
     make_classical_sk_1d,
     make_double_well_1d,
     make_gaussian_interaction_2d,
     make_quadratic_ou,
     make_state_dep_friction_1d,
 )
-from smallmass.overdamped import (
-    _limit_fields,
-    limit_coefficients,
-    limit_diffusion,
-    limit_drift,
-    noise_induced_drift,
-    simulate_limit,
-)
+from smallmass.overdamped import _drift_lipschitz_estimate, limit_coefficients, simulate_limit
 from smallmass.smallmat import invert, solve_lyapunov
 
 
@@ -70,6 +73,23 @@ def affine_gamma_spec(sigma=1.0, analytic=True):
     )
 
 
+def fields_at(xs, positions, spec):
+    """limit_coefficients' (b, D) at the targets xs, checked against the
+    one-point oracle at each target: bit for bit for d > 1, where both
+    run the same kernels; within 1e-12 relative (1e-15 absolute) in 1D,
+    where the stacked path takes the scalar reduction."""
+    xs = np.asarray(xs, dtype=float).reshape(-1, spec.dim)
+    b, D = limit_coefficients(positions, spec, at=xs)
+    ref_b = np.array([limit_drift(x, positions, spec) for x in xs])
+    ref_D = np.array([limit_diffusion(x, positions, spec) for x in xs])
+    if spec.dim > 1:
+        assert np.array_equal(b, ref_b) and np.array_equal(D, ref_D)
+    else:
+        np.testing.assert_allclose(b, ref_b, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(D, ref_D, rtol=1e-12, atol=1e-15)
+    return b, D
+
+
 # -------------------------------------------------------------- S oracles
 
 
@@ -94,8 +114,12 @@ def test_S_vanishes_for_constant_coefficients():
     spec = make_quadratic_ou()
     rng = np.random.default_rng(0)
     pos = rng.normal(size=(30, 1))
-    for x in rng.normal(size=(100, 1)):
+    xs = rng.normal(size=(100, 1))
+    for x in xs:
         assert np.all(noise_induced_drift(x, pos, spec) == 0.0)
+    # the constant-friction fork: b = -A^-1 F with no S term, bit for bit
+    b, _ = fields_at(xs, pos, spec)
+    assert np.array_equal(b, [limit_drift(x, pos, spec) for x in xs])
 
 
 def test_S_affine_friction_hand_value():
@@ -103,6 +127,8 @@ def test_S_affine_friction_hand_value():
     pos = np.zeros((1, 1))
     S = noise_induced_drift([0.0], pos, affine_gamma_spec())
     assert S[0] == pytest.approx(-1.0 / 16.0, rel=1e-12)
+    b, _ = fields_at([0.0], pos, affine_gamma_spec())  # V = K = 0, so b = S
+    assert b[0, 0] == pytest.approx(-1.0 / 16.0, rel=1e-12)
     S_fd = S_fd_inverse([0.0], pos, affine_gamma_spec())
     assert S_fd[0] == pytest.approx(-1.0 / 16.0, abs=1e-8)
 
@@ -110,11 +136,14 @@ def test_S_affine_friction_hand_value():
 def test_S_preset_closed_form():
     spec = make_state_dep_friction_1d()
     pos = np.zeros((5, 1))
-    for x in (-1.3, -0.4, 0.0, 0.6, 2.1):
+    xs = (-1.3, -0.4, 0.0, 0.6, 2.1)
+    b, _ = fields_at(xs, pos, spec)  # V = K = 0, so b = S
+    for i, x in enumerate(xs):
         a = 2.0 + x / (1.0 + x * x) + 0.5
         dg = (1.0 - x * x) / (1.0 + x * x) ** 2
         expect = -dg / (2.0 * a**3)
         assert noise_induced_drift([x], pos, spec)[0] == pytest.approx(expect, rel=1e-12)
+        assert b[i, 0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_S_product_rule_vs_fd_inverse():
@@ -124,8 +153,9 @@ def test_S_product_rule_vs_fd_inverse():
         (make_gaussian_interaction_2d(), 0.7 * rng.normal(size=(20, 2))),
     ]
     for spec, pos in cases:
-        for _ in range(3):
-            x = 0.8 * rng.normal(size=spec.dim)
+        xs = 0.8 * rng.normal(size=(3, spec.dim))
+        fields_at(xs, pos, spec)
+        for x in xs:
             a = noise_induced_drift(x, pos, spec)
             b = S_fd_inverse(x, pos, spec)
             assert np.max(np.abs(a - b)) <= 1e-6
@@ -150,18 +180,26 @@ def test_S_state_dependent_interaction_enters_derivative():
     x = np.array([0.3])
     S = noise_induced_drift(x, pos, spec)
     S_fd = S_fd_inverse(x, pos, spec)
-    assert S[0] != 0.0
-    assert S[0] == pytest.approx(S_fd[0], abs=1e-7)
+    b, _ = fields_at(x, pos, spec)  # V = K = 0, so b = S
+    for got in (S[0], b[0, 0]):
+        assert got != 0.0
+        assert got == pytest.approx(S_fd[0], abs=1e-7)
 
 
 def test_S_sigma_scaling_quadratic():
     x, pos = [0.7], np.zeros((3, 1))
-    S1 = noise_induced_drift(x, pos, make_state_dep_friction_1d(sigma=1.0))
-    S3 = noise_induced_drift(x, pos, make_state_dep_friction_1d(sigma=3.0))
+    one, three = make_state_dep_friction_1d(sigma=1.0), make_state_dep_friction_1d(sigma=3.0)
+    S1 = noise_induced_drift(x, pos, one)
+    S3 = noise_induced_drift(x, pos, three)
     assert S3[0] == pytest.approx(9.0 * S1[0], rel=1e-10)
-    J1 = limit_coefficients(x, pos, make_state_dep_friction_1d(sigma=1.0)).J.J
-    J3 = limit_coefficients(x, pos, make_state_dep_friction_1d(sigma=3.0)).J.J
+    b1, b3 = fields_at(x, pos, one)[0], fields_at(x, pos, three)[0]  # b = S
+    assert b3[0, 0] == pytest.approx(9.0 * b1[0, 0], rel=1e-10)
+    J1 = point_coefficients(x, pos, one).J.J
+    J3 = point_coefficients(x, pos, three).J.J
     assert J3[0, 0] == pytest.approx(9.0 * J1[0, 0], rel=1e-10)
+    J1 = mean_field_coefficients(pos, one, at=[x]).J
+    J3 = mean_field_coefficients(pos, three, at=[x]).J
+    assert J3[0, 0, 0] == pytest.approx(9.0 * J1[0, 0, 0], rel=1e-10)
 
 
 # ------------------------------------------------------- drift / diffusion
@@ -171,25 +209,32 @@ def test_drift_zero_without_forces():
     spec = make_state_dep_friction_1d(sigma=0.0)
     b = limit_drift([0.4], np.zeros((2, 1)), spec)
     assert b[0] == 0.0  # V = K = 0 and sigma = 0 kill both terms
+    assert fields_at([0.4], np.zeros((2, 1)), spec)[0][0, 0] == 0.0
 
 
 def test_drift_classical_reduction():
     spec = make_classical_sk_1d(k=1.0, gamma=2.0)
     b = limit_drift([0.7], np.zeros((4, 1)), spec)
     assert b[0] == pytest.approx(-0.7 / 2.0, rel=1e-12)
+    b, _ = fields_at([0.7], np.zeros((4, 1)), spec)
+    assert b[0, 0] == pytest.approx(-0.7 / 2.0, rel=1e-12)
 
 
 def test_drift_double_well_critical_point():
     spec = make_double_well_1d()
     b = limit_drift([1.0], np.array([[1.0]]), spec)
     assert abs(b[0]) <= 1e-15
+    b, _ = fields_at([1.0], np.array([[1.0]]), spec)
+    assert abs(b[0, 0]) <= 1e-15
 
 
 def test_diffusion_values():
     spec = make_classical_sk_1d(k=1.0, gamma=2.0)
     assert limit_diffusion([0.0], np.zeros((1, 1)), spec)[0, 0] == pytest.approx(0.5)
+    assert fields_at([0.0], np.zeros((1, 1)), spec)[1][0, 0, 0] == pytest.approx(0.5)
     spec0 = make_classical_sk_1d(k=1.0, gamma=2.0, sigma=0.0)
     assert np.all(limit_diffusion([0.0], np.zeros((1, 1)), spec0) == 0.0)
+    assert np.all(fields_at([0.0], np.zeros((1, 1)), spec0)[1] == 0.0)
 
 
 def test_diffusion_times_sigma_inverse_is_A_inverse():
@@ -197,26 +242,40 @@ def test_diffusion_times_sigma_inverse_is_A_inverse():
     rng = np.random.default_rng(3)
     pos = 0.5 * rng.normal(size=(15, 2))
     x = rng.normal(size=2)
-    c = limit_coefficients(x, pos, spec)
+    c = point_coefficients(x, pos, spec)
     D = limit_diffusion(x, pos, spec)
     assert np.allclose(D @ invert(spec.sigma_at(x)), c.A_inv, atol=1e-10)
+    _, D = fields_at(x, pos, spec)
+    A_inv = mean_field_coefficients(pos, spec, at=[x]).A_inv
+    assert np.allclose(D @ invert(spec.sigma_at(x)), A_inv, atol=1e-10)
 
 
 def test_limit_coefficients_certified():
     spec = make_state_dep_friction_1d()
-    c = limit_coefficients([0.3], np.zeros((4, 1)), spec)
+    c = point_coefficients([0.3], np.zeros((4, 1)), spec)
     assert np.allclose(c.A_inv @ c.A, np.eye(1), atol=1e-13)
     assert c.J.residual <= 1e-12
     assert np.allclose(c.S, noise_induced_drift([0.3], np.zeros((4, 1)), spec))
+    # the targets' coefficient object, which the stacked fields read
+    m = mean_field_coefficients(np.zeros((4, 1)), spec, at=[[0.3]])
+    assert np.allclose(m.A_inv @ m.A, np.eye(1), atol=1e-13)
+    Q = m.sigma @ np.swapaxes(m.sigma, -1, -2)
+    assert np.abs(m.A @ m.J + m.J @ np.swapaxes(m.A, -1, -2) - Q).max() <= 1e-12
+    b, _ = fields_at([0.3], np.zeros((4, 1)), spec)  # V = K = 0, so b = S
+    assert np.allclose(b[0], c.S)
 
 
 def test_limit_coefficients_reject_a_friction_that_is_not_positive_definite():
     # gamma(x) = 2 + x is negative left of x = -2; phi = 0
     spec = affine_gamma_spec()
     positions = np.zeros((4, 1))
-    limit_coefficients([-1.5], positions, spec)
+    point_coefficients([-1.5], positions, spec)
+    limit_coefficients(positions, spec, at=[[-1.5]])
     with pytest.raises(StabilityError, match="friction not positive definite at"):
-        limit_coefficients([-2.5], positions, spec)
+        point_coefficients([-2.5], positions, spec)
+    named = re.escape("friction not positive definite at [-2.5]")
+    with pytest.raises(StabilityError, match=named):
+        limit_coefficients(positions, spec, at=[[-1.5], [-2.5]])
 
 
 def test_constant_friction_limit_fields_reject_a_friction_that_is_not_positive_definite():
@@ -228,11 +287,27 @@ def test_constant_friction_limit_fields_reject_a_friction_that_is_not_positive_d
         )
 
     X = np.linspace(-1.0, 1.0, 5)[:, None]
-    b, D = _limit_fields(spec_with(-0.25), X)  # A = 0.25
+    b, D = limit_coefficients(X, spec_with(-0.25))  # A = 0.25
     assert np.array_equal(D[:, 0, 0], np.full(5, 4.0))
     for gamma in (-0.5, -1.0):  # A = 0, then A = -0.5
         with pytest.raises(StabilityError, match="constant friction not positive definite"):
-            _limit_fields(spec_with(gamma), X)
+            limit_coefficients(X, spec_with(gamma))
+
+
+# ------------------------------------------------------------ the probe
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_stacked_lipschitz_probe_agrees_with_the_one_point_probe(preset):
+    # the probe's 2d stencil points in one call against one limit_drift
+    # call per point; the 1D scalar path and the product rule differ in
+    # rounding only
+    spec = get_preset(preset)
+    for seed in (1, 2):
+        X = 0.8 * NoiseStream(seed).block(RUN_INIT_POSITIONS, 0, 40, spec.dim)
+        L = _drift_lipschitz_estimate(spec, X)
+        assert L > 0.0
+        assert L == pytest.approx(drift_lipschitz(spec, X), rel=1e-6)
 
 
 # ---------------------------------------------------------------- simulate
@@ -327,7 +402,7 @@ def test_1d_limit_drift_by_products_matches_pow(xs, sigma):
     spec = make_state_dep_friction_1d(sigma=sigma)
     X = np.array(xs)[:, None]
     with np.errstate(over="ignore"):  # gamma' at |x| ~ 1e100 squares 1e200
-        b, _ = _limit_fields(spec, X)
+        b, _ = limit_coefficients(X, spec)
         A = mean_field_coefficients(X, spec).A
         a = A[:, 0, 0]
         s = spec.sigma_at(X)[:, 0, 0]
@@ -337,16 +412,18 @@ def test_1d_limit_drift_by_products_matches_pow(xs, sigma):
 
 
 def test_2d_limit_fields_equal_the_per_point_drift_and_diffusion():
-    # the step's stacked fields against the public one-point functions,
-    # which evaluate every field at x_i alone
+    # the step's stacked fields against the one-point oracle, which
+    # evaluates every field at x_i alone; reversed targets give the same rows
     spec = make_gaussian_interaction_2d()
     for seed in (4, 5, 6):
         for n in (1, 2, 12, 200):
             X = NoiseStream(seed).block(RUN_INIT_POSITIONS, 0, n, 2)
-            b, D = _limit_fields(spec, X)
+            b, D = limit_coefficients(X, spec)
             for i, x in enumerate(X):
                 assert np.array_equal(b[i], limit_drift(x, X, spec))
                 assert np.array_equal(D[i], limit_diffusion(x, X, spec))
+            b_rev, D_rev = limit_coefficients(X, spec, at=X[::-1])
+            assert np.array_equal(b_rev, b[::-1]) and np.array_equal(D_rev, D[::-1])
 
 
 def turning_friction_spec():
@@ -400,14 +477,14 @@ def test_2d_stacked_S_on_a_turning_friction_equals_the_one_point_S(seed):
     AT = np.swapaxes(A, -1, -2)
     assert np.all(np.abs(A @ AT - AT @ A).max(axis=(1, 2)) > 1e-3)  # not normal
     assert np.all(np.abs(A @ Q - Q @ A).max(axis=(1, 2)) > 1e-3)  # no common basis
-    b, D = _limit_fields(spec, X)  # V = K = 0, so b = S
+    b, D = limit_coefficients(X, spec)  # V = K = 0, so b = S
     for i, x in enumerate(X):
         assert np.array_equal(b[i], noise_induced_drift(x, X, spec))
         assert np.array_equal(D[i], limit_diffusion(x, X, spec))
         assert np.max(np.abs(b[i] - S_fd_inverse(x, X, spec))) <= 1e-6
     assert np.abs(b).max() > 0.1
     pulled = replace(spec, grad_V=LinearVectorField(1.0))  # b = -A^-1 x + S
-    b, _ = _limit_fields(pulled, X)
+    b, _ = limit_coefficients(X, pulled)
     for i, x in enumerate(X):
         assert np.array_equal(b[i], limit_drift(x, X, pulled))
 
@@ -445,9 +522,11 @@ def test_2d_limit_step_rejects_a_friction_that_is_not_positive_definite_at_one_p
     X[7] = [2.5, -0.25]
     named = re.escape(f"friction not positive definite at {X[7]}")
     with pytest.raises(StabilityError, match=named):
-        limit_coefficients(X[7], X, spec)
+        point_coefficients(X[7], X, spec)
     with pytest.raises(StabilityError, match=named):
-        _limit_fields(spec, X)
+        limit_coefficients(X, spec, at=X[7:8])
+    with pytest.raises(StabilityError, match=named):
+        limit_coefficients(X, spec)
     stream = CountingStream(0)
     with pytest.raises(StabilityError, match=named):
         simulate_limit(spec, OverdampedEnsemble(t=0.0, positions=X), 0.01, 0.01, stream)
@@ -469,28 +548,30 @@ def test_2d_limit_step_rejects_a_friction_that_is_ill_conditioned_at_one_particl
     cond = np.linalg.cond(gamma(X[4]))
     assert cond > 1e12 and np.linalg.cond(gamma(np.delete(X, 4, axis=0))).max() < 1e3
     with pytest.raises(ConditionError) as one:
-        limit_coefficients(X[4], X, spec)
+        point_coefficients(X[4], X, spec)
+    with pytest.raises(ConditionError) as at:
+        limit_coefficients(X, spec, at=X[4:5])
     with pytest.raises(ConditionError) as err:
-        _limit_fields(spec, X)
-    assert one.value.cond == err.value.cond == cond
+        limit_coefficients(X, spec)
+    assert one.value.cond == at.value.cond == err.value.cond == cond
 
 
-def test_2d_limit_run_calls_the_one_point_functions_only_from_the_lipschitz_probe(monkeypatch):
-    # the probe evaluates limit_drift at x0 +- h e_k (2d points); each call
-    # nests limit_coefficients, which calls noise_induced_drift
-    calls = {}
-    for name in ("limit_drift", "limit_coefficients", "noise_induced_drift", "limit_diffusion"):
-        f = getattr(overdamped, name)
+def test_2d_limit_run_forms_its_fields_once_per_step_and_once_for_the_lipschitz_probe(
+    monkeypatch,
+):
+    # each step reads the snapshot's own fields; the probe evaluates b at
+    # the 2d points x0 +- h e_k in one call
+    calls = []
+    fields = overdamped.limit_coefficients
 
-        def counted(*args, _f=f, _name=name, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _f(*args, **kwargs)
+    def counted(positions, spec, at=None):
+        calls.append(None if at is None else np.shape(at))
+        return fields(positions, spec, at=at)
 
-        monkeypatch.setattr(overdamped, name, counted)
+    monkeypatch.setattr(overdamped, "limit_coefficients", counted)
     spec = make_gaussian_interaction_2d()
     X = 0.5 * NoiseStream(3).block(RUN_INIT_POSITIONS, 0, 10, 2)
     out = simulate_limit(spec, OverdampedEnsemble(t=0.0, positions=X), 0.05, 0.01, NoiseStream(3))
     assert out[-1].step == 5
     d = spec.dim
-    assert calls == {"limit_drift": 2 * d, "limit_coefficients": 2 * d, "noise_induced_drift": 2 * d}
-    assert sum(calls.values()) == 3 * 2 * d == 12
+    assert calls == [(2 * d, d)] + [None] * 5
