@@ -310,10 +310,10 @@ class _Frozen:
     law holds the measure's positions, None when they are X. A = gamma +
     phi*rho (n, d, d), F = grad V + gradK*rho (n, d) and eig (n, d), the
     ascending eigenvalues of each symmetric part of A, are formed at once.
-    sigma, J with A J + J A^T = sigma sigma^T, A_inv and the friction
-    Jacobian dA (n, d, d, d) are formed on first read and kept: a step or
-    estimator pays only for what it reads. Per-psi results at X are
-    computed once each (see `once`).
+    sigma, J with A J + J A^T = sigma sigma^T, A_inv, the friction
+    Jacobian dA (n, d, d, d) and the limit drift (n, d) are formed on first
+    read and kept: a step or estimator pays only for what it reads. Per-psi
+    results at X are computed once each (see `once`).
     """
 
     state: object
@@ -340,6 +340,19 @@ class _Frozen:
     @cached_property
     def dA(self) -> np.ndarray:
         return _d_friction_at(self.X, self.X if self.law is None else self.law, self.spec)
+
+    @cached_property
+    def drift(self) -> np.ndarray:
+        """Limit drift b = -A^-1 F + S (n, d), S_i = sum_{j,k} [d_k A^-1]_ij J_jk:
+        S = -sigma^2 A' / (2 A^3) in 1D, else by d_k A^-1 = -A^-1 (d_k A) A^-1."""
+        if self.X.shape[1] == 1:
+            a, s, da = self.A[:, 0, 0], self.sigma[:, 0, 0], self.dA[:, 0, 0, 0]
+            S = -(s**2) * da / (2.0 * (a * a * a))
+            return (-self.F[:, 0] / a + S)[:, None]
+        Ainv = self.A_inv
+        dAinv = -np.einsum("...ip,...pqk,...qj->...ijk", Ainv, self.dA, Ainv)
+        S = np.einsum("...ijk,...jk->...i", dAinv, self.J)
+        return (-Ainv @ self.F[..., None])[..., 0] + S
 
     def once(self, tag, psi, compute):
         """compute() for (tag, psi), evaluated on the first request only."""

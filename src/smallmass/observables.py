@@ -4,9 +4,9 @@ The averaging machinery is evaluated only in weak form against vector test
 functions psi, as plain particle averages:
 
     <Y,  psi> = (1/N) sum_i v_i . psi(x_i)
-    <Y*, psi> = -(1/N) sum_i psi(x_i) . A(x_i)^-1 F(x_i)
-                + (1/N) sum_i sum_{m,k} J_mk(x_i) d_k g_m(x_i),
-                  with g = (A^T)^-1 psi and A J + J A^T = sigma sigma^T
+    <Y*, psi> = (1/N) sum_i [psi . b + sum_{m,k} J_mk (A^-T d_k psi)_m](x_i),
+                  with b = -A^-1 F + S the limit drift (S takes the d_k A^-1
+                  terms of the integration by parts) and A J + J A^T = sigma sigma^T
     <Yhat_t, psi> = frozen-coefficient evolution of <Y, psi> across a time
                   slice [t_k, t]: exponentially decayed momentum, an exactly
                   integrated force source, and the exact time integral of
@@ -171,25 +171,19 @@ def weak_momentum(c: _Frozen, psi: TestFunction) -> float:
 
 
 def ystar_summands(c: _Frozen, psi: TestFunction):
-    """Per-particle summands of <Y*, psi> at a snapshot's coefficients c;
+    """Per-particle summands psi . b + J : (A^-T d psi) of <Y*, psi> at a
+    snapshot's coefficients c, with b = c.drift shared by every psi;
     weak_Ystar is their mean. c may be formed from bare positions."""
     P, G = c.psi_at(psi)
     if c.X.shape[1] == 1:
-        a = c.A[:, 0, 0]
-        da = c.dA[:, 0, 0, 0]
-        gprime = G[:, 0, 0] / a - P[:, 0] * da / (a * a)
-        return -P[:, 0] * c.F[:, 0] / a + c.J[:, 0, 0] * gprime
-    # Gg[i, m, k] = d_k g_m(x_i): column k is -(A^-1 d_kA A^-1)^T psi + A^-T d_k psi
-    Ainv = c.A_inv[:, None]
-    dAinvT = -_mT(Ainv @ np.moveaxis(c.dA, -1, 1) @ Ainv)
-    cols = dAinvT @ P[:, None, :, None] + _mT(Ainv) @ np.moveaxis(G, -1, 1)[..., None]
-    Gg = np.ascontiguousarray(_mT(cols[..., 0]))
-    drift = -P[:, None, :] @ (c.A_inv @ c.F[:, :, None])
-    return drift[:, 0, 0] + np.einsum("imk,imk->i", c.J, Gg)
+        return P[:, 0] * c.drift[:, 0] + c.J[:, 0, 0] * G[:, 0, 0] / c.A[:, 0, 0]
+    JG = np.einsum("nmk,nmk->n", c.J, _mT(c.A_inv) @ G)
+    return np.einsum("nd,nd->n", P, c.drift) + JG
 
 
 def weak_Ystar(c: _Frozen, psi: TestFunction) -> float:
-    """<Y*, psi> via integration by parts; no density estimation."""
+    """<Y*, psi> via integration by parts, the mean of psi . b + J : (A^-T d psi)
+    over the particles; no density estimation."""
     return float(np.mean(ystar_summands(c, psi)))
 
 

@@ -10,7 +10,8 @@ so the position process solves
 
     dx = [ -A(x)^-1 (grad V + grad K * rho)(x) + S(x) ] dt + A(x)^-1 sigma(x) dB.
 
-S is computed by the product rule d(A^-1) = -A^-1 (dA) A^-1, fed by analytic
+b is the drift of a snapshot's coefficient object (ensemble._Frozen.drift),
+which forms S by the product rule d(A^-1) = -A^-1 (dA) A^-1, fed by analytic
 coefficient Jacobians (central differences on A when absent).
 limit_coefficients forms b and A^-1 sigma at a stack of targets; each limit
 step reads it at the particles and the step guard at its stencil points.
@@ -34,22 +35,15 @@ from .smallmat import invert, min_symmetric_eigenvalue
 from .underdamped import _advance, _run_to_end
 
 
-def _product_rule_drift(Ainv, dA, J):
-    """S_i = sum_{j,k} [d_k A^-1]_{ij} J_jk with d_k A^-1 = -A^-1 (d_k A) A^-1,
-    for each point of a stack."""
-    dAinv = -np.einsum("...ip,...pqk,...qj->...ijk", Ainv, dA, Ainv)
-    return np.einsum("...ijk,...jk->...i", dAinv, J)
-
-
 def limit_coefficients(positions, spec: ModelSpec, at=None):
     """Drift b = -A^-1 F + S (m, d) and diffusion factor A^-1 sigma (m, d, d)
     at the targets `at` (m, d; default: the positions) against the empirical
     measure of `positions` (N, d), formed once for the whole stack.
 
-    Constant A short-circuits S = 0 exactly. Otherwise the coefficients come
-    from mean_field_coefficients: d = 1 uses the scalar reduction
-    S = -sigma^2 A' / (2 A^3); higher d reads the stacked A^-1, J and dA,
-    whose small-matrix kernels give each target's row its own bits.
+    Constant A short-circuits S = 0 exactly, and skips the per-target
+    matrices. Otherwise b is the drift of mean_field_coefficients' object at
+    the targets, and the diffusion factor is sigma / A in 1D (no per-target
+    inverse) and the stacked A^-1 sigma in higher d.
     """
     A0 = _constant_friction(spec)
     if A0 is not None:
@@ -61,13 +55,7 @@ def limit_coefficients(positions, spec: ModelSpec, at=None):
         D = np.einsum("ij,njk->nik", Ainv, spec.sigma_at(X))
         return -F @ Ainv.T, D
     c = mean_field_coefficients(positions, spec, at=at)
-    if c.X.shape[1] == 1:
-        a, s, da = c.A[:, 0, 0], c.sigma[:, 0, 0], c.dA[:, 0, 0, 0]
-        S = -(s**2) * da / (2.0 * (a * a * a))
-        return (-c.F[:, 0] / a + S)[:, None], (s / a)[:, None, None]
-    Ainv = c.A_inv
-    S = _product_rule_drift(Ainv, c.dA, c.J)
-    return (-Ainv @ c.F[..., None])[..., 0] + S, Ainv @ c.sigma
+    return c.drift, (c.sigma / c.A if c.X.shape[1] == 1 else c.A_inv @ c.sigma)
 
 
 def _drift_lipschitz_estimate(spec: ModelSpec, positions):

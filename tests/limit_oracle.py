@@ -16,13 +16,22 @@ import numpy as np
 from smallmass.ensemble import _d_friction_at, conv_gradK, conv_phi
 from smallmass.errors import StabilityError
 from smallmass.model import ModelSpec, fd_step
-from smallmass.overdamped import _product_rule_drift
 from smallmass.smallmat import (
     LyapunovSolution,
     invert,
     min_symmetric_eigenvalue,
     solve_lyapunov,
 )
+
+
+def product_rule_drift(A_inv, dA, J):
+    """S_i = sum_{j,k} [d_k A^-1]_ij J_jk with d_k A^-1 = -A^-1 (d_k A) A^-1.
+
+    The einsum subscripts keep the leading `...` of a stacked evaluation, so
+    at one point the sums run in the stacked path's order and give its bits.
+    """
+    dA_inv = -np.einsum("...ip,...pqk,...qj->...ijk", A_inv, dA, A_inv)
+    return np.einsum("...ijk,...jk->...i", dA_inv, J)
 
 
 @dataclass(frozen=True)
@@ -52,7 +61,7 @@ def point_coefficients(x, positions, spec: ModelSpec) -> PointCoefficients:
         A_inv=A_inv,
         F=spec.grad_V_at(x) + conv_gradK(x, positions, spec),
         J=J,
-        S=_product_rule_drift(A_inv, _d_friction_at(x, positions, spec), J.J),
+        S=product_rule_drift(A_inv, _d_friction_at(x, positions, spec), J.J),
     )
 
 

@@ -13,11 +13,16 @@ is meant to alter outputs regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and says so in its change notes.
+and says so in its change notes. The command prints one line per file:
+unchanged, new, removed, or changed, with each changed CSV column and its
+largest absolute and relative change.
 """
 
 import contextlib
+import csv
+import io
 import json
+import math
 import os
 import sys
 
@@ -251,16 +256,76 @@ def test_failed_sweep_job_carries_the_admissible_dt(tmp_path, capsys):
     )
 
 
+def csv_changes(old: bytes, new: bytes):
+    """Each changed column of a CSV file: (name, largest absolute change,
+    largest change relative to the old value), NaN for a text column; None
+    when the header or the row count differs."""
+    old_rows = list(csv.reader(io.StringIO(old.decode())))
+    new_rows = list(csv.reader(io.StringIO(new.decode())))
+    if len(old_rows) != len(new_rows) or old_rows[:1] != new_rows[:1]:
+        return None
+    out = []
+    for j, name in enumerate(old_rows[0] if old_rows else ()):
+        pairs = [(a[j], b[j]) for a, b in zip(old_rows[1:], new_rows[1:]) if a[j] != b[j]]
+        if not pairs:
+            continue
+        try:
+            deltas = [(abs(float(b) - float(a)), abs(float(a))) for a, b in pairs]
+        except ValueError:
+            out.append((name, math.nan, math.nan))
+            continue
+        rel = max(d / m if m else math.inf for d, m in deltas)
+        out.append((name, max(d for d, _ in deltas), rel))
+    return out
+
+
+def write_status(path, old, new) -> str:
+    """One line on how the stored file at path changes from old to new bytes."""
+    if old is None:
+        return f"new {path}"
+    if old == new:
+        return f"unchanged {path}"
+    columns = csv_changes(old, new) if path.endswith(".csv") else None
+    if columns is None:
+        return f"changed {path}"
+    spelled = "; ".join(
+        f"{n} (text)" if math.isnan(a) else f"{n} max abs {a:.3g} max rel {r:.3g}"
+        for n, a, r in columns
+    )
+    return f"changed {path}: {spelled}"
+
+
+def test_write_status_names_each_changed_column_and_its_largest_change():
+    old = b"t,psi_id,Y,Ystar\n0.5,a,1.0,2.0\n1,b,3.0,-4.0\n"
+    new = b"t,psi_id,Y,Ystar\n0.5,a,1.0,2.5\n1,c,3.0,-4.0\n"
+    assert write_status("g/x.csv", old, old) == "unchanged g/x.csv"
+    assert write_status("g/x.csv", None, new) == "new g/x.csv"
+    assert write_status("g/x.csv", old, new) == (
+        "changed g/x.csv: psi_id (text); Ystar max abs 0.5 max rel 0.25"
+    )
+    assert write_status("g/x.csv", old, new + b"2,d,0,0\n") == "changed g/x.csv"
+    assert write_status("g/x.json", b"{}", b"[]") == "changed g/x.json"
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     import shutil
     import tempfile
 
     for case in sorted(CASES):
         target = os.path.join(GOLDEN, case)
+        stored = {}
+        if os.path.isdir(target):
+            for fname in os.listdir(target):
+                with open(os.path.join(target, fname), "rb") as f:
+                    stored[fname] = f.read()
         shutil.rmtree(target, ignore_errors=True)
         os.makedirs(target)
         with tempfile.TemporaryDirectory() as tmp:
             for fname in run_case(case, tmp):
+                data = read_output(os.path.join(tmp, "out", fname))
                 with open(os.path.join(target, fname), "wb") as f:
-                    f.write(read_output(os.path.join(tmp, "out", fname)))
-                print(os.path.join(target, fname))
+                    f.write(data)
+                path = os.path.relpath(os.path.join(target, fname))
+                print(write_status(path, stored.pop(fname, None), data))
+        for fname in sorted(stored):
+            print(f"removed {os.path.relpath(os.path.join(target, fname))}")

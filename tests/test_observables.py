@@ -1,6 +1,7 @@
 """Observable tests: weak-form oracles, transport distances, diagnostics."""
 
 import csv
+import functools
 import importlib.machinery
 import itertools
 import math
@@ -11,6 +12,7 @@ import pytest
 import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from limit_oracle import point_coefficients
 from scipy.integrate import quad, quad_vec
 from scipy.linalg import expm, expm_frechet, inv
 
@@ -25,10 +27,12 @@ from smallmass.ensemble import (
 )
 from smallmass.errors import ValidationError
 from smallmass.model import (
+    PRESETS,
     ConstantMatrixField,
     LinearVectorField,
     ModelSpec,
     ZeroVectorField,
+    get_preset,
     make_gaussian_interaction_2d,
     make_quadratic_ou,
     make_state_dep_friction_1d,
@@ -206,8 +210,10 @@ def test_ystar_2d_runs_and_matches_1d_embedding():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def ystar_summands_loop(X, spec, psi):
-    """One-particle-at-a-time reference for the d > 1 Y* summands."""
+def ystar_summands_by_parts(X, spec, psi):
+    """One-particle-at-a-time Y* summands by the direct integration-by-parts
+    expansion -psi . A^-1 F + sum_{m,k} J_mk d_k (A^-T psi)_m, with
+    d_k A^-1 = -A^-1 (d_k A) A^-1 spelled out and no limit drift."""
     coeffs = mean_field_coefficients(X, spec)
     A, F = coeffs.A, coeffs.F
     sig = spec.sigma_at(X)
@@ -226,13 +232,38 @@ def ystar_summands_loop(X, spec, psi):
     return out
 
 
+def ystar_summands_by_drift(X, spec, psi):
+    """One-particle-at-a-time Y* summands psi . b + J : (A^-T d psi) on the
+    one-point oracle's coefficients."""
+    P, G = psi.value_at(X), psi.gradient_at(X)
+    out = np.empty(X.shape[0])
+    for i, x in enumerate(X):
+        pc = point_coefficients(x, X, spec)
+        b = -pc.A_inv @ pc.F + pc.S
+        out[i] = np.einsum("d,d->", P[i], b) + np.einsum("mk,mk->", pc.J.J, pc.A_inv.T @ G[i])
+    return out
+
+
 def test_ystar_summands_equal_per_particle_loop():
-    # the stacked matrix path must return the loop's bits
+    # the stacked matrix path must return the one-point drift loop's bits
     spec = make_gaussian_interaction_2d()
     X = np.random.default_rng(8).normal(size=(40, 2))
     for psi in bump_test_functions(dim=2, radius=1.5):
         got = ystar_summands(mean_field_coefficients(X, spec), psi)
-        assert np.array_equal(got, ystar_summands_loop(X, spec, psi))
+        assert np.array_equal(got, ystar_summands_by_drift(X, spec, psi))
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_ystar_summands_agree_with_the_integration_by_parts_expansion(preset):
+    # the drift form regroups the expansion's d_k A^-1 terms into psi . S;
+    # only rounding may separate them
+    spec = get_preset(preset)
+    X = np.random.default_rng(8).normal(size=(40, spec.dim))
+    for psi in bump_test_functions(dim=spec.dim, radius=1.5):
+        got = ystar_summands(mean_field_coefficients(X, spec), psi)
+        old = ystar_summands_by_parts(X, spec, psi)
+        assert np.all(np.abs(got - old) <= 1e-12 * np.maximum(1.0, np.abs(old)))
+        assert np.any(old != 0.0)
 
 
 # ---------------------------------------------------------------------- Yhat
@@ -521,6 +552,29 @@ def test_ystar_summands_once_per_snapshot_and_psi(monkeypatch):
     assert first == weak_gap_rows(fresh(later), psis, anchor=fresh(anchor))
     assert start == weak_gap_rows(fresh(anchor), psis, anchor=fresh(anchor))
     assert all(r.gap_Y_Yhat == 0.0 for r in start)
+
+
+@pytest.mark.parametrize("preset", ["gaussian-interaction-2d", "state-dep-friction-1d"])
+def test_gap_rows_of_three_psis_form_the_drift_once(preset, monkeypatch):
+    spec = get_preset(preset)
+    rng = np.random.default_rng(4)
+    x, v = rng.normal(size=(2, 30, spec.dim))
+    formed = []
+    drift = _Frozen.drift.func
+
+    def counting(c):
+        formed.append(id(c))
+        return drift(c)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(_Frozen, "drift")
+    monkeypatch.setattr(_Frozen, "drift", prop)
+    c = mean_field_coefficients(UnderdampedEnsemble(0.05, 0.5, x, v), spec)
+    psis = bump_test_functions(dim=spec.dim, radius=1.5)
+    assert len(psis) == 3
+    rows = weak_gap_rows(c, psis)
+    assert formed == [id(c)]
+    assert len({r.Ystar for r in rows}) == 3
 
 
 def test_yhat_validation():

@@ -21,6 +21,7 @@ from smallmass.ensemble import (
     RUN_INIT_POSITIONS,
     NoiseStream,
     OverdampedEnsemble,
+    _constant_friction,
     _conv_dphi,
     conv_phi,
     mean_field_coefficients,
@@ -292,6 +293,36 @@ def test_constant_friction_limit_fields_reject_a_friction_that_is_not_positive_d
     for gamma in (-0.5, -1.0):  # A = 0, then A = -0.5
         with pytest.raises(StabilityError, match="constant friction not positive definite"):
             limit_coefficients(X, spec_with(gamma))
+
+
+def probe_stencil(X):
+    """The Lipschitz probe's 2d targets x0 +- h e_k at the ensemble mean."""
+    x0 = X.mean(axis=0)
+    steps = fd_step(x0) * np.eye(X.shape[1])
+    return np.concatenate([x0 + steps, x0 - steps])
+
+
+@pytest.mark.parametrize("preset", ["gaussian-interaction-2d", "state-dep-friction-1d"])
+def test_coefficient_drift_is_the_limit_drift(preset):
+    # a state-dependent friction takes no fork: the limit step's b is c.drift
+    spec = get_preset(preset)
+    assert _constant_friction(spec) is None
+    X = 0.8 * NoiseStream(2).block(RUN_INIT_POSITIONS, 0, 40, spec.dim)
+    for at in (None, probe_stencil(X)):
+        drift = mean_field_coefficients(X, spec, at=at).drift
+        assert np.array_equal(drift, limit_coefficients(X, spec, at=at)[0])
+    assert np.abs(drift).max() > 0.0
+
+
+@pytest.mark.parametrize("preset", ["classical-sk-1d", "double-well-1d", "quadratic-ou"])
+def test_coefficient_drift_agrees_with_the_constant_friction_fork(preset):
+    # the fork's -F A^-1 in place of the general -A^-1 F + S with dA = 0
+    spec = get_preset(preset)
+    assert _constant_friction(spec) is not None
+    X = 0.8 * NoiseStream(2).block(RUN_INIT_POSITIONS, 0, 40, spec.dim)
+    for at in (None, probe_stencil(X)):
+        drift = mean_field_coefficients(X, spec, at=at).drift
+        np.testing.assert_allclose(drift, limit_coefficients(X, spec, at=at)[0], rtol=1e-14)
 
 
 # ------------------------------------------------------------ the probe
