@@ -281,15 +281,6 @@ def _d_friction_at(x, positions, spec: ModelSpec):
     return spec.d_gamma_at(x) + _conv_dphi(x, positions, spec)
 
 
-def _constant_friction(spec: ModelSpec):
-    """gamma + phi*rho as one d x d matrix when both are constant, else None."""
-    if isinstance(spec.gamma, ConstantMatrixField) and isinstance(
-        spec.phi, ConstantMatrixField
-    ):
-        return spec.gamma.M + spec.phi.M
-    return None
-
-
 def _no_pair_sums(spec: ModelSpec) -> bool:
     """Whether conv_phi and conv_gradK evaluate spec without an O(N^2) pair sum."""
     return isinstance(spec.phi, ConstantMatrixField) and isinstance(

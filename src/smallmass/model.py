@@ -57,9 +57,11 @@ class ConstantMatrixField:
     """Field x -> M for a fixed d x d matrix M.
 
     Recognized by the convolution kernels: phi of this type short-circuits
-    the O(N^2) pair sum, and its Jacobian is exactly zero. A call returns
-    the read-only view np.broadcast_to(M, x.shape[:-1] + M.shape), made
-    once per shape and kept.
+    the O(N^2) pair sum. Its Jacobian is exact zeros, formed without a call
+    (ensemble._conv_dphi for phi, ModelSpec.d_gamma_at for gamma), so a
+    constant friction's dA is zero and the limit drift's S = 0 needs no
+    path of its own. A call returns the read-only view
+    np.broadcast_to(M, x.shape[:-1] + M.shape), made once per shape and kept.
     """
 
     def __init__(self, M):
@@ -160,10 +162,14 @@ class ModelSpec:
         return _eval_field(self.sigma, X, (self.dim, self.dim), "sigma")
 
     def d_gamma_at(self, X):
-        """Analytic Jacobian when present, else central differences on gamma."""
+        """Analytic Jacobian when present, else central differences on gamma;
+        a ConstantMatrixField gamma gets +0.0 zeros without a call, the bits
+        of (M - M) / 2h, which the friction Jacobian dA and the limit S read."""
         d = self.dim
         if self.d_gamma is not None:
             return _eval_field(self.d_gamma, X, (d, d, d), "d_gamma")
+        if isinstance(self.gamma, ConstantMatrixField):
+            return np.zeros(np.shape(X)[:-1] + (d, d, d))
         return fd_matrix_jacobian(self.gamma_at, X, d)
 
     def d_phi_at(self, X):

@@ -12,7 +12,8 @@ so the position process solves
 
 b is the drift of a snapshot's coefficient object (ensemble._Frozen.drift),
 which forms S by the product rule d(A^-1) = -A^-1 (dA) A^-1, fed by analytic
-coefficient Jacobians (central differences on A when absent).
+coefficient Jacobians (central differences on A when absent; exact zeros for
+a constant gamma or phi, so a constant friction gets S = 0 on the same path).
 limit_coefficients forms b and A^-1 sigma at a stack of targets; each limit
 step reads it at the particles and the step guard at its stencil points.
 """
@@ -21,17 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ensemble import (
-    NoiseStream,
-    OverdampedEnsemble,
-    _constant_friction,
-    _step_noise,
-    conv_gradK,
-    mean_field_coefficients,
-)
-from .errors import StabilityError, StiffnessError, ValidationError
+from .ensemble import NoiseStream, OverdampedEnsemble, _step_noise, mean_field_coefficients
+from .errors import StiffnessError, ValidationError
 from .model import ModelSpec, fd_step
-from .smallmat import invert, min_symmetric_eigenvalue
 from .underdamped import _advance, _run_to_end
 
 
@@ -40,20 +33,11 @@ def limit_coefficients(positions, spec: ModelSpec, at=None):
     at the targets `at` (m, d; default: the positions) against the empirical
     measure of `positions` (N, d), formed once for the whole stack.
 
-    Constant A short-circuits S = 0 exactly, and skips the per-target
-    matrices. Otherwise b is the drift of mean_field_coefficients' object at
-    the targets, and the diffusion factor is sigma / A in 1D (no per-target
-    inverse) and the stacked A^-1 sigma in higher d.
+    b is the drift of mean_field_coefficients' object at the targets, on
+    every friction: a constant one has dA = 0 and so S = 0. The diffusion
+    factor is sigma / A in 1D (no per-target inverse) and the stacked
+    A^-1 sigma in higher d.
     """
-    A0 = _constant_friction(spec)
-    if A0 is not None:
-        if min_symmetric_eigenvalue(A0) <= 0.0:
-            raise StabilityError("constant friction not positive definite")
-        Ainv = invert(A0)
-        X = positions if at is None else np.asarray(at, dtype=float)
-        F = spec.grad_V_at(X) + conv_gradK(X, positions, spec)
-        D = np.einsum("ij,njk->nik", Ainv, spec.sigma_at(X))
-        return -F @ Ainv.T, D
     c = mean_field_coefficients(positions, spec, at=at)
     return c.drift, (c.sigma / c.A if c.X.shape[1] == 1 else c.A_inv @ c.sigma)
 

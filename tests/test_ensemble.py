@@ -23,7 +23,7 @@ from smallmass.ensemble import (
     mean_field_coefficients,
 )
 from smallmass.errors import BlowUpError, ValidationError
-from smallmass.harness import write_snapshots_csv
+from smallmass.harness import ExperimentConfig, run_convergence_sweep, write_snapshots_csv
 from smallmass.model import (
     MAX_DIM,
     ConstantMatrixField,
@@ -437,27 +437,28 @@ def test_a_1d_snapshot_never_inverts(monkeypatch):
     assert calls["invert"] == calls["solve_lyapunov"] == calls["expm"] == 0
 
 
-@pytest.mark.parametrize(
-    "preset, per_step", [("state-dep-friction-1d", 0), ("double-well-1d", 1)]
-)
-def test_a_1d_limit_run_reaches_smallmat_only_for_a_constant_friction(
-    monkeypatch, preset, per_step
-):
-    # a state-dependent friction takes the scalar 1D path; a constant one
-    # inverts A and checks its floor once per step and once for the probe
+@pytest.mark.parametrize("preset", ["state-dep-friction-1d", "double-well-1d"])
+def test_a_1d_limit_run_reaches_no_smallmat_kernel(monkeypatch, tmp_path, preset):
+    # constant or state-dependent, a 1D friction takes the scalar path: the
+    # floor is the coefficient object's, S the scalar reduction (0 when A is
+    # constant), the diffusion sigma / a; so does a coupled sweep's ε run
     spec = get_preset(preset)
     calls = count_kernel_calls(monkeypatch, KERNELS + ("min_symmetric_eigenvalue",))
+    none = dict.fromkeys(calls, 0)
     steps, dt = 4, 1e-3
     for n in (3, 60):
-        calls.update(dict.fromkeys(calls, 0))
         init = OverdampedEnsemble(t=0.0, positions=NoiseStream(n).block(0, 0, n, 1))
         out = overdamped.simulate_limit(spec, init, steps * dt, dt, NoiseStream(1))
         assert out[-1].step == steps
-        once = per_step * (steps + 1)
-        assert calls == {
-            "solve_lyapunov": 0, "invert": once, "expm": 0,
-            "min_symmetric_eigenvalue": once, "d_phi_at": 0,
-        }
+        assert calls == none
+    if preset == "double-well-1d":
+        cfg = ExperimentConfig.from_mapping(dict(
+            preset=preset, n_particles=20, epsilon_grid=(0.1,), T=0.004, t_star=0.002,
+            snapshot_times=(0.002, 0.004), seed=3, out_dir=str(tmp_path),
+        ))
+        report = run_convergence_sweep(cfg)
+        assert len(report.w2_rows) == 2
+        assert calls == none
 
 
 # ------------------------------------------------------------ noise stream

@@ -1,5 +1,7 @@
 """Model-spec and assumption-audit tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -174,6 +176,37 @@ def test_fd_jacobian_matches_analytic():
     X2 = np.random.default_rng(0).standard_normal((20, 2))
     assert np.max(np.abs(spec2.d_gamma_at(X2) - fd_matrix_jacobian(spec2.gamma_at, X2, 2))) <= 1e-6
     assert np.max(np.abs(spec2.d_phi_at(X2) - fd_matrix_jacobian(spec2.phi_at, X2, 2))) <= 1e-6
+
+
+class CountedConstant(ConstantMatrixField):
+    """A ConstantMatrixField that counts its calls."""
+
+    calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return super().__call__(x)
+
+
+@pytest.mark.parametrize("M", [[[1.5]], [[2.0, 0.3], [-0.1, 1.2]]])
+def test_constant_gamma_jacobian_is_its_central_difference_without_a_call(M):
+    # (M - M) / 2h = +0.0 exactly, so the zeros need no evaluation of gamma
+    d = len(M)
+    gamma = CountedConstant(M)
+    spec = ModelSpec(
+        dim=d, grad_V=ZeroVectorField(), grad_K=ZeroVectorField(),
+        phi=ConstantMatrixField(0.5 * np.eye(d)), gamma=gamma,
+        sigma=ConstantMatrixField(np.eye(d)), lambda_phi_hint=0.5,
+    )
+    for shape in ((7, d), (2, 3, d)):
+        X = 3.0 * NoiseStream(5).block(0, 0, math.prod(shape[:-1]), d).reshape(shape)
+        dg = spec.d_gamma_at(X)
+        assert gamma.calls == 0
+        assert dg.shape == shape[:-1] + (d, d, d)
+        fd = fd_matrix_jacobian(spec.gamma_at, X, d)
+        assert gamma.calls == 2 * d
+        assert dg.tobytes() == fd.tobytes() == np.zeros_like(fd).tobytes()
+        gamma.calls = 0
 
 
 def test_presets_constructible_and_audited():

@@ -21,8 +21,8 @@ from smallmass.ensemble import (
     RUN_INIT_POSITIONS,
     NoiseStream,
     OverdampedEnsemble,
-    _constant_friction,
     _conv_dphi,
+    conv_gradK,
     conv_phi,
     mean_field_coefficients,
 )
@@ -291,7 +291,7 @@ def test_constant_friction_limit_fields_reject_a_friction_that_is_not_positive_d
     b, D = limit_coefficients(X, spec_with(-0.25))  # A = 0.25
     assert np.array_equal(D[:, 0, 0], np.full(5, 4.0))
     for gamma in (-0.5, -1.0):  # A = 0, then A = -0.5
-        with pytest.raises(StabilityError, match="constant friction not positive definite"):
+        with pytest.raises(StabilityError, match="friction not positive definite at"):
             limit_coefficients(X, spec_with(gamma))
 
 
@@ -304,9 +304,8 @@ def probe_stencil(X):
 
 @pytest.mark.parametrize("preset", ["gaussian-interaction-2d", "state-dep-friction-1d"])
 def test_coefficient_drift_is_the_limit_drift(preset):
-    # a state-dependent friction takes no fork: the limit step's b is c.drift
+    # the limit step's b is c.drift
     spec = get_preset(preset)
-    assert _constant_friction(spec) is None
     X = 0.8 * NoiseStream(2).block(RUN_INIT_POSITIONS, 0, 40, spec.dim)
     for at in (None, probe_stencil(X)):
         drift = mean_field_coefficients(X, spec, at=at).drift
@@ -314,15 +313,32 @@ def test_coefficient_drift_is_the_limit_drift(preset):
     assert np.abs(drift).max() > 0.0
 
 
+def constant_friction_fork(X, spec, at):
+    """(b, D) by the formula of the limit fields' former constant-friction
+    fork, A0 = gamma + phi: b = -F A0^-T and D = A0^-1 sigma, with S = 0."""
+    A0_inv = np.linalg.inv(spec.gamma.M + spec.phi.M)
+    T = X if at is None else at
+    F = spec.grad_V_at(T) + conv_gradK(T, X, spec)
+    return -F @ A0_inv.T, np.einsum("ij,njk->nik", A0_inv, spec.sigma_at(T))
+
+
 @pytest.mark.parametrize("preset", ["classical-sk-1d", "double-well-1d", "quadratic-ou"])
 def test_coefficient_drift_agrees_with_the_constant_friction_fork(preset):
-    # the fork's -F A^-1 in place of the general -A^-1 F + S with dA = 0
+    # the one path's -F / a + S with dA = 0 is the fork's -F A0^-1 bit for
+    # bit: every constant preset has A0 = 2
     spec = get_preset(preset)
-    assert _constant_friction(spec) is not None
     X = 0.8 * NoiseStream(2).block(RUN_INIT_POSITIONS, 0, 40, spec.dim)
     for at in (None, probe_stencil(X)):
-        drift = mean_field_coefficients(X, spec, at=at).drift
-        np.testing.assert_allclose(drift, limit_coefficients(X, spec, at=at)[0], rtol=1e-14)
+        for got, want in zip(limit_coefficients(X, spec, at=at), constant_friction_fork(X, spec, at)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_coefficient_drift_agrees_with_the_constant_friction_fork_off_a_power_of_two():
+    spec = make_double_well_1d(gamma=1.0, phi=0.5)  # A0 = 1.5
+    X = 0.8 * NoiseStream(2).block(RUN_INIT_POSITIONS, 0, 40, 1)
+    for at in (None, probe_stencil(X)):
+        for got, want in zip(limit_coefficients(X, spec, at=at), constant_friction_fork(X, spec, at)):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 # ------------------------------------------------------------ the probe
