@@ -13,15 +13,18 @@ The advective face value is centered while the face Peclet number
 resolved profiles see a second-order flux (stationary residuals and
 refinement errors scale like h^2) without losing robustness in
 advection-dominated cells. The diffusion term keeps the operator grouping
-A^-1 d_x(rho J) rather than expanding it. Convolutions are explicit in
-rho (lagged one step) via precomputed O(M^2) kernel matrices; constant
-phi and linear/zero K' short-circuit them exactly.
+A^-1 d_x(rho J) rather than expanding it. A face flux is linear in its two
+cells, F = alpha rho_m + beta rho_{m+1}; the weights and the CFL bound form
+the step's operator. Convolutions are explicit in rho (lagged one step) via
+precomputed O(M^2) kernel matrices. Under unit mass a constant phi enters as
+phi and a linear K' as coef (x - <x>_rho), so with constant phi and zero K
+the operator is formed once per solve, and otherwise from rho at each step.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,6 +95,10 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class _FPCache:
+    """A solve's fixed fields; `operator` is (alpha, beta, admissible dt) in
+    read-only arrays when no coefficient reads rho (constant phi, which is
+    phi under unit mass, and zero K), else None and formed at each step."""
+
     gamma_c: np.ndarray
     gamma_f: np.ndarray
     sig2_c: np.ndarray
@@ -105,6 +112,7 @@ class _FPCache:
     gradK_f: np.ndarray | None
     x_c: np.ndarray
     x_f: np.ndarray
+    operator: tuple[np.ndarray, np.ndarray, float] | None = None
 
 
 def _scalar_field(field_at, x):
@@ -135,21 +143,23 @@ def _build_cache(grid: Grid1D, spec: ModelSpec) -> _FPCache:
     else:
         K_mode, K_coef = "matrix", 0.0
         gradK_f = spec.grad_K_at((x_f[:, None] - x_c[None, :])[..., None])[..., 0]
-    return _FPCache(
+    cache = _FPCache(
         gamma_c=gamma_c, gamma_f=gamma_f, sig2_c=sig_c**2, sig2_f=sig_f**2,
         gV_f=gV_f, phi_const=phi_const, phiK_c=phiK_c, phiK_f=phiK_f,
         K_mode=K_mode, K_coef=K_coef, gradK_f=gradK_f, x_c=x_c, x_f=x_f,
     )
+    if phi_const is None or K_mode != "zero":
+        return cache
+    alpha, beta, admissible = _face_operator(None, grid.h, cache)  # reads no rho
+    alpha.setflags(write=False)
+    beta.setflags(write=False)
+    return replace(cache, operator=(alpha, beta, admissible))
 
 
-def _face_fluxes(grid: Grid1D, cache: _FPCache):
-    """Interior face fluxes F plus the pieces the CFL bound needs."""
-    rho = grid.density
-    h = grid.h
-    mass = h * np.add.reduce(rho)
+def _face_operator(rho, h, cache: _FPCache):
+    """Face weights (alpha, beta), F = alpha rho[:-1] + beta rho[1:], and the CFL bound."""
     if cache.phi_const is not None:
-        phi_c = cache.phi_const * mass
-        phi_f = phi_c
+        phi_c = phi_f = cache.phi_const  # times the unit mass
     else:
         phi_c = h * (cache.phiK_c @ rho)
         phi_f = h * (cache.phiK_f @ rho)
@@ -160,30 +170,26 @@ def _face_fluxes(grid: Grid1D, cache: _FPCache):
     if cache.K_mode == "zero":
         Kconv = 0.0
     elif cache.K_mode == "linear":
-        Kconv = cache.K_coef * (cache.x_f * mass - h * (cache.x_c @ rho))
+        Kconv = cache.K_coef * (cache.x_f - h * (cache.x_c @ rho))
     else:
         Kconv = h * (cache.gradK_f @ rho)
     u = (cache.gV_f + Kconv) / A_f
     J_c = cache.sig2_c / (2.0 * A_c)
     J_f = cache.sig2_f / (2.0 * A_f)
 
-    centered = 0.5 * (rho[:-1] + rho[1:])
-    upwind = np.where(u < 0.0, rho[:-1], rho[1:])
-    # Peclet |u| h A / J <= 2, multiplied out: J = 0 is centered only where u = 0
-    rho_face = np.where(np.abs(u) * h * A_f <= 2.0 * J_f, centered, upwind)
+    # the face value's weight on the left cell: 0.5 while Peclet |u| h A / J
+    # <= 2 (multiplied out: J = 0 is centered only where u = 0), upwind
+    # beyond (1 where u < 0, else 0)
+    left = np.where(np.abs(u) * h * A_f <= 2.0 * J_f, 0.5, u < 0.0)
+    hA_f = h * A_f
+    alpha = J_c[:-1] / hA_f - u * left
+    beta = -(J_c[1:] / hA_f) - u * (1.0 - left)
 
-    rj = rho * J_c
-    F = -u * rho_face - (rj[1:] - rj[:-1]) / (h * A_f)
-    return F, u, A_c, J_c
-
-
-def _cfl_admissible(grid: Grid1D, u, A_c, J_c) -> float:
-    h = grid.h
     umax = float(np.maximum.reduce(np.abs(u)))
     jmax = float(np.maximum.reduce(J_c))
     adv = h / umax if umax > 0.0 else np.inf
     dif = h * h * float(np.minimum.reduce(A_c)) / jmax if jmax > 0.0 else np.inf
-    return 0.4 * min(adv, dif)
+    return alpha, beta, 0.4 * min(adv, dif)
 
 
 def fp_step(grid: Grid1D, spec: ModelSpec, dt, cache: _FPCache | None = None) -> Grid1D:
@@ -194,19 +200,20 @@ def fp_step(grid: Grid1D, spec: ModelSpec, dt, cache: _FPCache | None = None) ->
         return grid
     if cache is None:
         cache = _build_cache(grid, spec)
-    F, u, A_c, J_c = _face_fluxes(grid, cache)
-    admissible = _cfl_admissible(grid, u, A_c, J_c)
+    rho = grid.density
+    alpha, beta, admissible = cache.operator or _face_operator(rho, grid.h, cache)
     if dt > admissible or dt == np.inf:  # inf is no step, even where nothing bounds it
         raise CFLError(
             f"dt={dt:.3e} violates the CFL bound; reduce to <= {admissible:.3e}",
             admissible_dt=admissible,
         )
+    F = alpha * rho[:-1] + beta * rho[1:]
     # flux differences with zero-flux walls: F_{m+1/2} - F_{m-1/2}
     div = np.empty(grid.M)
     div[0] = F[0]
     np.subtract(F[1:], F[:-1], out=div[1:-1])
     div[-1] = 0.0 - F[-1]
-    new = grid.density - (dt / grid.h) * div
+    new = rho - (dt / grid.h) * div
     clipped = 0
     low = np.minimum.reduce(new)
     if low < 0.0:

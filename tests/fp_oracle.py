@@ -8,13 +8,16 @@ compared with a grid density through its cell histogram. Criterion 09 and
 import numpy as np
 
 from smallmass.errors import ValidationError
-from smallmass.fpsolve1d import Grid1D, _build_cache, _face_fluxes
+from smallmass.fpsolve1d import Grid1D, _build_cache, _face_operator
 from smallmass.model import ModelSpec
 
 
 def stationary_residual(grid: Grid1D, spec: ModelSpec) -> float:
     """Max absolute interior face flux; zero exactly at a discrete steady state."""
-    F, _, _, _ = _face_fluxes(grid, _build_cache(grid, spec))
+    rho = grid.density
+    cache = _build_cache(grid, spec)
+    alpha, beta, _ = cache.operator or _face_operator(rho, grid.h, cache)
+    F = alpha * rho[:-1] + beta * rho[1:]
     return float(np.max(np.abs(F))) if F.size else 0.0
 
 

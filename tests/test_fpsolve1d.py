@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from smallmass import fpsolve1d
 from smallmass.ensemble import NoiseStream, OverdampedEnsemble
 from smallmass.errors import CFLError, StabilityError, ValidationError
 from smallmass.fpsolve1d import (
@@ -249,6 +250,41 @@ def test_state_dependent_friction_and_kernel_run():
     assert np.array_equal(gT.density, gT2.density)
 
 
+@pytest.mark.parametrize(
+    "make, formed",
+    [(make_state_dep_friction_1d, 1), (make_double_well_1d, 10), (matrix_kernel_spec, 10)],
+    ids=["constant-phi-zero-K", "linear-K", "matrix-phi-K"],
+)
+def test_the_face_operator_is_formed_once_per_solve_only_when_no_coefficient_reads_rho(
+    monkeypatch, make, formed
+):
+    calls = []
+    face_operator = fpsolve1d._face_operator
+
+    def counted(rho, h, cache):
+        calls.append(rho)
+        return face_operator(rho, h, cache)
+
+    monkeypatch.setattr(fpsolve1d, "_face_operator", counted)
+    (gT,) = fp_solve(make(), gaussian_grid(4.0, 48, 0.4), T=0.01, dt=1e-3)
+    assert gT.t == pytest.approx(0.01, abs=1e-12)
+    assert len(calls) == formed
+    if formed == 1:
+        assert calls[0] is None  # formed by the cache, from no density
+
+
+def test_a_fixed_face_operator_is_read_only():
+    g = gaussian_grid(4.0, 48, 0.4)
+    alpha, beta, admissible = _build_cache(g, make_state_dep_friction_1d()).operator
+    assert 0.0 < admissible < np.inf
+    for weights in (alpha, beta):
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 0.0
+    for make in (make_double_well_1d, matrix_kernel_spec):
+        assert _build_cache(g, make()).operator is None
+
+
 # ---- fp_solve plumbing ----
 
 def test_solve_trivial_horizon_returns_initial():
@@ -322,9 +358,86 @@ def test_histogram_density_unit_mass():
         l1_density_distance(g, np.ones(5))
 
 
-# ---- differential oracle: the step as first written, with numpy's wrappers ----
+# ---- differential oracle: the face-weight step, with numpy's wrappers ----
 
-def oracle_face_fluxes(grid, cache):
+def oracle_face_operator(grid, cache):
+    rho = grid.density
+    h = grid.h
+    if cache.phi_const is not None:
+        phi_c = cache.phi_const  # the density has unit mass
+        phi_f = phi_c
+    else:
+        phi_c = h * (cache.phiK_c @ rho)
+        phi_f = h * (cache.phiK_f @ rho)
+    A_c = cache.gamma_c + phi_c
+    A_f = cache.gamma_f + phi_f
+    if np.min(A_c) <= 0.0 or np.min(A_f) <= 0.0:
+        raise StabilityError("effective friction not positive on the grid")
+    if cache.K_mode == "zero":
+        Kconv = 0.0
+    elif cache.K_mode == "linear":
+        Kconv = cache.K_coef * (cache.x_f - h * (cache.x_c @ rho))
+    else:
+        Kconv = h * (cache.gradK_f @ rho)
+    u = (cache.gV_f + Kconv) / A_f
+    J_c = cache.sig2_c / (2.0 * A_c)
+    J_f = cache.sig2_f / (2.0 * A_f)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        peclet = np.abs(u) * h * A_f / J_f
+    peclet = np.where(J_f > 0.0, peclet, np.where(u == 0.0, 0.0, np.inf))
+    w_left = np.where(peclet <= 2.0, 0.5, np.where(u < 0.0, 1.0, 0.0))
+    w_right = 1.0 - w_left
+    alpha = J_c[:-1] / (h * A_f) - u * w_left
+    beta = -(J_c[1:] / (h * A_f)) - u * w_right
+    return alpha, beta, oracle_cfl_admissible(grid, u, A_c, J_c)
+
+
+def oracle_cfl_admissible(grid, u, A_c, J_c):
+    h = grid.h
+    umax = float(np.max(np.abs(u))) if u.size else 0.0
+    jmax = float(np.max(J_c))
+    adv = h / umax if umax > 0.0 else np.inf
+    dif = h * h * float(np.min(A_c)) / jmax if jmax > 0.0 else np.inf
+    return 0.4 * min(adv, dif)
+
+
+def oracle_fp_step(grid, spec, dt, cache):
+    if dt < 0.0:
+        raise ValidationError(f"dt must be >= 0, got {dt}")
+    if dt == 0.0:
+        return grid
+    alpha, beta, admissible = oracle_face_operator(grid, cache)
+    if dt > admissible or dt == np.inf:
+        raise CFLError(
+            f"dt={dt:.3e} violates the CFL bound; reduce to <= {admissible:.3e}",
+            admissible_dt=admissible,
+        )
+    rho = grid.density
+    F = alpha * rho[:-1] + beta * rho[1:]
+    return oracle_update(grid, dt, F)
+
+
+def oracle_update(grid, dt, F):
+    """The flux difference with zero-flux walls, then the clip path."""
+    flux = np.concatenate(([0.0], F, [0.0]))
+    new = grid.density - (dt / grid.h) * np.diff(flux)
+    clipped = 0
+    if np.min(new) < 0.0:
+        if np.min(new) < _CLIP_FLOOR:
+            raise StabilityError(
+                f"density undershoot {np.min(new):.3e} exceeds rounding scale"
+            )
+        clipped = int(np.count_nonzero(new < 0.0))
+        new = np.clip(new, 0.0, None)
+    return replace(
+        grid, density=new, t=grid.t + dt, clip_count=grid.clip_count + clipped
+    )
+
+
+# ---- the step as first written: the mass factors and the face value ----
+
+def first_written_face_fluxes(grid, cache):
     rho = grid.density
     h = grid.h
     mass = h * rho.sum()
@@ -360,40 +473,17 @@ def oracle_face_fluxes(grid, cache):
     return F, u, A_c, J_c
 
 
-def oracle_cfl_admissible(grid, u, A_c, J_c):
-    h = grid.h
-    umax = float(np.max(np.abs(u))) if u.size else 0.0
-    jmax = float(np.max(J_c))
-    adv = h / umax if umax > 0.0 else np.inf
-    dif = h * h * float(np.min(A_c)) / jmax if jmax > 0.0 else np.inf
-    return 0.4 * min(adv, dif)
-
-
-def oracle_fp_step(grid, spec, dt, cache):
-    if dt < 0.0:
-        raise ValidationError(f"dt must be >= 0, got {dt}")
+def first_written_fp_step(grid, spec, dt, cache):
     if dt == 0.0:
         return grid
-    F, u, A_c, J_c = oracle_face_fluxes(grid, cache)
+    F, u, A_c, J_c = first_written_face_fluxes(grid, cache)
     admissible = oracle_cfl_admissible(grid, u, A_c, J_c)
     if dt > admissible or dt == np.inf:
         raise CFLError(
             f"dt={dt:.3e} violates the CFL bound; reduce to <= {admissible:.3e}",
             admissible_dt=admissible,
         )
-    flux = np.concatenate(([0.0], F, [0.0]))
-    new = grid.density - (dt / grid.h) * np.diff(flux)
-    clipped = 0
-    if np.min(new) < 0.0:
-        if np.min(new) < _CLIP_FLOOR:
-            raise StabilityError(
-                f"density undershoot {np.min(new):.3e} exceeds rounding scale"
-            )
-        clipped = int(np.count_nonzero(new < 0.0))
-        new = np.clip(new, 0.0, None)
-    return replace(
-        grid, density=new, t=grid.t + dt, clip_count=grid.clip_count + clipped
-    )
+    return oracle_update(grid, dt, F)
 
 
 def step_both(grid, spec, dt, cache):
@@ -450,6 +540,24 @@ def test_fp_step_matches_oracle_bit_for_bit(name, M):
             step_both(grid, spec, 1.01 * dt, cache)
         grid = step_both(grid, spec, 0.9 * dt, cache)
     assert grid.t > 0.0
+
+
+@pytest.mark.parametrize("M", [4, 1600])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SPECS))
+def test_fp_step_stays_within_rounding_of_the_first_written_step(name, M):
+    # the face weights and the unit-mass reading of constant phi and linear K
+    # move rounding only; both bounds were fixed before the first run
+    spec = DIFFERENTIAL_SPECS[name]()
+    grid = first = gaussian_grid(4.0, M, 0.6, mean=0.3)
+    cache = _build_cache(grid, spec)
+    for _ in range(10):
+        dt = admissible_dt(grid, spec, cache)
+        with pytest.raises(CFLError) as exc:
+            first_written_fp_step(first, spec, np.inf, cache)
+        assert exc.value.admissible_dt == pytest.approx(dt, rel=1e-12)
+        grid = fp_step(grid, spec, 0.9 * dt, cache=cache)
+        first = first_written_fp_step(first, spec, 0.9 * dt, cache)
+    assert np.max(np.abs(grid.density - first.density)) <= 1e-13 * np.max(first.density)
 
 
 def test_fp_step_matches_oracle_when_clipping_and_on_undershoot():
